@@ -129,10 +129,7 @@ def brute_force_oracle(
     for v in nodes:
         for w in g.neighbors(v):
             adj[index[v]] |= 1 << index[w]
-    balls = []
-    for v in nodes:
-        dist = distances_from(g, v)
-        balls.append(sum(1 << index[w] for w, d in dist.items() if d <= prop.d))
+    balls = [sum(1 << index[w] for w in distances_from(g, v, radius=prop.d)) for v in nodes]
 
     def independent(mask: int) -> bool:
         rest = mask
@@ -392,7 +389,8 @@ def _canonical_code(rows: tuple[int, ...]) -> int:
                 code = (code << 1) | (row >> perm[b] & 1)
         if best is None or code < best:
             best = code
-    assert best is not None
+    if best is None:
+        raise InternalError("no relabeling produced a canonical code")
     return best
 
 

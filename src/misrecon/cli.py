@@ -45,7 +45,11 @@ EXIT_INTERNAL = 3
 
 
 def _default_seed() -> int:
-    return int(os.environ.get("MISRECON_SEED", "0"))
+    raw = os.environ.get("MISRECON_SEED", "0")
+    try:
+        return int(raw)
+    except ValueError:
+        raise InputError(f"MISRECON_SEED must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -134,14 +138,12 @@ def dispatch(args: argparse.Namespace) -> int:
                 return EXIT_NEGATIVE
             print("note: diameter <= 3, emitted the small-diameter fallback schedule")
         elif args.distributed:
-            mode = "luby" if args.subroutine == "luby" else "deterministic-id"
             sched, report = constant_length_schedule_distributed(
-                inst, mode=mode, seed=seed, round_cap=args.round_cap
+                inst, mode=args.subroutine, seed=seed, round_cap=args.round_cap
             )
             sys.stdout.write(format_sim_report(report))
         else:
-            mode = "luby" if args.subroutine == "luby" else "deterministic-id"
-            sched = constant_length_schedule(inst, mode=mode, seed=seed, round_cap=args.round_cap)
+            sched = constant_length_schedule(inst, mode=args.subroutine, seed=seed, round_cap=args.round_cap)
         Path(args.out).write_text(format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK
@@ -217,7 +219,10 @@ def _bench(args, seed: int) -> int:
     for tok in args.n.split(","):
         tok = tok.strip()
         if tok:
-            sizes.append(int(tok))
+            try:
+                sizes.append(int(tok))
+            except ValueError:
+                raise InputError(f"bad size {tok!r} in --n") from None
     if not sizes:
         raise InputError("bench needs at least one size")
     lines = [

@@ -93,11 +93,7 @@ def layer_component(
     y = frozenset(comp)
     if not ruling <= (alpha & y):
         raise InputError("ruling set must consist of the component's alpha-nodes")
-    dist: dict[int, int] = {}
-    for r in sorted(ruling):
-        for v, d in distances_from(g, r, y).items():
-            if v not in dist or d < dist[v]:
-                dist[v] = d
+    dist = distances_from(g, ruling, y)
     if frozenset(dist) != y:
         raise InternalError("ruling set does not reach the whole component")
     by_dist: dict[int, set[int]] = {}
@@ -113,14 +109,9 @@ def layer_component(
     r4 = frozenset(by_dist.get(4, set()))
     r5 = frozenset(by_dist.get(5, set()))
 
-    def dist_to(targets: VertexSet, v: int) -> int:
-        if not targets:
-            return 10**9
-        d = distances_from(g, v, y)
-        return min((d[t] for t in targets if t in d), default=10**9)
-
+    to_r3 = distances_from(g, r3, y, radius=2)
     r1 = frozenset(
-        v for v in d1 if dist_to(r3, v) == 2 or (g.neighbors(v) & y) <= r0
+        v for v in d1 if to_r3.get(v) == 2 or (g.neighbors(v) & y) <= r0
     )
     rm1 = d1 - r1
     r2 = frozenset(v for u in r1 for v in g.neighbors(u) & y) - r0
@@ -196,14 +187,9 @@ def schedule_big_component(
 
 def _small_diameter_fragment(g, y, alpha_c, beta_c) -> list[VertexSet]:
     """Diameter 3 or 4: anchor on an alpha endpoint of a distance-3 geodesic."""
-    candidates = []
-    for v in sorted(alpha_c):
-        dist = distances_from(g, v, y)
-        if any(d == 3 for d in dist.values()):
-            candidates.append(v)
-    if not candidates:
+    v = next((v for v in sorted(alpha_c) if 3 in distances_from(g, v, y, radius=3).values()), None)
+    if v is None:
         raise InternalError("no alpha endpoint of a distance-3 pair in the component")
-    v = candidates[0]
     far_beta = beta_c - g.neighbors(v)
     return [alpha_c, frozenset({v}), frozenset({v}) | far_beta, far_beta, beta_c]
 
@@ -478,7 +464,7 @@ def constant_length_schedule_distributed(
     core = inst.alpha & inst.beta
     core_report = run(g, _CoreBroadcast, {v: v in core for v in g.nodes}, round_cap=4)
     sched, reduction = _pipeline(inst, mode, seed, report_sink=sink, round_cap=round_cap)
-    rounds = 2  # shared-core broadcast, also run above for its message count
+    rounds = core_report.rounds_used
     messages = core_report.messages_sent
     if reduction.reduced_instance.alpha | reduction.reduced_instance.beta:
         collect = run(

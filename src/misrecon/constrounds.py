@@ -7,10 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent, is_mis
-from .schedule import PropertySpec, ReconfigInstance, Schedule, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, first_violation, validate
 from .sim import CollectProgram, SimReport, run
 
 SLOT = 6
@@ -86,18 +87,12 @@ def plan_insertion(
     base = (current - blockers) | {v}
     gamma = greedy_complete(g, base, alpha, beta, within=reach)
 
-    dist = distances_from(g, v)
+    dist = distances_from(g, v, radius=5)
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)
     # Only nodes whose nearest set-member is removed can lose coverage, and
     # removals stay within 4 hops of v, so checks are confined to this ball.
-    risk = frozenset(u for u, d in dist.items() if d <= 5)
-
-    if not blockers:
-        steps = [gamma] * SLOT
-        return _checked_plan(g, current, v, "free", steps, gamma, blockers)
-
-    direct = [current - blockers] + [gamma] * (SLOT - 1)
+    risk = frozenset(dist)
 
     def parked_steps(helpers: list[int]) -> list[VertexSet]:
         parked = [c for c in helpers if c not in current]
@@ -109,62 +104,44 @@ def plan_insertion(
         s5 = s4 - frozenset(parked)
         return [s1, s2, s3, s4, s5, gamma]
 
-    attempts: list[tuple[str, list[VertexSet]]] = []
-    if any(u in current for u in sphere2):
-        attempts.append(("alpha-at-2", direct))
-    for u in sphere2:
-        if not (g.neighbors(u) & blockers):
-            attempts.append(("case1", parked_steps([u])))
-            break
-    for u in sphere2:
-        if blockers <= g.neighbors(u):
-            partners = sorted(g.neighbors(u) & sphere3)
-            if partners:
-                attempts.append(("case2", parked_steps([partners[0]])))
+    def attempts() -> Iterator[tuple[str, list[VertexSet]]]:
+        if not blockers:
+            yield "free", [gamma] * SLOT
+            return
+        if any(u in current for u in sphere2):
+            yield "alpha-at-2", [current - blockers] + [gamma] * (SLOT - 1)
+        for u in sphere2:
+            if not (g.neighbors(u) & blockers):
+                yield "case1", parked_steps([u])
                 break
-    for u in sphere2:
-        if not (g.neighbors(u) & sphere3) and (blockers - g.neighbors(u)):
-            attempts.append(("case3", parked_steps([u])))
-            break
-    outward = [u for u in sphere2 if g.neighbors(u) & sphere3]
-    if outward:
-        partners = _independent_partners(g, current, outward, sphere3)
-        attempts.append(("case4", parked_steps(partners)))
-    needed = _needed_helpers(g, current, blockers, sphere2, sphere3, risk)
-    if needed is not None:
-        attempts.append(("case4" if needed else "direct", parked_steps(needed)))
-    for c in sphere2 + sorted(sphere3):
-        if c not in current:
-            attempts.append(("helper", parked_steps([c])))
+        for u in sphere2:
+            if blockers <= g.neighbors(u):
+                partners = sorted(g.neighbors(u) & sphere3)
+                if partners:
+                    yield "case2", parked_steps([partners[0]])
+                    break
+        for u in sphere2:
+            if not (g.neighbors(u) & sphere3) and (blockers - g.neighbors(u)):
+                yield "case3", parked_steps([u])
+                break
+        outward = [u for u in sphere2 if g.neighbors(u) & sphere3]
+        if outward:
+            yield "case4", parked_steps(_independent_partners(g, current, outward, sphere3))
+        needed = _needed_helpers(g, current, blockers, sphere2, sphere3, risk)
+        if needed is not None:
+            yield ("case4" if needed else "direct"), parked_steps(needed)
+        for c in sphere2 + sorted(sphere3):
+            if c not in current:
+                yield "helper", parked_steps([c])
 
-    for tag, steps in attempts:
-        if _fragment_ok(g, current, steps, risk):
+    for tag, steps in attempts():
+        if first_violation(g, current, steps, 4, watch=risk) is None:
             return _checked_plan(g, current, v, tag, steps, gamma, blockers)
 
     raise InternalError(
         f"no insertion fragment validates for node {v}; 2-sphere {sphere2}, "
         f"3-sphere {sorted(sphere3)}, set-neighbors {sorted(blockers)}"
     )
-
-
-def _fragment_ok(g: Graph, current: VertexSet, steps: list[VertexSet], risk: VertexSet) -> bool:
-    """Full per-step check of a candidate fragment: flip-independence, set
-    independence, and 4-domination of every at-risk node."""
-    prev = current
-    for s in steps:
-        flip = s ^ prev
-        for w in flip:
-            if g.neighbors(w) & flip:
-                return False
-        if not is_independent(g, s):
-            return False
-        covered: set[int] = set()
-        for m in sorted(s):
-            covered.update(w for w, d in distances_from(g, m).items() if d <= 4)
-        if risk - covered:
-            return False
-        prev = s
-    return True
 
 
 def _independent_partners(g, current, outward, sphere3) -> list[int]:
@@ -187,15 +164,12 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3, risk) -> list[int] |
     """Helpers parked only where the mid-fragment set actually leaves a hole.
 
     Returns None when some hole admits no helper (the rung is skipped)."""
-    base_mid = current - blockers
-    covered: set[int] = set()
-    for m in sorted(base_mid):
-        covered.update(w for w, d in distances_from(g, m).items() if d <= 4)
-    holes = [x for x in sorted(risk - covered)]
+    covered = distances_from(g, current - blockers, radius=4)
+    holes = sorted(risk.difference(covered))
     chosen: list[int] = []
     candidates = [c for c in sphere2 + sorted(sphere3) if c not in current]
     for x in holes:
-        near = frozenset(w for w, d in distances_from(g, x).items() if d <= 4)
+        near = ball(g, x, 4)
         if any(c in near for c in chosen):
             continue
         pick = None
@@ -210,18 +184,8 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3, risk) -> list[int] |
 
 
 def _checked_plan(g, current, v, tag, steps, gamma, blockers) -> InsertionPlan:
-    steps = [frozenset(s) for s in steps]
     if len(steps) != SLOT:
         raise InternalError("insertion fragment must have exactly six steps")
-    prev = current
-    for s in steps:
-        flip = s ^ prev
-        for w in flip:
-            if g.neighbors(w) & flip:
-                raise InternalError(f"insertion fragment flips neighbors {w} together")
-        if not is_independent(g, s):
-            raise InternalError("insertion fragment produced a dependent set")
-        prev = s
     if steps[-1] != gamma:
         raise InternalError("insertion fragment must end at its completion")
     net_removed = current - gamma

@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 VertexSet = frozenset[int]
 
@@ -99,31 +99,44 @@ class Graph:
         return f"Graph({len(self._nodes)} nodes, {len(self.edges())} edges)"
 
 
-def distances_from(g: Graph, source: int, restrict: VertexSet | None = None) -> dict[int, int]:
+def distances_from(
+    g: Graph,
+    source: int | Iterable[int],
+    restrict: VertexSet | None = None,
+    radius: int | None = None,
+) -> dict[int, int]:
     """BFS hop distances from ``source``; unreachable nodes are absent.
 
-    With ``restrict`` given, distances are measured in the subgraph induced by
-    ``restrict`` (which must contain the source).
+    ``source`` is one id or a collection of ids; with a collection each
+    distance is to the nearest source.  With ``restrict`` given, distances are
+    measured in the subgraph induced by ``restrict`` (which must contain every
+    source).  With ``radius`` given, the search stops expanding at that depth,
+    so nodes farther away are absent.  This is the package's only BFS.
     """
-    if source not in g:
-        raise InputError(f"unknown source id {source}")
-    if restrict is not None and source not in restrict:
-        raise InputError(f"source {source} not in restriction set")
-    dist = {source: 0}
-    queue = deque([source])
+    dist = {source: 0} if isinstance(source, int) else dict.fromkeys(source, 0)
+    if not dist.keys() <= g.nodes:
+        raise InputError(f"unknown source id {min(dist.keys() - g.nodes)}")
+    if restrict is not None and not dist.keys() <= restrict:
+        raise InputError(f"source {min(dist.keys() - restrict)} not in restriction set")
+    limit = math.inf if radius is None else radius
+    if limit < 0:
+        raise InputError(f"BFS radius must be non-negative, got {radius}")
+    queue = deque(dist)
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in dist or (restrict is not None and w not in restrict):
-                continue
-            dist[w] = dist[v] + 1
-            queue.append(w)
+        d = dist[v] + 1
+        if d > limit:
+            break
+        for w in g._adj[v]:
+            if w not in dist and (restrict is None or w in restrict):
+                dist[w] = d
+                queue.append(w)
     return dist
 
 
 def ball(g: Graph, source: int, radius: int, restrict: VertexSet | None = None) -> VertexSet:
     """All nodes within ``radius`` hops of ``source``."""
-    return frozenset(v for v, d in distances_from(g, source, restrict).items() if d <= radius)
+    return frozenset(distances_from(g, source, restrict, radius))
 
 
 def connected_components(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:
@@ -156,31 +169,27 @@ def diameter(g: Graph, within: VertexSet | None = None) -> float:
     return best
 
 
+def edge_inside(g: Graph, s: VertexSet) -> tuple[int, int] | None:
+    """The smallest edge of g with both endpoints in s, as (low, high) with
+    the smallest low endpoint and then the smallest high one; None if s is
+    independent."""
+    if all(g.neighbors(v).isdisjoint(s) for v in s):
+        return None
+    # The smallest node with a neighbor in s is the low end of that edge.
+    low = min(v for v in s if not g.neighbors(v).isdisjoint(s))
+    return (low, min(g.neighbors(low) & s))
+
+
 def is_independent(g: Graph, s: VertexSet) -> bool:
     """True iff no edge of g has both endpoints in s; the empty set counts."""
-    s = frozenset(s)
-    return all(not (g.neighbors(v) & s) for v in s)
+    return edge_inside(g, frozenset(s)) is None
 
 
 def is_d_dominating(g: Graph, s: VertexSet, d: int) -> bool:
     """True iff every node of g is within ``d`` hops of some member of s."""
     if d < 1:
         raise InputError(f"domination radius must be positive, got {d}")
-    s = frozenset(s)
-    if not s:
-        return not g.nodes
-    covered: set[int] = set()
-    queue = deque((v, 0) for v in sorted(s))
-    covered |= set(s)
-    while queue:
-        v, dist = queue.popleft()
-        if dist == d:
-            continue
-        for w in g.neighbors(v):
-            if w not in covered:
-                covered.add(w)
-                queue.append((w, dist + 1))
-    return len(covered) == len(g.nodes)
+    return len(distances_from(g, s, radius=d)) == len(g.nodes)
 
 
 def is_mis(g: Graph, s: VertexSet) -> bool:
@@ -268,7 +277,8 @@ def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> 
     out = []
     for i, comp in enumerate(comps):
         diam = diameter(g, comp)
-        assert diam != math.inf, "component must be connected by construction"
+        if diam == math.inf:
+            raise InternalError("component must be connected by construction")
         out.append(
             ComponentInfo(
                 vertices=comp,

@@ -10,16 +10,10 @@ neighbors flip membership in the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 from .errors import InputError
-from .graph import (
-    ComponentInfo,
-    Graph,
-    VertexSet,
-    distances_from,
-    is_d_dominating,
-    is_mis,
-)
+from .graph import ComponentInfo, Graph, VertexSet, distances_from, edge_inside, is_mis
 
 
 @dataclass(frozen=True)
@@ -92,22 +86,42 @@ class ValidationReport:
     first_violation: Violation | None = None
 
 
-def _find_edge_inside(g: Graph, s: VertexSet) -> tuple[int, int] | None:
-    for v in sorted(s):
-        hits = g.neighbors(v) & s
-        if hits:
-            return (min(v, min(hits)), max(v, min(hits)))
+def first_violation(
+    g: Graph,
+    prev: VertexSet,
+    steps: Sequence[VertexSet],
+    d: int,
+    watch: VertexSet | None = None,
+) -> Violation | None:
+    """The earliest step that breaks a step condition; ``steps[0]`` is step 1.
+
+    Each step is compared with the one before it (``prev`` before the first):
+    its flip must be independent, the step itself independent, and every node
+    of ``watch`` (default: every node) within ``d`` hops of it.  A step whose
+    flip is empty equals its predecessor, which is ``prev`` (an MIS in every
+    caller) or a step that already passed, so it is skipped.
+    """
+    if watch is None:
+        watch = pool = g.nodes
+    else:
+        # A member of a step covers a watched node only through a path of at
+        # most d hops, and that path lies inside the d-ball around ``watch``.
+        pool = frozenset(distances_from(g, watch, radius=d))
+    for i, step in enumerate(steps, 1):
+        flip = step ^ prev
+        prev = step
+        if not flip:
+            continue
+        edge = edge_inside(g, flip)
+        if edge is not None:
+            return Violation(i, "flip-independence", edge)
+        edge = edge_inside(g, step)
+        if edge is not None:
+            return Violation(i, "independence", edge)
+        missing = watch.difference(distances_from(g, step & pool, pool, d))
+        if missing:
+            return Violation(i, "domination", min(missing))
     return None
-
-
-def _find_undominated(g: Graph, s: VertexSet, d: int) -> int | None:
-    if not s:
-        return min(g.nodes) if g.nodes else None
-    covered: set[int] = set()
-    for v in sorted(s):
-        covered.update(w for w, dist in distances_from(g, v).items() if dist <= d)
-    missing = g.nodes - covered
-    return min(missing) if missing else None
 
 
 def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = PropertySpec()) -> ValidationReport:
@@ -125,28 +139,18 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
         if unknown:
             raise InputError(f"schedule step contains unknown node ids {sorted(unknown)}")
 
-    def fail(step: int, condition: str, witness) -> ValidationReport:
-        return ValidationReport(False, Violation(step, condition, witness))
-
-    if sched.steps[0] != inst.alpha:
-        diff = sched.steps[0] ^ inst.alpha
-        return fail(0, "endpoints", min(diff) if diff else None)
-    last = len(sched.steps) - 1
-    for i in range(1, len(sched.steps)):
-        flip = sched.steps[i] ^ sched.steps[i - 1]
-        edge = _find_edge_inside(g, flip)
+    steps, last = sched.steps, len(sched.steps) - 1
+    if steps[0] != inst.alpha:
+        violation = Violation(0, "endpoints", min(steps[0] ^ inst.alpha))
+    else:
+        violation = first_violation(g, steps[0], steps[1:last], prop.d)
+    if violation is None and last:
+        edge = edge_inside(g, steps[last] ^ steps[last - 1])
         if edge is not None:
-            return fail(i, "flip-independence", edge)
-        if i < last:
-            edge = _find_edge_inside(g, sched.steps[i])
-            if edge is not None:
-                return fail(i, "independence", edge)
-            if not is_d_dominating(g, sched.steps[i], prop.d):
-                return fail(i, "domination", _find_undominated(g, sched.steps[i], prop.d))
-    if sched.steps[last] != inst.beta:
-        diff = sched.steps[last] ^ inst.beta
-        return fail(last, "endpoints", min(diff) if diff else None)
-    return ValidationReport(True)
+            violation = Violation(last, "flip-independence", edge)
+    if violation is None and steps[last] != inst.beta:
+        violation = Violation(last, "endpoints", min(steps[last] ^ inst.beta))
+    return ValidationReport(violation is None, violation)
 
 
 def update_component(

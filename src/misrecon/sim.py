@@ -20,6 +20,7 @@ from .errors import InputError, InternalError
 from .graph import (
     Graph,
     VertexSet,
+    ball,
     connected_components,
     diameter,
     distances_from,
@@ -238,7 +239,7 @@ def dist_mis(
     """Run the pluggable MIS subroutine on g; the result always passes is_mis."""
     if mode == "deterministic-id":
         factory: Callable[[], NodeProgram] = MisIdProgram
-    elif mode in ("randomized", "luby"):
+    elif mode == "luby":
         factory = MisLubyProgram
     else:
         raise InputError(f"unknown MIS mode {mode!r}")
@@ -268,11 +269,7 @@ def _virtual_graph(g: Graph, y: VertexSet, alpha: VertexSet) -> Graph:
 def _square(g: Graph) -> Graph:
     edges = set()
     for v in sorted(g.nodes):
-        two_ball = set(g.neighbors(v))
-        for w in g.neighbors(v):
-            two_ball |= g.neighbors(w)
-        two_ball.discard(v)
-        for w in two_ball:
+        for w in ball(g, v, 2) - {v}:
             edges.add((min(v, w), max(v, w)))
     return Graph(sorted(g.nodes), sorted(edges))
 
@@ -328,18 +325,16 @@ def _check_ruling(virtual: Graph, ruling: VertexSet, g: Graph, y: VertexSet) -> 
     """Exhaustively confirm the (3,2) property on the virtual graph and the
     induced (6,5) property on y."""
     for v in sorted(ruling):
-        dist = distances_from(virtual, v)
-        for w in sorted(ruling):
-            if w != v and dist.get(w, 10**9) < 3:
-                raise InternalError(f"ruling nodes {v},{w} at virtual distance {dist[w]}")
-    for v in sorted(virtual.nodes):
-        dist = distances_from(virtual, v)
-        if min((dist.get(r, 10**9) for r in ruling), default=10**9) > 2:
-            raise InternalError(f"virtual node {v} not 2-covered by the ruling set")
-    for v in sorted(y):
-        dist = distances_from(g, v, y)
-        if min((dist.get(r, 10**9) for r in ruling), default=10**9) > 5:
-            raise InternalError(f"node {v} not 5-covered in the induced subgraph")
+        dist = distances_from(virtual, v, radius=2)
+        close = sorted(w for w in dist if w in ruling and w != v)
+        if close:
+            raise InternalError(f"ruling nodes {v},{close[0]} at virtual distance {dist[close[0]]}")
+    uncovered = virtual.nodes.difference(distances_from(virtual, ruling, radius=2))
+    if uncovered:
+        raise InternalError(f"virtual node {min(uncovered)} not 2-covered by the ruling set")
+    uncovered = y.difference(distances_from(g, ruling, y, radius=5))
+    if uncovered:
+        raise InternalError(f"node {min(uncovered)} not 5-covered in the induced subgraph")
 
 
 def format_sim_report(report: SimReport, include_outputs: bool = False) -> str:

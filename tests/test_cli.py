@@ -234,3 +234,15 @@ def test_cli_outputs_byte_deterministic(tmp_path):
             "--distributed", "--seed", "4", "--out", str(out),
         ]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("MISRECON_SEED", "abc")
+    argv = ["gen", "--family", "alt-path", "--n", "10", "--out-prefix", str(tmp_path / "x")]
+    assert main(argv) == EXIT_USAGE
+    assert "'abc'" in capsys.readouterr().err
+
+
+def test_bench_bad_size_exits_2(capsys):
+    assert main(["bench", "--family", "alt-path", "--n", "10,x", "--algo", "const-length"]) == EXIT_USAGE
+    assert "'x'" in capsys.readouterr().err

@@ -13,7 +13,7 @@ from misrecon.constlength import (
     schedule_isolated,
     schedule_non_isolated,
 )
-from misrecon.errors import InputError
+from misrecon.errors import InputError, InternalError
 from misrecon.graph import Graph, components_of, diameter
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 from misrecon.sim import ruling_set_32
@@ -284,6 +284,21 @@ def test_random_100_node_instance():
     sched = constant_length_schedule(inst)
     assert sched.length == 28
     assert validate(inst, sched, PropertySpec(4)).valid
+
+
+@pytest.mark.xfail(raises=InternalError, strict=True)
+def test_random_582_node_instance_known_domination_defect():
+    """Known defect: the 28-step schedule breaks 4-domination at step 7.
+
+    In the reduced instance, epsilon-node 88 has two neighbors in alpha ∪ beta.
+    Its only alpha-neighbor, 80, sits in layer 4 of a diameter-5 cascade.  Its
+    only beta-neighbor, 140, sits in a diameter-4 component whose
+    ``_small_diameter_fragment`` runs in parallel in part 3 of
+    ``schedule_non_isolated``.  At cascade step 3 neither side keeps a set
+    member within 4 hops of node 88.
+    """
+    inst = gen_gadget("random", n=582, p=3 / 582, seed=186725930014)
+    constant_length_schedule(inst)
 
 
 def test_rejects_small_diameter_and_disconnected():

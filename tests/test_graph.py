@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misrecon.errors import InputError
 from misrecon.graph import (
@@ -91,6 +93,43 @@ def test_distances_agree_with_matrix_squaring(seed):
                 assert w not in dist
             else:
                 assert dist[w] == expected
+
+
+@st.composite
+def bfs_queries(draw):
+    n = draw(st.integers(1, 9))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(range(n), edges)
+    sources = draw(st.frozensets(st.integers(0, n - 1)))
+    restrict = draw(st.none() | st.frozensets(st.integers(0, n - 1)).map(lambda r: r | sources))
+    radius = draw(st.none() | st.integers(0, 5))
+    return g, sources, restrict, radius
+
+
+@settings(max_examples=150, deadline=None)
+@given(bfs_queries())
+def test_multi_source_bounded_bfs_matches_single_source_minimum(query):
+    g, sources, restrict, radius = query
+    expected: dict[int, int] = {}
+    for s in sources:
+        for v, d in distances_from(g, s, restrict).items():
+            if (radius is None or d <= radius) and d < expected.get(v, math.inf):
+                expected[v] = d
+    assert distances_from(g, sources, restrict, radius) == expected
+    if len(sources) == 1:
+        (s,) = sources
+        assert distances_from(g, s, restrict, radius) == expected
+
+
+def test_bfs_rejects_bad_sources_and_radius():
+    g = path(4)
+    with pytest.raises(InputError):
+        distances_from(g, {0, 9})
+    with pytest.raises(InputError):
+        distances_from(g, {0, 1}, frozenset({0, 2}))
+    with pytest.raises(InputError):
+        distances_from(g, 0, radius=-1)
 
 
 def test_components_partition_and_are_maximal():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from misrecon.errors import InputError
 from misrecon.graph import Graph
@@ -75,23 +77,20 @@ def test_length_zero_schedule_iff_alpha_equals_beta():
 
 
 def naive_check(inst, sched, d):
-    """Independent re-implementation: full rescans with no shared helpers."""
+    """Independent re-implementation: full rescans with no shared helpers.
+
+    Returns the earliest violation as ``(step, condition, witness)``, or None.
+    Every step is checked, including steps that repeat their predecessor."""
     g = inst.graph
     steps = [set(s) for s in sched.steps]
-    if not steps or steps[0] != set(inst.alpha) or steps[-1] != set(inst.beta):
-        return False
-    for i in range(1, len(steps)):
-        flip = steps[i] ^ steps[i - 1]
-        for u in flip:
-            for w in flip:
-                if u != w and w in g.neighbors(u):
-                    return False
-    for i in range(1, len(steps) - 1):
-        s = steps[i]
-        for u in s:
-            for w in s:
-                if u != w and w in g.neighbors(u):
-                    return False
+    last = len(steps) - 1
+
+    def smallest_edge(s):
+        edges = [(u, w) for u in s for w in s if u < w and w in g.neighbors(u)]
+        return min(edges) if edges else None
+
+    def smallest_undominated(s):
+        missing = []
         for v in g.nodes:
             frontier, seen, dist, ok = {v}, {v}, 0, v in s
             while not ok and dist < d:
@@ -100,8 +99,31 @@ def naive_check(inst, sched, d):
                 dist += 1
                 ok = bool(frontier & s)
             if not ok:
-                return False
-    return True
+                missing.append(v)
+        return min(missing) if missing else None
+
+    if steps[0] != set(inst.alpha):
+        return (0, "endpoints", min(steps[0] ^ set(inst.alpha)))
+    for i in range(1, last + 1):
+        edge = smallest_edge(steps[i] ^ steps[i - 1])
+        if edge is not None:
+            return (i, "flip-independence", edge)
+        if i < last:
+            edge = smallest_edge(steps[i])
+            if edge is not None:
+                return (i, "independence", edge)
+            node = smallest_undominated(steps[i])
+            if node is not None:
+                return (i, "domination", node)
+    if steps[last] != set(inst.beta):
+        return (last, "endpoints", min(steps[last] ^ set(inst.beta)))
+    return None
+
+
+def reported(report):
+    assert report.valid == (report.first_violation is None)
+    v = report.first_violation
+    return None if v is None else (v.step, v.condition, v.witness)
 
 
 def test_validator_matches_naive_checker_on_randomized_schedules():
@@ -116,9 +138,54 @@ def test_validator_matches_naive_checker_on_randomized_schedules():
             steps.append(frozenset(v for v in g.nodes if rng.random() < 0.4))
         steps.append(beta)
         sched = Schedule(tuple(steps))
-        assert validate(inst, sched, PropertySpec(4)).valid == naive_check(inst, sched, 4)
+        assert reported(validate(inst, sched, PropertySpec(4))) == naive_check(inst, sched, 4)
         agreements += 1
     assert agreements == 300
+
+
+def greedy_mis(g, order):
+    chosen = set()
+    for v in order:
+        if not (g.neighbors(v) & chosen):
+            chosen.add(v)
+    return frozenset(chosen)
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 8))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(range(n), edges)
+    alpha = greedy_mis(g, draw(st.permutations(range(n))))
+    beta = greedy_mis(g, draw(st.permutations(range(n))))
+    nodes = st.integers(0, n - 1)
+    # Mostly well-formed endpoints, so later steps are reached.
+    steps = [draw(st.frozensets(nodes)) if draw(st.integers(0, 3)) == 0 else alpha]
+    for kind in draw(st.lists(st.sampled_from(["repeat", "empty", "random", "mis", "drop", "add"]), max_size=6)):
+        prev = steps[-1]
+        if kind == "repeat":
+            steps.append(prev)
+        elif kind == "empty":
+            steps.append(frozenset())
+        elif kind == "random":
+            steps.append(draw(st.frozensets(nodes)))
+        elif kind == "mis":
+            steps.append(greedy_mis(g, draw(st.permutations(range(n)))))
+        elif kind == "drop":
+            steps.append(prev - {draw(nodes)})
+        else:
+            steps.append(prev | {draw(nodes)})
+    steps.append(draw(st.frozensets(nodes)) if draw(st.integers(0, 3)) == 0 else beta)
+    d = draw(st.integers(1, 4))
+    return ReconfigInstance(g, alpha, beta), Schedule(tuple(steps)), d
+
+
+@settings(max_examples=400, deadline=None)
+@given(schedules())
+def test_validator_reports_the_naive_first_violation(case):
+    inst, sched, d = case
+    assert reported(validate(inst, sched, PropertySpec(d))) == naive_check(inst, sched, d)
 
 
 def test_update_component_set_arithmetic():
