@@ -46,6 +46,7 @@ from .schedule import (
     ReconfigInstance,
     Schedule,
     ValidationReport,
+    run_side_by_side,
     update_component,
     validate,
 )

@@ -22,7 +22,7 @@ from .graph import (
     diameter,
     distances_from,
 )
-from .schedule import PropertySpec, ReconfigInstance, Schedule, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, run_side_by_side, update_component, validate
 from .sim import CollectProgram, NodeProgram, SimReport, dist_mis, ruling_set_32, run
 
 NON_ISOLATED_STEPS = 18
@@ -164,7 +164,7 @@ def schedule_big_component(
     if comp.diameter <= 4:
         steps = _small_diameter_fragment(g, y, alpha_c, beta_c)
     else:
-        ruling, report = ruling_set_32(g, y, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
+        ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
         if report_sink is not None:
             report_sink.append(("ruling-set", report))
         layers = layer_component(g, y, alpha_c, beta_c, ruling)
@@ -216,9 +216,7 @@ def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple
 
 
 def _batch_update(steps: list[VertexSet], comps: list[ComponentInfo], alpha, beta) -> None:
-    verts = frozenset().union(*(c.vertices for c in comps)) if comps else frozenset()
-    steps.append(steps[-1] - (alpha & verts))
-    steps.append(steps[-1] | (beta & verts))
+    steps.extend(update_component(steps[-1], frozenset().union(*(c.vertices for c in comps)), alpha, beta))
 
 
 def schedule_non_isolated(
@@ -257,7 +255,7 @@ def schedule_non_isolated(
         report_sink.append(("component-mis", m_report))
     m_comps = [by_label[l] for l in sorted(m_labels)]
 
-    universe = frozenset().union(*(c.vertices for c in comps)) if comps else frozenset()
+    universe = frozenset().union(*(c.vertices for c in comps))
     steps: list[VertexSet] = [alpha & universe]
     updated: set[int] = set()
 
@@ -271,7 +269,7 @@ def schedule_non_isolated(
 
     # Part 2: small components alpha-covered through an MIS component.
     eps = g.nodes - alpha - beta
-    m_vertices = frozenset().union(*(c.vertices for c in m_comps)) if m_comps else frozenset()
+    m_vertices = frozenset().union(*(c.vertices for c in m_comps))
     part2 = []
     for c in small:
         if c.min_id in updated or c.min_id in m_labels:
@@ -283,16 +281,9 @@ def schedule_non_isolated(
     _batch_update(steps, mark(part2), alpha, beta)
 
     # Part 3: all big components cascade in parallel over eight steps.
-    fragments = {
-        c.min_id: schedule_big_component(g, c, alpha, beta, mode, seed, report_sink, round_cap)
-        for c in big
-    }
+    fragments = [schedule_big_component(g, c, alpha, beta, mode, seed, report_sink, round_cap) for c in big]
     updated.update(c.min_id for c in big)
-    for j in range(1, 9):
-        cur = steps[-1]
-        for frag in fragments.values():
-            cur = (cur - (frag[j - 1] - frag[j])) | (frag[j] - frag[j - 1])
-        steps.append(cur)
+    steps.extend(run_side_by_side(steps[-1], fragments, 8))
 
     # Part 4: the MIS components themselves.
     _batch_update(steps, mark(m_comps), alpha, beta)
@@ -361,7 +352,7 @@ def schedule_isolated(
     shallow = [b for b in blobs if b["diameter"] <= 2]
     deep = [b for b in blobs if b["diameter"] == 3]
 
-    universe = frozenset().union(*(b["core"] for b in blobs)) if blobs else frozenset()
+    universe = frozenset().union(*(b["core"] for b in blobs))
     steps: list[VertexSet] = [alpha & universe]
 
     # Part 1: contact graph over shallow blobs (edges where their fringes
@@ -385,25 +376,18 @@ def schedule_isolated(
     first_wave = [b for b in shallow if b["label"] in m_labels]
     second_wave = [b for b in shallow if b["label"] not in m_labels]
     for wave in (first_wave, second_wave):
-        verts = frozenset().union(*(b["core"] for b in wave)) if wave else frozenset()
-        steps.append(steps[-1] - (alpha & verts))
-        steps.append(steps[-1] | (beta & verts))
+        steps.extend(update_component(steps[-1], frozenset().union(*(b["core"] for b in wave)), alpha, beta))
 
     # Part 2: six-step gadget for the deep blobs.
     gadgets = []
-    for b in deep:
-        picked = None
-        for u in sorted(b["fringe"]):
-            misses_alpha = sorted((alpha & b["core"]) - g.neighbors(u))
-            misses_beta = sorted((beta & b["core"]) - g.neighbors(u))
-            if misses_alpha and misses_beta:
-                picked = (u, misses_alpha[0], misses_beta[0])
+    for blob in deep:
+        for u in sorted(blob["fringe"]):
+            misses_beta = sorted((beta & blob["core"]) - g.neighbors(u))
+            if misses_beta and (alpha & blob["core"]) - g.neighbors(u):
+                gadgets.append({"blob": blob, "u": u, "b": misses_beta[0]})
                 break
-        if picked is None:
-            raise InternalError(
-                f"no escape triple in a diameter-3 isolated component {sorted(b['core'])}"
-            )
-        gadgets.append({"blob": b, "u": picked[0], "a": picked[1], "b": picked[2]})
+        else:
+            raise InternalError(f"no escape triple in a diameter-3 isolated component {sorted(blob['core'])}")
 
     u_nodes = sorted(gad["u"] for gad in gadgets)
     u_graph = Graph(u_nodes, [(x, y) for i, x in enumerate(u_nodes) for y in u_nodes[i + 1 :] if g.has_edge(x, y)])
@@ -411,21 +395,18 @@ def schedule_isolated(
     if report_sink is not None:
         report_sink.append(("escape-mis", mp_report))
 
-    if gadgets:
-        selected = [gad for gad in gadgets if gad["u"] in mprime]
-        skipped = [gad for gad in gadgets if gad["u"] not in mprime]
-        deep_cores = frozenset().union(*(gad["blob"]["core"] for gad in gadgets))
-        steps.append(steps[-1] - frozenset(w for gad in selected for w in g.neighbors(gad["u"]) & alpha))
-        steps.append(steps[-1] | frozenset(gad["u"] for gad in selected))
-        steps.append(steps[-1] - (alpha & deep_cores))
-        additions = frozenset(gad["b"] for gad in selected) | frozenset(
-            w for gad in skipped for w in beta & gad["blob"]["core"]
-        )
-        steps.append(steps[-1] | additions)
-        steps.append(steps[-1] - frozenset(gad["u"] for gad in selected))
-        steps.append(steps[-1] | (beta & deep_cores))
-    while len(steps) < ISOLATED_STEPS + 1:
-        steps.append(steps[-1])
+    # A selected blob parks u, swaps its core through the anchor b, then
+    # drops u; a skipped blob swaps its core in the same removal and addition.
+    fragments = []
+    for gad in gadgets:
+        a_part, b_part = alpha & gad["blob"]["core"], beta & gad["blob"]["core"]
+        if gad["u"] in mprime:
+            u, b = frozenset({gad["u"]}), frozenset({gad["b"]})
+            kept = a_part - g.neighbors(gad["u"])
+            fragments.append([a_part, kept, kept | u, u, u | b, b, b_part])
+        else:
+            fragments.append([a_part, a_part, a_part, frozenset(), b_part, b_part, b_part])
+    steps.extend(run_side_by_side(steps[-1], fragments, 6))
 
     if len(steps) != ISOLATED_STEPS + 1:
         raise InternalError("isolated fragment has the wrong length")
@@ -530,10 +511,8 @@ def _pipeline(inst, mode, seed, report_sink, round_cap=None):
     else:
         frag_b = [frozenset()] * (ISOLATED_STEPS + 1)
 
-    core = reduction.stripped_always_in
-    steps = [frag_b[0] | frag_a[i] | core for i in range(NON_ISOLATED_STEPS + 1)]
-    steps += [frag_b[i] | frag_a[NON_ISOLATED_STEPS] | core for i in range(1, ISOLATED_STEPS + 1)]
-    sched = Schedule(tuple(steps))
+    steps = [frag_b[0] | s for s in frag_a] + [frag_a[-1] | s for s in frag_b[1:]]
+    sched = Schedule(tuple(reduction.lift(steps)))
     if sched.length != TOTAL_STEPS:
         raise InternalError("assembled schedule is not 28 steps long")
     report = validate(inst, sched, PropertySpec(4))

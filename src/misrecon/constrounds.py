@@ -7,14 +7,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent, is_mis
-from .schedule import PropertySpec, ReconfigInstance, Schedule, first_violation, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, first_violation, run_side_by_side, validate
 from .sim import CollectProgram, SimReport, run
 
 SLOT = 6
+# Id-slotted schedules have SLOT·(max id + 1) steps; larger ids are refused.
+ID_LIMIT = 100_000
 
 
 @dataclass(frozen=True)
@@ -208,7 +210,8 @@ def _require_deep_diameter(g: Graph) -> None:
 
 def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimReport]:
     """Identifier-driven schedule: node k owns steps 6k+1..6(k+1); total
-    length 6·(max id + 1) regardless of how sparse the ids are.
+    length 6·(max id + 1) regardless of how sparse the ids are, so ids must
+    stay below ``ID_LIMIT``.
 
     Every plan depends only on a 9-hop ball (the changed region spans 4
     hops, the nodes it can endanger 5, their covers 9), so the communication
@@ -216,18 +219,14 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
     """
     g = inst.graph
     _require_deep_diameter(g)
+    top = max(g.nodes)
+    if top >= ID_LIMIT:
+        raise InputError(
+            f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
+            f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
+        )
     collect = run(g, lambda: CollectProgram(9), {v: None for v in g.nodes}, round_cap=12)
-    current = inst.alpha
-    steps: list[VertexSet] = [current]
-    for k in range(max(g.nodes) + 1):
-        if k in g.nodes and k in inst.beta and k not in current:
-            plan = plan_insertion(g, current, inst.alpha, inst.beta, k)
-            steps.extend(plan.six_steps)
-            current = plan.resulting_mis
-        else:
-            steps.extend([current] * SLOT)
-    sched = Schedule(tuple(steps))
-    _assert_valid(inst, sched)
+    sched = _windowed_schedule(inst, ([k] for k in range(top + 1)))
     report = SimReport(outputs={}, rounds_used=collect.rounds_used, messages_sent=collect.messages_sent)
     return sched, report
 
@@ -235,7 +234,7 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
 def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Schedule:
     """Coloring-driven schedule: each color class runs its insertion gadgets
     in one shared six-step window; classes are separated by distance > 10, so
-    the gadgets touch disjoint 4-balls and compose by union."""
+    the gadgets touch disjoint 4-balls and run side by side."""
     g = inst.graph
     _require_deep_diameter(g)
     if frozenset(coloring) != g.nodes:
@@ -246,30 +245,29 @@ def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Sched
                 raise InputError(
                     f"coloring not proper on the 10th power: nodes {v} and {w} share color {coloring[v]}"
                 )
+    classes: dict[int, list[int]] = {}
+    for v in sorted(g.nodes):
+        classes.setdefault(coloring[v], []).append(v)
+    return _windowed_schedule(inst, (classes[c] for c in sorted(classes)))
 
+
+def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> Schedule:
+    """One six-step window per group of nodes, in order: every beta-node of
+    the group not yet in the set is inserted, the plans side by side."""
+    g = inst.graph
     current = inst.alpha
     steps: list[VertexSet] = [current]
-    for color in sorted(set(coloring.values())):
-        active = sorted(
-            v for v in g.nodes
-            if coloring[v] == color and v in inst.beta and v not in current
-        )
-        plans = [plan_insertion(g, current, inst.alpha, inst.beta, v) for v in active]
-        # Per-step diffs are taken against each plan's previous step, so a
-        # node a plan removes and later restores round-trips correctly.
-        for j in range(SLOT):
-            removed = frozenset(
-                w for p in plans
-                for w in (p.six_steps[j - 1] if j else current) - p.six_steps[j]
-            )
-            added = frozenset(
-                w for p in plans
-                for w in p.six_steps[j] - (p.six_steps[j - 1] if j else current)
-            )
-            steps.append((steps[-1] - removed) | added)
+    for window in windows:
+        plans = [
+            plan_insertion(g, current, inst.alpha, inst.beta, v)
+            for v in window
+            if v in inst.beta and v not in current
+        ]
+        steps.extend(run_side_by_side(current, [(current, *p.six_steps) for p in plans], SLOT))
         current = steps[-1]
-        if plans and not is_mis(g, current):
-            raise InternalError("merged color window did not end at a maximal independent set")
+        # A lone plan's end set was checked by _checked_plan.
+        if len(plans) > 1 and not is_mis(g, current):
+            raise InternalError("merged window did not end at a maximal independent set")
     sched = Schedule(tuple(steps))
     _assert_valid(inst, sched)
     return sched

@@ -169,6 +169,26 @@ def update_component(
     return removed, added
 
 
+def run_side_by_side(
+    start: VertexSet,
+    fragments: Sequence[Sequence[VertexSet]],
+    length: int,
+) -> list[VertexSet]:
+    """The ``length`` steps after ``start`` of fragments run side by side.
+
+    Each fragment is a sequence of sets whose first set is its part of
+    ``start``; step j replaces that part with the fragment's j-th set, or its
+    last once it has run out.  Fragments must change disjoint nodes.  With no
+    fragments every step is ``start`` itself, one repeated object.
+    """
+    if not fragments:
+        return [start] * length
+    return [
+        start ^ frozenset().union(*(f[min(j, len(f) - 1)] ^ f[0] for f in fragments))
+        for j in range(1, length + 1)
+    ]
+
+
 def parse_vertex_set_file(text: str) -> VertexSet:
     """Parse a vertex-set file: whitespace-separated ids, ``#`` comments allowed."""
     ids: set[int] = set()

@@ -18,11 +18,10 @@ from typing import Any, Callable, Mapping
 
 from .errors import InputError, InternalError
 from .graph import (
+    ComponentInfo,
     Graph,
     VertexSet,
     ball,
-    connected_components,
-    diameter,
     distances_from,
     is_independent,
     is_mis,
@@ -91,7 +90,8 @@ def run(
     order = sorted(g.nodes)
     programs: dict[int, NodeProgram] = {v: program() for v in order}
     messages_sent = 0
-    pending: dict[int, dict[int, Message]] = {v: {} for v in order}
+    # Only nodes that are sent a message get an inbox; senders stay in order.
+    pending: dict[int, dict[int, Message]] = {}
 
     def collect(v: int, outbox: Outbox | None) -> None:
         nonlocal messages_sent
@@ -100,7 +100,7 @@ def run(
         for target, msg in outbox.items():
             if target not in g.neighbors(v):
                 raise InputError(f"node {v} addressed non-neighbor {target}")
-            pending[target][v] = msg
+            pending.setdefault(target, {})[v] = msg
             messages_sent += 1
 
     for v in order:
@@ -113,11 +113,11 @@ def run(
             outputs = {v: programs[v].output for v in order if programs[v].done}
             return SimReport(outputs, rounds_used, messages_sent, timed_out=True)
         rounds_used += 1
-        inboxes, pending = pending, {v: {} for v in order}
+        inboxes, pending = pending, {}
         for v in order:
             if programs[v].done:
                 continue
-            collect(v, programs[v].on_round(rounds_used, inboxes[v]))
+            collect(v, programs[v].on_round(rounds_used, inboxes.get(v, {})))
     outputs = {v: programs[v].output for v in order}
     return SimReport(outputs, rounds_used, messages_sent)
 
@@ -282,31 +282,27 @@ VIRTUAL_SETUP_ROUNDS = 2
 
 def ruling_set_32(
     g: Graph,
-    y: VertexSet,
+    comp: ComponentInfo,
     alpha: VertexSet,
     beta: VertexSet,
     mode: str = "deterministic-id",
     seed: int = 0,
     round_cap: int | None = None,
 ) -> tuple[VertexSet, SimReport]:
-    """A (3,2)-ruling set of the virtual graph on y's alpha-nodes, computed as
-    an MIS of the squared virtual graph.
+    """A (3,2)-ruling set of the virtual graph on the component's alpha-nodes,
+    computed as an MIS of the squared virtual graph.
 
-    In the subgraph induced by y the result is a (6,5)-ruling set.  The
-    reported rounds account for simulating each virtual hop in g.
+    In the subgraph induced by the component the result is a (6,5)-ruling
+    set.  The reported rounds account for simulating each virtual hop in g.
     """
-    y = frozenset(y)
+    y = comp.vertices
     alpha_y, beta_y = frozenset(alpha) & y, frozenset(beta) & y
     if alpha_y | beta_y != y or alpha_y & beta_y:
-        raise InputError("alpha and beta must partition y")
+        raise InputError("alpha and beta must partition the component")
     if not (is_independent(g, alpha_y) and is_independent(g, beta_y)):
-        raise InputError("alpha and beta parts of y must be independent")
-    comps = connected_components(g, y)
-    if len(comps) != 1:
-        raise InputError("y must induce a single connected component")
-    diam = diameter(g, y)
-    if diam < 5:
-        raise InputError(f"component diameter must be at least 5, got {diam}")
+        raise InputError("alpha and beta parts of the component must be independent")
+    if comp.diameter < 5:
+        raise InputError(f"component diameter must be at least 5, got {comp.diameter}")
 
     virtual = _virtual_graph(g, y, alpha_y)
     squared = _square(virtual)

@@ -121,6 +121,20 @@ def test_const_rounds_command(tmp_path, capsys):
     assert parse_schedule_file(out.read_text()).length == 60
 
 
+def test_const_rounds_refuses_huge_ids(tmp_path, capsys):
+    # 6·(max id + 1) steps could never be built for ids near 1e9.
+    ids = [10**9 + i for i in range(20)]
+    g = Graph(ids, list(zip(ids, ids[1:])))
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(ids[0::2]), frozenset(ids[1::2]))
+    out = tmp_path / "sched.txt"
+    code = main(["const-rounds", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert str(ids[-1]) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_const_rounds_with_coloring(tmp_path):
     from misrecon.constrounds import format_coloring_file, greedy_power_coloring
     from misrecon.analysis import gen_gadget

@@ -83,7 +83,7 @@ def test_lift_preserves_validity_on_random_instances():
 def test_layers_on_alternating_c12():
     g = cycle(12)
     alpha, beta = frozenset(range(0, 12, 2)), frozenset(range(1, 12, 2))
-    ruling, _ = ruling_set_32(g, g.nodes, alpha, beta)
+    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert lp[0] == frozenset({0, 6})
@@ -96,7 +96,7 @@ def test_layers_on_alternating_c12():
 def test_layers_on_alternating_path():
     g = path(13)
     alpha, beta = frozenset(range(0, 13, 2)), frozenset(range(1, 13, 2))
-    ruling, _ = ruling_set_32(g, g.nodes, alpha, beta)
+    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     union = frozenset().union(*lp.layers.values())
     assert union == g.nodes
@@ -109,7 +109,7 @@ def test_layers_catch_all_neighbors_in_ruling_clause():
     # in layer 1 even without a distance-2 route to layer 3.
     g = path(8)
     alpha, beta = frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))
-    ruling, _ = ruling_set_32(g, g.nodes, alpha, beta)
+    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert 7 in lp[1]

@@ -14,6 +14,7 @@ from misrecon.schedule import (
     format_vertex_set_file,
     parse_schedule_file,
     parse_vertex_set_file,
+    run_side_by_side,
     update_component,
     validate,
 )
@@ -225,6 +226,26 @@ def test_update_component_outputs_flip_independent():
         for flip in (current ^ removed, removed ^ added):
             for u in flip:
                 assert not (g.neighbors(u) & flip)
+
+
+def test_run_side_by_side_without_fragments_repeats_start():
+    start = frozenset({1, 4})
+    steps = run_side_by_side(start, [], 5)
+    assert len(steps) == 5 and all(s is start for s in steps)
+
+
+def test_run_side_by_side_equals_sequential_steps():
+    # Two fragments on disjoint nodes; the shorter holds its last set.
+    start = frozenset({0, 2, 9})
+    long = [frozenset({0}), frozenset(), frozenset({1}), frozenset({1, 3})]
+    short = [frozenset({2}), frozenset({5})]
+    steps = run_side_by_side(start, [long, short], 4)
+    assert steps == [
+        frozenset({5, 9}),
+        frozenset({1, 5, 9}),
+        frozenset({1, 3, 5, 9}),
+        frozenset({1, 3, 5, 9}),
+    ]
 
 
 def test_schedule_file_round_trip_bit_exact():

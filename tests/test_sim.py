@@ -3,7 +3,7 @@ import random
 import pytest
 
 from misrecon.errors import InputError
-from misrecon.graph import Graph, distances_from, is_mis
+from misrecon.graph import Graph, components_of, distances_from, is_mis
 from misrecon.sim import (
     CollectProgram,
     SimReport,
@@ -113,16 +113,16 @@ def test_luby_rounds_sublinear_on_random_graphs():
 def test_ruling_set_on_alternating_cycle():
     g = cycle(10)
     y = frozenset(range(10))
-    ruling, report = ruling_set_32(g, y, frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)))
+    alpha, beta = frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2))
+    ruling, report = ruling_set_32(g, components_of(g, y, alpha, beta)[0], alpha, beta)
     assert ruling == frozenset({0})
     assert report.rounds_used >= 2
 
 
 def test_ruling_set_on_alternating_path():
     g = path(11)
-    ruling, _ = ruling_set_32(
-        g, frozenset(range(11)), frozenset(range(0, 11, 2)), frozenset(range(1, 11, 2))
-    )
+    alpha, beta = frozenset(range(0, 11, 2)), frozenset(range(1, 11, 2))
+    ruling, _ = ruling_set_32(g, components_of(g, frozenset(range(11)), alpha, beta)[0], alpha, beta)
     assert ruling == frozenset({0, 6})
     # exhaustive (6,5) check in the induced subgraph
     for v in g.nodes:
@@ -136,7 +136,7 @@ def test_ruling_set_property_exhaustively():
         g = cycle(n)
         alpha = frozenset(range(0, n, 2))
         beta = frozenset(range(1, n, 2))
-        ruling, _ = ruling_set_32(g, frozenset(range(n)), alpha, beta)
+        ruling, _ = ruling_set_32(g, components_of(g, frozenset(range(n)), alpha, beta)[0], alpha, beta)
         virtual_nodes = sorted(alpha)
         virtual = Graph(
             virtual_nodes,
@@ -159,14 +159,18 @@ def test_ruling_set_property_exhaustively():
 def test_ruling_set_single_alpha_node_rejected_below_min_diameter():
     # Diameter < 5 components are the callers' responsibility.
     g = path(4)
+    alpha, beta = frozenset({0, 2}), frozenset({1, 3})
+    comp = components_of(g, frozenset(range(4)), alpha, beta)[0]
     with pytest.raises(InputError):
-        ruling_set_32(g, frozenset(range(4)), frozenset({0, 2}), frozenset({1, 3}))
+        ruling_set_32(g, comp, alpha, beta)
 
 
 def test_ruling_set_preconditions():
     g = path(12)
+    alpha, beta = frozenset(range(12)), frozenset()
+    comp = components_of(g, frozenset(range(12)), alpha, beta)[0]
     with pytest.raises(InputError):
-        ruling_set_32(g, frozenset(range(12)), frozenset(range(12)), frozenset())
+        ruling_set_32(g, comp, alpha, beta)
 
 
 def test_sim_report_text_block():
