@@ -177,7 +177,7 @@ def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
     epsilon-node; or walk a complement path between the epsilon sides.
     """
     g = inst.graph
-    diam = diameter(g)
+    diam = diameter(g, cap=4)
     if diam == math.inf or diam > 3:
         raise InputError("fallback applies to connected graphs of diameter at most 3")
     alpha, beta = inst.alpha, inst.beta
@@ -345,7 +345,7 @@ def random_connected_instance(
     ``min_diameter``; retries derived seeds until one qualifies."""
     for t in range(tries):
         inst = random_instance(n, p, seed * 100_003 + t)
-        diam = diameter(inst.graph)
+        diam = diameter(inst.graph, cap=max(min_diameter, 1))
         if diam != math.inf and diam >= min_diameter:
             return inst
     raise InputError(f"no connected instance of diameter >= {min_diameter} after {tries} tries")

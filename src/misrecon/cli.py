@@ -131,7 +131,7 @@ def dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "const-length":
         inst = _load_instance(args)
-        if diameter(inst.graph) <= 3:
+        if diameter(inst.graph, cap=4) <= 3:
             sched = small_diameter_fallback(inst)
             if sched is None:
                 print("blocked: no schedule exists for this small-diameter instance")

@@ -200,8 +200,7 @@ def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple
     other."""
     label = {}
     for comp in comps:
-        for v in comp.vertices:
-            label[v] = comp.min_id
+        label.update(dict.fromkeys(comp.vertices, comp.min_id))
     by_label = {comp.min_id: comp for comp in comps}
     edges = set()
     eps = g.nodes - alpha - beta
@@ -318,7 +317,7 @@ def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[
                 raise InternalError(f"epsilon-node {e} adjacent to two isolated components")
             claimed[e] = comp.min_id
         blob = comp.vertices | fringe
-        aug = diameter(g, blob)
+        aug = diameter(g, blob, cap=4)
         if aug == math.inf or aug > 3:
             raise InternalError("augmented isolated component has diameter above 3")
         blobs.append(
@@ -489,7 +488,7 @@ class _CoreBroadcast(NodeProgram):
 
 def _pipeline(inst, mode, seed, report_sink, round_cap=None):
     g = inst.graph
-    diam = diameter(g)
+    diam = diameter(g, cap=4)
     if diam == math.inf:
         raise InputError("graph must be connected")
     if diam <= 3:

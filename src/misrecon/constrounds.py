@@ -201,7 +201,7 @@ def _checked_plan(g, current, v, tag, steps, gamma, blockers) -> InsertionPlan:
 
 
 def _require_deep_diameter(g: Graph) -> None:
-    diam = diameter(g)
+    diam = diameter(g, cap=6)
     if diam == math.inf:
         raise InputError("graph must be connected")
     if diam <= 5:

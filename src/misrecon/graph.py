@@ -154,18 +154,31 @@ def connected_components(g: Graph, within: VertexSet | None = None) -> list[Vert
     return comps
 
 
-def diameter(g: Graph, within: VertexSet | None = None) -> float:
-    """Exact diameter of the (induced) subgraph; ``inf`` when disconnected,
-    0 for a single node, ``-inf`` for an empty vertex set."""
+def diameter(g: Graph, within: VertexSet | None = None, cap: int | None = None) -> float:
+    """Diameter of the (induced) subgraph; ``inf`` when disconnected, 0 for a
+    single node, ``-inf`` for an empty vertex set.
+
+    With ``cap`` given the result is ``min(diameter, cap)``: the first search
+    is unbounded and doubles as the connectivity test, every later one stops
+    at depth ``cap``, and the scan ends as soon as any search reaches that
+    depth.  A caller that only asks "is the diameter above k?" passes
+    ``cap=k + 1`` and pays one BFS on a large component, not all pairs.
+    """
+    if cap is not None and cap < 1:
+        raise InputError(f"diameter cap must be positive, got {cap}")
     universe = g.nodes if within is None else frozenset(within)
     if not universe:
         return -math.inf
     best = 0
+    radius = None
     for v in universe:
-        dist = distances_from(g, v, universe)
-        if len(dist) != len(universe):
+        dist = distances_from(g, v, universe, radius)
+        if radius is None and len(dist) != len(universe):
             return math.inf
+        radius = cap
         best = max(best, max(dist.values()))
+        if cap is not None and best >= cap:
+            return cap
     return best
 
 
@@ -219,7 +232,11 @@ def complement_restricted(g: Graph, keep: VertexSet) -> Graph:
 class ComponentInfo:
     """One connected component of alpha ∪ beta with its classification.
 
-    ``diameter`` is exact, measured in the subgraph induced by the component.
+    ``diameter`` is measured in the subgraph induced by the component and is
+    exact below 5, else 5 (``diameter(..., cap=5)``).  The 28-step pipeline
+    only sorts components into bands (at most 2, 3 to 4, at least 5, the
+    last getting the ruling-set cascade), so the cap keeps every band while
+    a large component costs one BFS instead of all pairs.
     ``isolated`` means every adjacent epsilon-node has all of its alpha- and
     beta-neighbors inside this component.  The covered flags record whether
     some epsilon-node links the component to an alpha- (beta-) node of a
@@ -276,7 +293,7 @@ def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> 
 
     out = []
     for i, comp in enumerate(comps):
-        diam = diameter(g, comp)
+        diam = diameter(g, comp, cap=5)
         if diam == math.inf:
             raise InternalError("component must be connected by construction")
         out.append(

@@ -14,7 +14,7 @@ from misrecon import constlength, constrounds
 from misrecon.analysis import gen_gadget
 from misrecon.constlength import constant_length_schedule_distributed
 from misrecon.constrounds import coloring_schedule, constant_rounds_schedule, greedy_power_coloring
-from misrecon.graph import Graph
+from misrecon.graph import Graph, diameter
 from misrecon.schedule import ReconfigInstance, format_schedule_file
 
 
@@ -74,8 +74,12 @@ for _n, _seed in ((60, 2), (80, 8)):
         )
 for _mode in ("deterministic-id", "luby"):
     CASES[f"28step-escape-blobs-{_mode}"] = (_escape_blobs, _distributed(_mode))
+    # One component of diameter exactly 5, the cap of components_of.
+    CASES[f"28step-alt-path-6-{_mode}"] = (lambda: gen_gadget("alt-path", n=6), _distributed(_mode))
 
 GOLDEN = {
+    "28step-alt-path-6-deterministic-id": ("821ab22cdda434020eab8209ad50a8ce5b4e7d6cdf2ffa937913c9317a2daa4b", (12, 44)),
+    "28step-alt-path-6-luby": ("41f02664f5bb25a35217f0de3bdc4ebb74ca5c96f4add00c10d237f21899fba0", (16, 50)),
     "28step-escape-blobs-deterministic-id": ("6614ece71673a6cda4614ece1c5c2148b7d0a2d51a1f47a68f11e0b432177db9", (21, 385)),
     "28step-escape-blobs-luby": ("bcd4da4e6daf1b916af1f0278cd6e632a593cc5bce21071e8fc1a1a0a087dcde", (18, 408)),
     "28step-random-60-2-deterministic-id": ("5ea0bb7ce34988e8914015dec6a28ef44e8224e78164c39331b7b57fde14e0b4", (20, 331)),
@@ -122,6 +126,26 @@ def test_corpus_exercises_merged_fragments(monkeypatch):
     assert max(big_counts) >= 2
     # Plans of one colour window all start from the window's first set.
     assert max(window_starts.count(s) for s in window_starts) >= 2
+
+
+def test_corpus_covers_every_diameter_band(monkeypatch):
+    """The components the 28-step pipeline classifies, measured with the
+    exact diameter, fall in every band it sorts by (at most 2, 3, 4) and on
+    both sides of the cap of ``components_of`` (exactly 5, 6 or more)."""
+    exact = []
+    real_components_of = constlength.components_of
+
+    def components_of(g, *args):
+        comps = real_components_of(g, *args)
+        exact.extend(diameter(g, c.vertices) for c in comps)
+        return comps
+
+    monkeypatch.setattr(constlength, "components_of", components_of)
+    for name in CASES:
+        if name.startswith("28step"):
+            _digest(name)
+    bands = {"<=2" if d <= 2 else ">=6" if d >= 6 else str(d) for d in exact}
+    assert bands == {"<=2", "3", "4", "5", ">=6"}
 
 
 if __name__ == "__main__":

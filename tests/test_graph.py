@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from misrecon import graph
+from misrecon.analysis import gen_gadget
 from misrecon.errors import InputError
 from misrecon.graph import (
     Graph,
@@ -130,6 +132,68 @@ def test_bfs_rejects_bad_sources_and_radius():
         distances_from(g, {0, 1}, frozenset({0, 2}))
     with pytest.raises(InputError):
         distances_from(g, 0, radius=-1)
+    with pytest.raises(InputError):
+        diameter(g, cap=0)
+
+
+@st.composite
+def diameter_queries(draw):
+    n = draw(st.integers(0, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    if draw(st.booleans()):
+        # A path backbone gives connected sets of large diameter.
+        edges += [(i, i + 1) for i in range(n - 1)]
+    g = Graph(range(n), edges)
+    within = draw(st.none() | st.frozensets(st.integers(0, 11)).map(lambda s: s & g.nodes))
+    return g, within, draw(st.integers(1, 7))
+
+
+def reference_diameter(g, within):
+    universe = g.nodes if within is None else within
+    if not universe:
+        return -math.inf
+    return max(brute_force_all_pairs(g.induced(universe)).values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(diameter_queries())
+def test_capped_diameter_is_min_of_exact_and_cap(query):
+    g, within, cap = query
+    exact = diameter(g, within)
+    assert exact == reference_diameter(g, within)
+    capped = diameter(g, within, cap)
+    if math.isinf(exact):
+        assert capped == exact
+    else:
+        assert capped == min(exact, cap)
+    # components_of stores min(exact, 5), which keeps every band it is
+    # sorted by: at most 2, 3, 4, and 5 or more.
+    universe = g.nodes if within is None else within
+    for comp in components_of(g, universe, universe, frozenset()):
+        assert comp.diameter == min(diameter(g, comp.vertices), 5)
+
+
+def test_capped_diameter_is_local(monkeypatch):
+    """On a 4000-node path, classifying components and asking whether the
+    diameter is above 3 visit O(n) nodes, counted through distances_from;
+    all-pairs BFS would visit n² of them."""
+    inst = gen_gadget("alt-path", n=4000)
+    g = inst.graph
+    visits = []
+    real = graph.distances_from
+
+    def counting(*args, **kwargs):
+        dist = real(*args, **kwargs)
+        visits.append(len(dist))
+        return dist
+
+    monkeypatch.setattr(graph, "distances_from", counting)
+    components_of(g, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    assert sum(visits) <= 2 * len(g)
+    visits.clear()
+    assert diameter(g, cap=4) == 4
+    assert len(visits) == 1
 
 
 def test_components_partition_and_are_maximal():
