@@ -12,7 +12,6 @@ from .analysis import (
 from .constlength import (
     LayeredPartition,
     ReductionResult,
-    constant_length_schedule,
     constant_length_schedule_distributed,
     layer_component,
     reduce_instance,

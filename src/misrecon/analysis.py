@@ -124,6 +124,8 @@ def brute_force_oracle(
     n = len(nodes)
     if n > ORACLE_NODE_LIMIT:
         raise InputError(f"oracle limited to {ORACLE_NODE_LIMIT} nodes, got {n}")
+    if cap_states < 1:
+        raise InputError(f"state cap must be at least 1, got {cap_states}")
     index = {v: i for i, v in enumerate(nodes)}
     adj = [0] * n
     for v in nodes:

@@ -1,5 +1,5 @@
 """Command-line entry point tying together generation, scheduling, existence
-checks, oracle queries, validation and benchmarking.
+checks, oracle queries and validation.
 
 Exit codes: 0 success, 1 negative analysis/validation result, 2 usage or
 input error, 3 internal invariant violation.
@@ -18,18 +18,17 @@ from .analysis import (
     gen_gadget,
     small_diameter_fallback,
 )
-from .constlength import constant_length_schedule, constant_length_schedule_distributed
+from .constlength import constant_length_schedule_distributed
 from .constrounds import (
     coloring_schedule,
     constant_rounds_schedule,
     parse_coloring_file,
 )
 from .errors import InputError, InternalError
-from .graph import Graph, VertexSet, diameter, format_graph_file, parse_graph_file
+from .graph import diameter, format_graph_file, parse_graph_file
 from .schedule import (
     PropertySpec,
     ReconfigInstance,
-    Schedule,
     format_schedule_file,
     format_vertex_set_file,
     parse_schedule_file,
@@ -59,6 +58,16 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: {exc}") from None
 
 
+def _write(path: str | Path, text: str, make_parent: bool = False) -> None:
+    path = Path(path)
+    try:
+        if make_parent:
+            path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
+
+
 def _load_instance(args) -> ReconfigInstance:
     g = parse_graph_file(_read(args.graph))
     alpha = parse_vertex_set_file(_read(args.alpha))
@@ -83,7 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distributed", action="store_true")
     p.add_argument("--subroutine", choices=["deterministic-id", "luby"], default="deterministic-id")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--round-cap", type=int, default=10_000)
+    p.add_argument("--round-cap", type=int, default=None,
+                   help="round cap of each MIS run; default max(16, 8n+8) on an n-node MIS graph")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("const-rounds", help="identifier- or coloring-slotted schedule (diameter > 5)")
@@ -112,15 +122,6 @@ def build_parser() -> argparse.ArgumentParser:
     instance_flags(p)
     p.add_argument("--schedule", required=True)
     p.add_argument("--d", type=int, default=4)
-
-    p = sub.add_parser("bench", help="run an algorithm over generated families")
-    p.add_argument("--family", required=True)
-    p.add_argument("--n", required=True, help="comma-separated sizes, e.g. 20,40,80")
-    p.add_argument("--k", type=int)
-    p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--algo", choices=["const-length", "const-rounds"], required=True)
-    p.add_argument("--out", help="write the table here instead of stdout")
     return parser
 
 
@@ -137,14 +138,13 @@ def dispatch(args: argparse.Namespace) -> int:
                 print("blocked: no schedule exists for this small-diameter instance")
                 return EXIT_NEGATIVE
             print("note: diameter <= 3, emitted the small-diameter fallback schedule")
-        elif args.distributed:
+        else:
             sched, report = constant_length_schedule_distributed(
                 inst, mode=args.subroutine, seed=seed, round_cap=args.round_cap
             )
-            sys.stdout.write(format_sim_report(report))
-        else:
-            sched = constant_length_schedule(inst, mode=args.subroutine, seed=seed, round_cap=args.round_cap)
-        Path(args.out).write_text(format_schedule_file(sched))
+            if args.distributed:
+                sys.stdout.write(format_sim_report(report))
+        _write(args.out, format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK
 
@@ -156,7 +156,7 @@ def dispatch(args: argparse.Namespace) -> int:
         else:
             sched, report = constant_rounds_schedule(inst)
             sys.stdout.write(format_sim_report(report))
-        Path(args.out).write_text(format_schedule_file(sched))
+        _write(args.out, format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK
 
@@ -168,7 +168,7 @@ def dispatch(args: argparse.Namespace) -> int:
             print(f"min_length: {result.min_length}")
         print(f"states_explored: {result.states_explored}")
         if result.witness is not None and args.out:
-            Path(args.out).write_text(format_schedule_file(result.witness))
+            _write(args.out, format_schedule_file(result.witness))
         return EXIT_OK if result.exists else EXIT_NEGATIVE
 
     if args.command == "check":
@@ -185,17 +185,17 @@ def dispatch(args: argparse.Namespace) -> int:
     if args.command == "gen":
         inst = gen_gadget(args.family, n=args.n, k=args.k, p=args.p, seed=seed)
         prefix = Path(args.out_prefix)
-        prefix.parent.mkdir(parents=True, exist_ok=True)
-        paths = {
-            "graph": prefix.with_suffix(".graph"),
-            "alpha": prefix.with_suffix(".alpha"),
-            "beta": prefix.with_suffix(".beta"),
+        if not prefix.name:
+            raise InputError(f"--out-prefix needs a file name, got {args.out_prefix!r}")
+        files = {
+            "graph": format_graph_file(inst.graph),
+            "alpha": format_vertex_set_file(inst.alpha),
+            "beta": format_vertex_set_file(inst.beta),
         }
-        paths["graph"].write_text(format_graph_file(inst.graph))
-        paths["alpha"].write_text(format_vertex_set_file(inst.alpha))
-        paths["beta"].write_text(format_vertex_set_file(inst.beta))
-        for name, path in paths.items():
-            print(f"{name}: {path}")
+        for name, text in files.items():
+            _write(prefix.with_suffix(f".{name}"), text, make_parent=True)
+        for name in files:
+            print(f"{name}: {prefix.with_suffix(f'.{name}')}")
         return EXIT_OK
 
     if args.command == "validate":
@@ -208,80 +208,7 @@ def dispatch(args: argparse.Namespace) -> int:
         print(report.first_violation.describe())
         return EXIT_NEGATIVE
 
-    if args.command == "bench":
-        return _bench(args, seed)
-
     raise InputError(f"unknown command {args.command!r}")
-
-
-def _bench(args, seed: int) -> int:
-    sizes = []
-    for tok in args.n.split(","):
-        tok = tok.strip()
-        if tok:
-            try:
-                sizes.append(int(tok))
-            except ValueError:
-                raise InputError(f"bad size {tok!r} in --n") from None
-    if not sizes:
-        raise InputError("bench needs at least one size")
-    lines = [
-        f"# misrecon bench family={args.family} algo={args.algo} seed={seed} "
-        f"k={args.k if args.k is not None else ''} p={args.p if args.p is not None else ''}",
-        "family,n,k,schedule_length,rounds_used,messages",
-    ]
-    for n in sizes:
-        inst = gen_gadget(args.family, n=n, k=args.k, p=args.p, seed=seed)
-        if args.algo == "const-length":
-            sched, report = constant_length_schedule_distributed(inst, seed=seed)
-        else:
-            sched, report = constant_rounds_schedule(inst)
-        lines.append(
-            f"{args.family},{n},{args.k if args.k is not None else ''},"
-            f"{sched.length},{report.rounds_used},{report.messages_sent}"
-        )
-    table = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(table)
-    else:
-        sys.stdout.write(table)
-    return EXIT_OK
-
-
-def export_dot(
-    g: Graph,
-    alpha: VertexSet | None = None,
-    beta: VertexSet | None = None,
-    schedule: Schedule | None = None,
-    step: int | None = None,
-) -> str:
-    """Deterministic DOT rendering: alpha white, beta grey, epsilon black,
-    shared nodes pale green; the selected step's members are double-ringed."""
-    current: VertexSet | None = None
-    if schedule is not None and step is not None:
-        if not 0 <= step < len(schedule.steps):
-            raise InputError(f"step index {step} out of range")
-        current = schedule.steps[step]
-    alpha = alpha or frozenset()
-    beta = beta or frozenset()
-    lines = ["graph misrecon {", "  node [style=filled];"]
-    for v in sorted(g.nodes):
-        if v in alpha and v in beta:
-            fill, font = "palegreen", "black"
-        elif v in alpha:
-            fill, font = "white", "black"
-        elif v in beta:
-            fill, font = "grey", "black"
-        else:
-            fill, font = "black", "white"
-        attrs = [f'fillcolor="{fill}"', f'fontcolor="{font}"']
-        if current is not None and v in current:
-            attrs.append("peripheries=2")
-        lines.append(f"  {v} [{', '.join(attrs)}];")
-    for u, v in g.edges():
-        lines.append(f"  {u} -- {v};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
 
 
 def main(argv: list[str] | None = None) -> int:

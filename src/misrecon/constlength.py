@@ -145,13 +145,16 @@ def schedule_big_component(
     comp: ComponentInfo,
     alpha: VertexSet,
     beta: VertexSet,
+    reports: list[tuple[str, SimReport]],
     mode: str = "deterministic-id",
     seed: int = 0,
-    report_sink: list | None = None,
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Eight-step fragment updating one component of diameter at least 3,
-    returned as 9 sets from its alpha-part to its beta-part."""
+    returned as 9 sets from its alpha-part to its beta-part.
+
+    Each engine run appends ``(phase tag, report)`` to ``reports``; so do the
+    other two fragment builders."""
     y = comp.vertices
     alpha_c, beta_c = alpha & y, beta & y
     if alpha_c & beta_c:
@@ -165,8 +168,7 @@ def schedule_big_component(
         steps = _small_diameter_fragment(g, y, alpha_c, beta_c)
     else:
         ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
-        if report_sink is not None:
-            report_sink.append(("ruling-set", report))
+        reports.append(("ruling-set", report))
         layers = layer_component(g, y, alpha_c, beta_c, ruling)
         steps = [alpha_c]
         for i in range(4):
@@ -223,9 +225,9 @@ def schedule_non_isolated(
     comps: list[ComponentInfo],
     alpha: VertexSet,
     beta: VertexSet,
+    reports: list[tuple[str, SimReport]],
     mode: str = "deterministic-id",
     seed: int = 0,
-    report_sink: list | None = None,
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Eighteen-step fragment updating every component that is non-isolated or
@@ -250,8 +252,7 @@ def schedule_non_isolated(
     ab_labels = frozenset(c.min_id for c in c_ab)
     mis_graph = comp_graph.induced(ab_labels)
     m_labels, m_report = dist_mis(mis_graph, mode=mode, seed=seed, round_cap=round_cap)
-    if report_sink is not None:
-        report_sink.append(("component-mis", m_report))
+    reports.append(("component-mis", m_report))
     m_comps = [by_label[l] for l in sorted(m_labels)]
 
     universe = frozenset().union(*(c.vertices for c in comps))
@@ -280,7 +281,7 @@ def schedule_non_isolated(
     _batch_update(steps, mark(part2), alpha, beta)
 
     # Part 3: all big components cascade in parallel over eight steps.
-    fragments = [schedule_big_component(g, c, alpha, beta, mode, seed, report_sink, round_cap) for c in big]
+    fragments = [schedule_big_component(g, c, alpha, beta, reports, mode, seed, round_cap) for c in big]
     updated.update(c.min_id for c in big)
     steps.extend(run_side_by_side(steps[-1], fragments, 8))
 
@@ -331,9 +332,9 @@ def schedule_isolated(
     comps: list[ComponentInfo],
     alpha: VertexSet,
     beta: VertexSet,
+    reports: list[tuple[str, SimReport]],
     mode: str = "deterministic-id",
     seed: int = 0,
-    report_sink: list | None = None,
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Ten-step fragment updating the isolated small components, returned as
@@ -369,8 +370,7 @@ def schedule_isolated(
                     contact_edges.add((min(b["label"], other), max(b["label"], other)))
     contact = Graph(sorted(b["label"] for b in shallow), sorted(contact_edges))
     m_labels, m_report = dist_mis(contact, mode=mode, seed=seed, round_cap=round_cap)
-    if report_sink is not None:
-        report_sink.append(("blob-mis", m_report))
+    reports.append(("blob-mis", m_report))
 
     first_wave = [b for b in shallow if b["label"] in m_labels]
     second_wave = [b for b in shallow if b["label"] not in m_labels]
@@ -391,8 +391,7 @@ def schedule_isolated(
     u_nodes = sorted(gad["u"] for gad in gadgets)
     u_graph = Graph(u_nodes, [(x, y) for i, x in enumerate(u_nodes) for y in u_nodes[i + 1 :] if g.has_edge(x, y)])
     mprime, mp_report = dist_mis(u_graph, mode=mode, seed=seed, round_cap=round_cap)
-    if report_sink is not None:
-        report_sink.append(("escape-mis", mp_report))
+    reports.append(("escape-mis", mp_report))
 
     # A selected blob parks u, swaps its core through the anchor b, then
     # drops u; a skipped blob swaps its core in the same removal and addition.
@@ -420,46 +419,59 @@ def _split_components(comps: list[ComponentInfo]) -> tuple[list[ComponentInfo], 
     return covered, isolated_small
 
 
-def constant_length_schedule(
-    inst: ReconfigInstance,
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
-) -> Schedule:
-    """A valid 28-step schedule for any connected instance of diameter > 3."""
-    sched, _ = _pipeline(inst, mode, seed, report_sink=None, round_cap=round_cap)
-    return sched
-
-
 def constant_length_schedule_distributed(
     inst: ReconfigInstance,
     mode: str = "deterministic-id",
     seed: int = 0,
     round_cap: int | None = None,
 ) -> tuple[Schedule, SimReport]:
-    """Same schedule, with the communication phases actually executed on the
-    round engine and their costs aggregated."""
-    sink: list = []
+    """A valid 28-step schedule for any connected instance of diameter > 3,
+    with its round cost: the shared-core broadcast, the 4-round collect and
+    every MIS and ruling-set call run on the round engine.  Calls of one
+    phase run in parallel, so a phase costs its slowest call's rounds."""
     g = inst.graph
+    diam = diameter(g, cap=4)
+    if diam == math.inf:
+        raise InputError("graph must be connected")
+    if diam <= 3:
+        raise InputError("diameter must exceed 3; use the small-diameter fallback")
     core = inst.alpha & inst.beta
     core_report = run(g, _CoreBroadcast, {v: v in core for v in g.nodes}, round_cap=4)
-    sched, reduction = _pipeline(inst, mode, seed, report_sink=sink, round_cap=round_cap)
-    rounds = core_report.rounds_used
-    messages = core_report.messages_sent
-    if reduction.reduced_instance.alpha | reduction.reduced_instance.beta:
-        collect = run(
-            reduction.reduced_instance.graph,
-            lambda: CollectProgram(4),
-            {v: None for v in reduction.reduced_instance.graph.nodes},
-            round_cap=8,
-        )
-        rounds += collect.rounds_used
-        messages += collect.messages_sent
-        by_phase: dict[str, int] = {}
-        for tag, report in sink:
-            by_phase[tag] = max(by_phase.get(tag, 0), report.rounds_used)
-            messages += report.messages_sent
-        rounds += sum(by_phase.values())
+    rounds, messages = core_report.rounds_used, core_report.messages_sent
+    reduction = reduce_instance(inst)
+    red = reduction.reduced_instance
+    if not (red.alpha | red.beta):
+        sched = Schedule((inst.alpha,) * (TOTAL_STEPS + 1))
+        return sched, SimReport(outputs={}, rounds_used=rounds, messages_sent=messages)
+
+    reports: list[tuple[str, SimReport]] = []
+    comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
+    covered, isolated_small = _split_components(comps)
+    if covered:
+        frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, reports, mode, seed, round_cap)
+    else:
+        frag_a = [frozenset()] * (NON_ISOLATED_STEPS + 1)
+    if isolated_small:
+        frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, reports, mode, seed, round_cap)
+    else:
+        frag_b = [frozenset()] * (ISOLATED_STEPS + 1)
+
+    steps = [frag_b[0] | s for s in frag_a] + [frag_a[-1] | s for s in frag_b[1:]]
+    sched = Schedule(tuple(reduction.lift(steps)))
+    if sched.length != TOTAL_STEPS:
+        raise InternalError("assembled schedule is not 28 steps long")
+    verdict = validate(inst, sched, PropertySpec(4))
+    if not verdict.valid:
+        raise InternalError(f"assembled schedule invalid: {verdict.first_violation.describe()}")
+
+    collect = run(red.graph, lambda: CollectProgram(4), {v: None for v in red.graph.nodes}, round_cap=8)
+    rounds += collect.rounds_used
+    messages += collect.messages_sent
+    by_phase: dict[str, int] = {}
+    for tag, report in reports:
+        by_phase[tag] = max(by_phase.get(tag, 0), report.rounds_used)
+        messages += report.messages_sent
+    rounds += sum(by_phase.values())
     return sched, SimReport(outputs={}, rounds_used=rounds, messages_sent=messages)
 
 
@@ -484,37 +496,3 @@ class _CoreBroadcast(NodeProgram):
         status = "core" if self.in_core else ("halo" if self.near_core else "free")
         self.finish(status)
         return None
-
-
-def _pipeline(inst, mode, seed, report_sink, round_cap=None):
-    g = inst.graph
-    diam = diameter(g, cap=4)
-    if diam == math.inf:
-        raise InputError("graph must be connected")
-    if diam <= 3:
-        raise InputError("diameter must exceed 3; use the small-diameter fallback")
-    reduction = reduce_instance(inst)
-    red = reduction.reduced_instance
-    if not (red.alpha | red.beta):
-        steps = [inst.alpha] * (TOTAL_STEPS + 1)
-        return Schedule(tuple(steps)), reduction
-
-    comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
-    covered, isolated_small = _split_components(comps)
-    if covered:
-        frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, mode, seed, report_sink, round_cap)
-    else:
-        frag_a = [frozenset()] * (NON_ISOLATED_STEPS + 1)
-    if isolated_small:
-        frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, mode, seed, report_sink, round_cap)
-    else:
-        frag_b = [frozenset()] * (ISOLATED_STEPS + 1)
-
-    steps = [frag_b[0] | s for s in frag_a] + [frag_a[-1] | s for s in frag_b[1:]]
-    sched = Schedule(tuple(reduction.lift(steps)))
-    if sched.length != TOTAL_STEPS:
-        raise InternalError("assembled schedule is not 28 steps long")
-    report = validate(inst, sched, PropertySpec(4))
-    if not report.valid:
-        raise InternalError(f"assembled schedule invalid: {report.first_violation.describe()}")
-    return sched, reduction

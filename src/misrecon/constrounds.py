@@ -17,6 +17,9 @@ from .sim import CollectProgram, SimReport, run
 SLOT = 6
 # Id-slotted schedules have SLOT·(max id + 1) steps; larger ids are refused.
 ID_LIMIT = 100_000
+# Colourings are proper on this power of the graph: nodes of one colour are
+# more than this many hops apart, so their insertion gadgets run side by side.
+COLOR_POWER = 10
 
 
 @dataclass(frozen=True)
@@ -240,10 +243,10 @@ def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Sched
     if frozenset(coloring) != g.nodes:
         raise InputError("coloring must assign a color to every node")
     for v in sorted(g.nodes):
-        for w in sorted(ball(g, v, 10) - {v}):
+        for w in sorted(ball(g, v, COLOR_POWER) - {v}):
             if coloring[v] == coloring[w]:
                 raise InputError(
-                    f"coloring not proper on the 10th power: nodes {v} and {w} share color {coloring[v]}"
+                    f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {w} share color {coloring[v]}"
                 )
     classes: dict[int, list[int]] = {}
     for v in sorted(g.nodes):
@@ -281,12 +284,12 @@ def _assert_valid(inst: ReconfigInstance, sched: Schedule) -> None:
         raise InternalError("schedule does not end exactly at beta")
 
 
-def greedy_power_coloring(g: Graph, radius: int = 10) -> dict[int, int]:
-    """Centralized greedy coloring of the ``radius``-th power, ids ascending;
-    colors are positive integers."""
+def greedy_power_coloring(g: Graph) -> dict[int, int]:
+    """Centralized greedy coloring of the ``COLOR_POWER``-th power, ids
+    ascending; colors are positive integers."""
     colors: dict[int, int] = {}
     for v in sorted(g.nodes):
-        used = {colors[w] for w in ball(g, v, radius) if w in colors and w != v}
+        used = {colors[w] for w in ball(g, v, COLOR_POWER) if w in colors and w != v}
         c = 1
         while c in used:
             c += 1

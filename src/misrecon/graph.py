@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
 
@@ -48,11 +48,6 @@ class Graph:
             adj[v].add(u)
         self._adj: dict[int, VertexSet] = {v: frozenset(ns) for v, ns in adj.items()}
         self._nodes: VertexSet = frozenset(self._adj)
-
-    @classmethod
-    def from_adjacency(cls, mapping: Mapping[int, Iterable[int]]) -> "Graph":
-        edges = [(u, v) for u, ns in mapping.items() for v in ns]
-        return cls(mapping.keys(), edges)
 
     @property
     def nodes(self) -> VertexSet:
@@ -134,9 +129,9 @@ def distances_from(
     return dist
 
 
-def ball(g: Graph, source: int, radius: int, restrict: VertexSet | None = None) -> VertexSet:
+def ball(g: Graph, source: int, radius: int) -> VertexSet:
     """All nodes within ``radius`` hops of ``source``."""
-    return frozenset(distances_from(g, source, restrict, radius))
+    return frozenset(distances_from(g, source, radius=radius))
 
 
 def connected_components(g: Graph, within: VertexSet | None = None) -> list[VertexSet]:

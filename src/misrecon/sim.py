@@ -333,11 +333,8 @@ def _check_ruling(virtual: Graph, ruling: VertexSet, g: Graph, y: VertexSet) -> 
         raise InternalError(f"node {min(uncovered)} not 5-covered in the induced subgraph")
 
 
-def format_sim_report(report: SimReport, include_outputs: bool = False) -> str:
+def format_sim_report(report: SimReport) -> str:
     lines = [f"rounds_used: {report.rounds_used}", f"messages_sent: {report.messages_sent}"]
     if report.timed_out:
         lines.append("timed_out: true")
-    if include_outputs:
-        for v in sorted(report.outputs):
-            lines.append(f"output {v} {report.outputs[v]}")
     return "\n".join(lines) + "\n"

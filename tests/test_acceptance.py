@@ -17,7 +17,7 @@ from misrecon.analysis import (
     small_diameter_fallback,
 )
 from misrecon.constlength import (
-    constant_length_schedule,
+    constant_length_schedule_distributed,
     schedule_big_component,
     schedule_isolated,
     schedule_non_isolated,
@@ -43,7 +43,7 @@ def test_criterion_1_constant_length_is_exactly_28():
         n = 12 + (i * 7) % 49
         inst = random_connected_instance(n, 2.4 / n, seed=i, min_diameter=4)
         assert len(inst.graph) <= 60 and diameter(inst.graph) > 3
-        sched = constant_length_schedule(inst)
+        sched = constant_length_schedule_distributed(inst)[0]
         assert sched.length == 28
         assert validate(inst, sched, D4).valid
     elapsed = time.time() - t0
@@ -59,7 +59,7 @@ def test_criterion_2_fragment_budgets():
         g = Graph(range(n), [(i, i + 1) for i in range(n - 1)])
         inst = ReconfigInstance(g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
         comps = components_of(g, g.nodes, inst.alpha, inst.beta)
-        frag = schedule_big_component(g, comps[0], inst.alpha, inst.beta)
+        frag = schedule_big_component(g, comps[0], inst.alpha, inst.beta, [])
         assert len(frag) - 1 <= 8
         assert validate(inst, Schedule(tuple(frag)), D4).valid
 
@@ -67,7 +67,7 @@ def test_criterion_2_fragment_budgets():
     g = Graph(range(5), [(0, 1), (2, 3), (4, 0), (4, 3)])
     inst = ReconfigInstance(g, frozenset({0, 2}), frozenset({1, 3}))
     comps = components_of(g, inst.alpha | inst.beta, inst.alpha, inst.beta)
-    frag = schedule_non_isolated(g, comps, inst.alpha, inst.beta)
+    frag = schedule_non_isolated(g, comps, inst.alpha, inst.beta, [])
     assert len(frag) - 1 <= 18
     assert validate(inst, Schedule(tuple(frag)), D4).valid
 
@@ -75,14 +75,14 @@ def test_criterion_2_fragment_budgets():
     shallow = Graph(range(7), [(0, 1), (0, 2), (3, 0), (3, 1), (4, 5), (6, 4), (6, 5), (3, 6)])
     inst_s = ReconfigInstance(shallow, frozenset({0, 4}), frozenset({1, 2, 5}))
     comps_s = components_of(shallow, inst_s.alpha | inst_s.beta, inst_s.alpha, inst_s.beta)
-    frag_s = schedule_isolated(shallow, comps_s, inst_s.alpha, inst_s.beta)
+    frag_s = schedule_isolated(shallow, comps_s, inst_s.alpha, inst_s.beta, [])
     assert len(frag_s) - 1 <= 10
     assert validate(inst_s, Schedule(tuple(frag_s)), D4).valid
 
     deep = Graph(range(6), [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 2), (5, 1), (5, 3)])
     inst_d = ReconfigInstance(deep, frozenset({0, 1}), frozenset({2, 3}))
     comps_d = components_of(deep, inst_d.alpha | inst_d.beta, inst_d.alpha, inst_d.beta)
-    frag_d = schedule_isolated(deep, comps_d, inst_d.alpha, inst_d.beta)
+    frag_d = schedule_isolated(deep, comps_d, inst_d.alpha, inst_d.beta, [])
     assert len(frag_d) - 1 <= 10
     assert validate(inst_d, Schedule(tuple(frag_d)), D4).valid
     print("criterion 2: PASS (fragments within 8/18/10 budgets, validator-clean)")
@@ -156,7 +156,7 @@ def test_criterion_7_coloring_driven_schedule():
     """A greedy 10th-power coloring of the 60-cycle yields a schedule of
     length at most 6c+6 that validates."""
     inst = gen_gadget("alt-cycle", n=60)
-    coloring = greedy_power_coloring(inst.graph, 10)
+    coloring = greedy_power_coloring(inst.graph)
     c = len(set(coloring.values()))
     sched = coloring_schedule(inst, coloring)
     assert sched.length <= 6 * c + 6
@@ -202,18 +202,18 @@ def test_criterion_9_oracle_confirms_constructive_schedules():
 
     for n in (8, 10, 12):
         inst = gen_gadget("alt-path", n=n)
-        confirm(inst, constant_length_schedule(inst))
+        confirm(inst, constant_length_schedule_distributed(inst)[0])
         if diameter(inst.graph) > 5:
             sched, _ = constant_rounds_schedule(inst)
             confirm(inst, sched)
 
     for i in range(12):
         inst = random_connected_instance(9 + (i % 4), 0.25, seed=600 + i, min_diameter=4)
-        confirm(inst, constant_length_schedule(inst))
+        confirm(inst, constant_length_schedule_distributed(inst)[0])
 
     # coloring-driven schedule on a small cycle
     ring = gen_gadget("alt-cycle", n=12)
-    confirm(ring, coloring_schedule(ring, greedy_power_coloring(ring.graph, 10)))
+    confirm(ring, coloring_schedule(ring, greedy_power_coloring(ring.graph)))
 
     # small-diameter constructions
     p4 = ReconfigInstance(Graph(range(4), [(0, 1), (1, 2), (2, 3)]), frozenset({0, 2}), frozenset({1, 3}))

@@ -1,7 +1,4 @@
-import pytest
-
-from misrecon.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, export_dot, main
-from misrecon.errors import InputError
+from misrecon.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from misrecon.graph import Graph, format_graph_file
 from misrecon.schedule import (
     Schedule,
@@ -94,6 +91,52 @@ def test_const_length_distributed_reports(tmp_path, capsys):
     assert "rounds_used:" in captured and "messages_sent:" in captured
 
 
+def test_distributed_flag_only_adds_the_round_report(tmp_path, capsys):
+    g = Graph(range(12), [(i, i + 1) for i in range(11)])
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(range(0, 12, 2)), frozenset(range(1, 12, 2)))
+    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--subroutine", "luby", "--seed", "3"]
+    outs, stdouts = [], []
+    for flags in (["--distributed"], []):
+        out = tmp_path / f"sched{len(outs)}.txt"
+        assert main([*base, *flags, "--out", str(out)]) == EXIT_OK
+        outs.append(out.read_bytes())
+        stdouts.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert "rounds_used:" in stdouts[0] and "messages_sent:" in stdouts[0]
+    assert stdouts[1] == "schedule_length: 28\n"
+    assert stdouts[0].endswith(stdouts[1])
+
+
+def test_output_errors_exit_2(tmp_path, capsys):
+    gp, ap, bp = write_instance(
+        tmp_path, Graph(range(10), [(i, i + 1) for i in range(9)]),
+        frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)),
+    )
+    args = ["--graph", gp, "--alpha", ap, "--beta", bp]
+    a_file = tmp_path / "plain.txt"
+    a_file.write_text("")
+    failing = [
+        ["const-length", *args, "--out", str(tmp_path / "missing" / "x.sched")],
+        ["const-rounds", *args, "--out", str(tmp_path)],
+        ["gen", "--family", "alt-path", "--n", "8", "--out-prefix", str(a_file / "x")],
+        ["gen", "--family", "alt-path", "--n", "8", "--out-prefix", ""],
+    ]
+    for argv in failing:
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+    p4 = p4_files(tmp_path)
+    oracle = ["oracle", "--graph", p4[0], "--alpha", p4[1], "--beta", p4[2]]
+    assert main([*oracle, "--out", str(tmp_path / "missing" / "w.txt")]) == EXIT_USAGE
+    assert "cannot write" in capsys.readouterr().err
+    for cap in ("-5", "0"):
+        assert main([*oracle, "--cap", cap]) == EXIT_USAGE
+        assert "state cap" in capsys.readouterr().err
+    # A positive cap is accepted; one state is too few to reach beta here.
+    assert main([*oracle, "--cap", "1"]) == EXIT_NEGATIVE
+    assert "exists: inconclusive" in capsys.readouterr().out
+
+
 def test_const_length_small_diameter_falls_back(tmp_path, capsys):
     gp, ap, bp = p4_files(tmp_path)
     out = tmp_path / "sched.txt"
@@ -142,7 +185,7 @@ def test_const_rounds_with_coloring(tmp_path):
     inst = gen_gadget("alt-cycle", n=24)
     gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta)
     cp = tmp_path / "colors.txt"
-    cp.write_text(format_coloring_file(greedy_power_coloring(inst.graph, 10)))
+    cp.write_text(format_coloring_file(greedy_power_coloring(inst.graph)))
     out = tmp_path / "sched.txt"
     code = main([
         "const-rounds", "--graph", gp, "--alpha", ap, "--beta", bp,
@@ -150,21 +193,6 @@ def test_const_rounds_with_coloring(tmp_path):
     ])
     assert code == EXIT_OK
     assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(out)]) == EXIT_OK
-
-
-def test_bench_emits_table(tmp_path, capsys):
-    out = tmp_path / "table.csv"
-    code = main([
-        "bench", "--family", "alt-path", "--n", "20,40", "--algo", "const-rounds",
-        "--out", str(out),
-    ])
-    assert code == EXIT_OK
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("# misrecon bench")
-    assert lines[1] == "family,n,k,schedule_length,rounds_used,messages"
-    rows = [line.split(",") for line in lines[2:]]
-    assert [r[1] for r in rows] == ["20", "40"]
-    assert rows[0][4] == rows[1][4]  # identical rounds_used
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
@@ -181,37 +209,6 @@ def test_graph_parse_error_names_line(tmp_path, capsys):
     code = main(["check", "--graph", str(bad), "--alpha", str(ap), "--beta", str(ap)])
     assert code == EXIT_USAGE
     assert "line 2" in capsys.readouterr().err
-
-
-def test_export_dot_deterministic():
-    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-    alpha, beta = frozenset({0, 2}), frozenset({1, 3})
-    text = export_dot(g, alpha, beta)
-    assert text == export_dot(g, alpha, beta)
-    assert 'fillcolor="white"' in text and 'fillcolor="grey"' in text
-    assert "0 -- 1;" in text
-
-
-def test_export_dot_step_highlight():
-    g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
-    sched = Schedule(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))
-    text = export_dot(g, frozenset({0, 2}), frozenset({1, 3}), sched, 2)
-    lines = text.splitlines()
-    marked = [line for line in lines if "peripheries=2" in line]
-    assert len(marked) == 2 and any(" 0 " in line for line in marked) and any(" 3 " in line for line in marked)
-    with pytest.raises(InputError):
-        export_dot(g, schedule=sched, step=9)
-
-
-def test_export_dot_empty_graph():
-    text = export_dot(Graph())
-    assert text.startswith("graph misrecon {") and text.rstrip().endswith("}")
-
-
-def test_export_dot_epsilon_black():
-    g = Graph(range(3), [(0, 1), (1, 2)])
-    text = export_dot(g, frozenset({0}), frozenset({2}))
-    assert 'fillcolor="black"' in text
 
 
 def test_round_cap_flag_reaches_subroutines(tmp_path):
@@ -255,8 +252,3 @@ def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys):
     argv = ["gen", "--family", "alt-path", "--n", "10", "--out-prefix", str(tmp_path / "x")]
     assert main(argv) == EXIT_USAGE
     assert "'abc'" in capsys.readouterr().err
-
-
-def test_bench_bad_size_exits_2(capsys):
-    assert main(["bench", "--family", "alt-path", "--n", "10,x", "--algo", "const-length"]) == EXIT_USAGE
-    assert "'x'" in capsys.readouterr().err

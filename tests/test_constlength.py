@@ -5,7 +5,6 @@ import pytest
 
 from misrecon.analysis import gen_gadget, random_connected_instance, random_instance
 from misrecon.constlength import (
-    constant_length_schedule,
     constant_length_schedule_distributed,
     layer_component,
     reduce_instance,
@@ -71,7 +70,7 @@ def test_lift_preserves_validity_on_random_instances():
         red = reduce_instance(inst)
         if not (red.reduced_instance.alpha | red.reduced_instance.beta):
             continue
-        sched = constant_length_schedule(inst)
+        sched = constant_length_schedule_distributed(inst)[0]
         # every lifted step contains the shared core
         assert all(red.stripped_always_in <= s for s in sched.steps)
         lifted_checked += 1
@@ -127,7 +126,7 @@ def test_layers_overlap_candidate_resolves_to_layer_2():
     assert lp[-1] == frozenset({1})
     assert 2 in lp[2] and 2 not in lp[-2]
     inst = ReconfigInstance(g, alpha, beta)
-    assert validate(inst, constant_length_schedule(inst), PropertySpec(4)).valid
+    assert validate(inst, constant_length_schedule_distributed(inst)[0], PropertySpec(4)).valid
 
 
 # --- big components ----------------------------------------------------------
@@ -135,7 +134,7 @@ def test_layers_overlap_candidate_resolves_to_layer_2():
 def big_fragment(inst):
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     assert len(comps) == 1
-    return schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta)
+    return schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
 
 
 def test_p4_fragment_matches_hand_execution():
@@ -179,7 +178,7 @@ def test_big_component_rejects_small_diameter():
     inst = alt(3)  # single component of diameter 2
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     with pytest.raises(InputError):
-        schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta)
+        schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
 
 
 # --- non-isolated regime -------------------------------------------------------
@@ -189,7 +188,7 @@ def test_two_components_covering_through_one_epsilon():
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_non_isolated(g, comps, alpha, beta)
+    frag = schedule_non_isolated(g, comps, alpha, beta, [])
     assert len(frag) == 19
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
 
@@ -197,8 +196,8 @@ def test_two_components_covering_through_one_epsilon():
 def test_single_big_component_equals_padded_fragment():
     inst = alt(8)
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
-    frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta)
-    frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta)
+    frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta, [])
+    frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
     # parts 1-2 are no-ops (4 leading repeats), then the 8-step cascade
     assert frag18[:5] == [frag8[0]] * 5
     assert frag18[5:13] == frag8[1:]
@@ -214,7 +213,7 @@ def test_triangle_of_doubly_covered_components():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.alpha_covered and c.beta_covered for c in comps)
-    frag = schedule_non_isolated(g, comps, alpha, beta)
+    frag = schedule_non_isolated(g, comps, alpha, beta, [])
     assert len(frag) == 19
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
 
@@ -227,7 +226,7 @@ def test_isolated_shallow_pair_with_bridge():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.isolated for c in comps)
-    frag = schedule_isolated(g, comps, alpha, beta)
+    frag = schedule_isolated(g, comps, alpha, beta, [])
     assert len(frag) == 11
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
 
@@ -237,7 +236,7 @@ def test_isolated_deep_blob_six_step_gadget():
     alpha, beta = frozenset({0, 1}), frozenset({2, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_isolated(g, comps, alpha, beta)
+    frag = schedule_isolated(g, comps, alpha, beta, [])
     assert len(frag) == 11
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
     # the selected epsilon-node enters and leaves
@@ -254,7 +253,7 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
     alpha, beta = frozenset({0, 1, 6, 7}), frozenset({2, 3, 8, 9})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_isolated(g, comps, alpha, beta)
+    frag = schedule_isolated(g, comps, alpha, beta, [])
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
     # only one escape node is parked; the skipped blob's beta-part arrives in
     # the same step as the parked blob's anchor beta-node
@@ -266,7 +265,7 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
 
 def test_alt_p8_gives_valid_28_steps():
     inst = alt(8)
-    sched = constant_length_schedule(inst)
+    sched = constant_length_schedule_distributed(inst)[0]
     assert sched.length == 28
     assert validate(inst, sched, PropertySpec(4)).valid
 
@@ -274,14 +273,14 @@ def test_alt_p8_gives_valid_28_steps():
 def test_alpha_equals_beta_gives_constant_padding():
     g = path(8)
     a = frozenset(range(0, 8, 2))
-    sched = constant_length_schedule(ReconfigInstance(g, a, a))
+    sched = constant_length_schedule_distributed(ReconfigInstance(g, a, a))[0]
     assert sched.length == 28
     assert all(s == a for s in sched.steps)
 
 
 def test_random_100_node_instance():
     inst = random_connected_instance(100, 0.03, seed=12)
-    sched = constant_length_schedule(inst)
+    sched = constant_length_schedule_distributed(inst)[0]
     assert sched.length == 28
     assert validate(inst, sched, PropertySpec(4)).valid
 
@@ -298,16 +297,16 @@ def test_random_582_node_instance_known_domination_defect():
     member within 4 hops of node 88.
     """
     inst = gen_gadget("random", n=582, p=3 / 582, seed=186725930014)
-    constant_length_schedule(inst)
+    constant_length_schedule_distributed(inst)
 
 
 def test_rejects_small_diameter_and_disconnected():
     with pytest.raises(InputError):
-        constant_length_schedule(alt(4))
+        constant_length_schedule_distributed(alt(4))
     g = Graph(range(4), [(0, 1), (2, 3)])
     inst = ReconfigInstance(g, frozenset({0, 2}), frozenset({1, 3}))
     with pytest.raises(InputError):
-        constant_length_schedule(inst)
+        constant_length_schedule_distributed(inst)
 
 
 def test_mixed_regimes_across_densities():
@@ -320,7 +319,7 @@ def test_mixed_regimes_across_densities():
         diam = diameter(inst.graph)
         if math.isinf(diam) or diam <= 3:
             continue
-        sched = constant_length_schedule(inst)
+        sched = constant_length_schedule_distributed(inst)[0]
         assert sched.length == 28
         ran += 1
     assert ran > 60
@@ -329,11 +328,12 @@ def test_mixed_regimes_across_densities():
 # --- distributed variant ---------------------------------------------------------
 
 def test_distributed_matches_centralized_bit_for_bit():
+    # Two calls with one seed give the same schedule bit for bit.
     for n in (32, 64, 128):
         inst = random_connected_instance(n, 4.0 / n, seed=n)
-        central = constant_length_schedule(inst, seed=1)
-        dist, report = constant_length_schedule_distributed(inst, seed=1)
-        assert central == dist
+        first, _ = constant_length_schedule_distributed(inst, seed=1)
+        again, report = constant_length_schedule_distributed(inst, seed=1)
+        assert first == again
         assert report.rounds_used >= 6  # broadcast + classification at least
 
 
@@ -356,7 +356,7 @@ def test_distributed_alpha_equals_beta_stops_after_broadcast():
 def test_distributed_identical_across_subroutines_given_seed():
     inst = random_connected_instance(40, 0.1, seed=77)
     s1, _ = constant_length_schedule_distributed(inst, mode="luby", seed=5)
-    s2 = constant_length_schedule(inst, mode="luby", seed=5)
+    s2, _ = constant_length_schedule_distributed(inst, mode="luby", seed=5)
     assert s1 == s2
 
 
@@ -388,26 +388,55 @@ def test_distributed_on_bounded_degree_family():
     for n in (32, 64, 128):
         inst = gen_gadget("logstar", n=n, k=4)
         assert all(inst.graph.degree(v) == 4 for v in inst.graph.nodes)
-        central = constant_length_schedule(inst, seed=2)
-        dist, _ = constant_length_schedule_distributed(inst, seed=2)
-        assert central == dist
+        first, _ = constant_length_schedule_distributed(inst, seed=2)
+        again, _ = constant_length_schedule_distributed(inst, seed=2)
+        assert first == again
 
 
-def test_distributed_round_accounting_constants():
+def test_distributed_round_accounting_constants(monkeypatch):
     # rounds_used = broadcast(2) + collection(4) + one max per subroutine
-    # phase; bounded by 3 MIS phases plus 1 ruling-set phase.
-    from misrecon.constlength import _pipeline
+    # phase; bounded by 3 MIS phases plus 1 ruling-set phase.  Each dist_mis
+    # call of the pipeline is a phase of its own; the ruling-set calls of all
+    # big components form one phase.
+    import misrecon.constlength as constlength
 
-    inst = random_connected_instance(40, 0.1, seed=55)
-    sink = []
-    _pipeline(inst, "deterministic-id", 0, report_sink=sink)
-    _, report = constant_length_schedule_distributed(inst, seed=0)
-    by_phase = {}
-    for tag, rep in sink:
-        by_phase[tag] = max(by_phase.get(tag, 0), rep.rounds_used)
-    assert report.rounds_used == 2 + 4 + sum(by_phase.values())
-    mis_max = max(
-        (v for t, v in by_phase.items() if t != "ruling-set"), default=0
+    mis_rounds, ruling_rounds = [], []
+
+    def recording(fn, log):
+        def call(*args, **kwargs):
+            result = fn(*args, **kwargs)
+            log.append(result[1].rounds_used)
+            return result
+        return call
+
+    monkeypatch.setattr(constlength, "dist_mis", recording(constlength.dist_mis, mis_rounds))
+    monkeypatch.setattr(constlength, "ruling_set_32", recording(constlength.ruling_set_32, ruling_rounds))
+    # A path whose shared core {14} splits it into two cascades, so the
+    # ruling-set phase has two calls.
+    two_cascades = ReconfigInstance(
+        path(29), frozenset(range(0, 29, 2)), frozenset(range(1, 13, 2)) | {14} | frozenset(range(17, 29, 2))
     )
-    r32_max = by_phase.get("ruling-set", 0)
-    assert report.rounds_used <= 3 * mis_max + 1 * r32_max + 6
+    for inst in (random_connected_instance(40, 0.1, seed=55), two_cascades):
+        mis_rounds.clear()
+        ruling_rounds.clear()
+        _, report = constant_length_schedule_distributed(inst, seed=0)
+        assert mis_rounds
+        r32_max = max(ruling_rounds, default=0)
+        assert report.rounds_used == 2 + 4 + sum(mis_rounds) + r32_max
+        assert report.rounds_used <= 3 * max(mis_rounds) + 1 * r32_max + 6
+    assert len(ruling_rounds) == 2
+
+
+def _report_tags(inst):
+    comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    reports = []
+    schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, reports)
+    return [tag for tag, _ in reports]
+
+
+def test_big_component_reports_only_its_ruling_set():
+    assert _report_tags(alt(4)) == []  # diameter 3
+    assert _report_tags(alt(6, cycle(6))) == []  # diameter 3
+    assert _report_tags(alt(5)) == []  # diameter 4
+    assert _report_tags(alt(6)) == ["ruling-set"]  # diameter 5
+    assert _report_tags(alt(14)) == ["ruling-set"]

@@ -194,7 +194,7 @@ def test_identity_coloring_reproduces_id_slots():
 
 def test_cycle_coloring_schedule_length():
     inst = gen_gadget("alt-cycle", n=30)
-    coloring = greedy_power_coloring(inst.graph, 10)
+    coloring = greedy_power_coloring(inst.graph)
     k = len(set(coloring.values()))
     sched = coloring_schedule(inst, coloring)
     assert sched.length <= 6 * k + 6
@@ -209,7 +209,7 @@ def test_improper_coloring_rejected_with_witness():
 
 def test_power_coloring_is_proper_on_power():
     g = gen_gadget("alt-cycle", n=40).graph
-    coloring = greedy_power_coloring(g, 10)
+    coloring = greedy_power_coloring(g)
     for v in g.nodes:
         for w in ball(g, v, 10) - {v}:
             assert coloring[v] != coloring[w]
@@ -231,7 +231,7 @@ def test_coloring_windows_round_trip_parked_helpers():
 
     for seed in (6, 10, 17):
         inst = random_connected_instance(18, 0.11, seed=seed, min_diameter=6)
-        coloring = greedy_power_coloring(inst.graph, 10)
+        coloring = greedy_power_coloring(inst.graph)
         current = inst.alpha
         saw_round_trip = False
         for color in sorted(set(coloring.values())):

@@ -174,8 +174,8 @@ def test_ruling_set_preconditions():
 
 
 def test_sim_report_text_block():
-    text = format_sim_report(SimReport({1: "in"}, 3, 7), include_outputs=True)
-    assert text == "rounds_used: 3\nmessages_sent: 7\noutput 1 in\n"
+    text = format_sim_report(SimReport({1: "in"}, 3, 7))
+    assert text == "rounds_used: 3\nmessages_sent: 7\n"
 
 
 def test_mis_on_alternating_cycle_seed_7():
