@@ -310,10 +310,8 @@ def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[
     blobs = []
     claimed: dict[int, int] = {}
     for comp in comps:
-        fringe = frozenset(
-            e for e in eps if g.neighbors(e) & comp.vertices
-        )
-        for e in fringe:
+        fringe = frozenset().union(*(g.neighbors(v) for v in comp.vertices)) & eps
+        for e in sorted(fringe):
             if e in claimed:
                 raise InternalError(f"epsilon-node {e} adjacent to two isolated components")
             claimed[e] = comp.min_id
@@ -429,6 +427,8 @@ def constant_length_schedule_distributed(
     with its round cost: the shared-core broadcast, the 4-round collect and
     every MIS and ruling-set call run on the round engine.  Calls of one
     phase run in parallel, so a phase costs its slowest call's rounds."""
+    if round_cap is not None and round_cap < 1:
+        raise InputError(f"round cap must be at least 1, got {round_cap}")
     g = inst.graph
     diam = diameter(g, cap=4)
     if diam == math.inf:
@@ -476,7 +476,8 @@ def constant_length_schedule_distributed(
 
 
 class _CoreBroadcast(NodeProgram):
-    """Two rounds: shared-core nodes announce, their neighbors relay."""
+    """Two rounds: shared-core nodes announce, their neighbors relay.  It
+    polls, because every node decides in round 2 whether or not mail came."""
 
     def init(self, node_id, neighbor_ids, local_input, rand):
         self.ports = sorted(neighbor_ids)

@@ -4,9 +4,12 @@ a maximal-independent-set subroutine and a (3,2)-ruling-set subroutine.
 
 Within a round all node steps are logically simultaneous; the engine applies
 them in sorted node order, which is unobservable to the programs because
-messages are only delivered at the round boundary.  Per-node randomness comes
-from a counter-based generator keyed by (seed, node id, counter), so results
-do not depend on scheduling order.
+messages are only delivered at the round boundary.  Each round wakes only the
+undone nodes that were sent mail plus the undone nodes whose program polls
+(see ``NodeProgram.sleeps_until_mail``), so a run costs O(messages +
+wake-ups), not O(rounds * n).  Per-node randomness comes from a
+counter-based generator keyed by (seed, node id, counter), so results do not
+depend on scheduling order.
 """
 
 from __future__ import annotations
@@ -45,10 +48,16 @@ class NodeProgram:
     this node in the previous round.  Once ``output`` is set the node is never
     invoked again; the outbox returned by the deciding call is still
     delivered, after which the node is silent.
+
+    A polling program (the default) is invoked every round until it decides.
+    A program that sets ``sleeps_until_mail`` is invoked only in rounds where
+    it was sent mail; set it only when a call with an empty inbox would
+    change nothing and send nothing.
     """
 
     output: Any = None
     done: bool = False
+    sleeps_until_mail: bool = False
 
     def init(self, node_id: int, neighbor_ids: VertexSet, local_input: Any,
              rand: Callable[[int], float]) -> Outbox | None:
@@ -83,7 +92,9 @@ def run(
 
     ``inputs`` must be keyed exactly by the graph's nodes.  Hitting
     ``round_cap`` yields a report with ``timed_out=True`` and partial outputs,
-    never a silently truncated result.
+    never a silently truncated result.  So does a stall (undone nodes all
+    asleep, no mail in flight), at once and with ``rounds_used`` raised to
+    the cap, as if the idle rounds had run.
     """
     if frozenset(inputs) != g.nodes:
         raise InputError("inputs must be keyed exactly by the graph's nodes")
@@ -97,34 +108,56 @@ def run(
         nonlocal messages_sent
         if not outbox:
             return
+        ports = g.neighbors(v)
         for target, msg in outbox.items():
-            if target not in g.neighbors(v):
+            if target not in ports:
                 raise InputError(f"node {v} addressed non-neighbor {target}")
             pending.setdefault(target, {})[v] = msg
-            messages_sent += 1
+        messages_sent += len(outbox)
 
     for v in order:
         rand = lambda counter, _v=v: counter_rand(seed, _v, counter)
         collect(v, programs[v].init(v, g.neighbors(v), inputs[v], rand))
 
+    undone = [v for v in order if not programs[v].done]
+    # Sorted undone nodes that act every round; the rest wake only on mail.
+    polling = [v for v in undone if not programs[v].sleeps_until_mail]
+    sleepers = len(polling) < len(undone)
+    remaining = len(undone)
     rounds_used = 0
-    while not all(p.done for p in programs.values()):
-        if rounds_used >= round_cap:
+    while remaining:
+        if rounds_used >= round_cap or not (pending or polling):
+            # With no mail and no polling node the run is stalled: report at
+            # once what spinning to the cap would.
             outputs = {v: programs[v].output for v in order if programs[v].done}
-            return SimReport(outputs, rounds_used, messages_sent, timed_out=True)
+            return SimReport(outputs, max(rounds_used, round_cap), messages_sent, timed_out=True)
         rounds_used += 1
         inboxes, pending = pending, {}
-        for v in order:
-            if programs[v].done:
+        # Waking in sorted order keeps every inbox's senders in sorted order.
+        wake = sorted(inboxes.keys() | polling) if sleepers else polling
+        polling = []
+        for v in wake:
+            p = programs[v]
+            if p.done:
                 continue
-            collect(v, programs[v].on_round(rounds_used, inboxes.get(v, {})))
+            collect(v, p.on_round(rounds_used, inboxes.get(v, {})))
+            if p.done:
+                remaining -= 1
+            elif not p.sleeps_until_mail:
+                polling.append(v)
     outputs = {v: programs[v].output for v in order}
     return SimReport(outputs, rounds_used, messages_sent)
 
 
 class CollectProgram(NodeProgram):
     """Flood-and-collect: after r rounds each node outputs the edge set it has
-    seen, which is exactly its r-hop neighborhood."""
+    seen, which is exactly its r-hop neighborhood.
+
+    It may sleep until mail arrives: every node floods every round until all
+    decide together at round r, so an undone node is never left without mail.
+    """
+
+    sleeps_until_mail = True
 
     def __init__(self, radius: int) -> None:
         self.radius = radius
@@ -132,24 +165,30 @@ class CollectProgram(NodeProgram):
 
     def init(self, node_id, neighbor_ids, local_input, rand):
         self.node = node_id
-        self.ports = frozenset(neighbor_ids)
+        self.ports = sorted(neighbor_ids)
         self.known = {(min(node_id, w), max(node_id, w)) for w in neighbor_ids}
         if self.radius == 0 or not self.ports:
             self.finish(frozenset(self.known))
             return None
-        return {w: frozenset(self.known) for w in sorted(self.ports)}
+        return dict.fromkeys(self.ports, frozenset(self.known))
 
     def on_round(self, round_no, inbox):
         for edges in inbox.values():
             self.known |= edges
+        snapshot = frozenset(self.known)
         if round_no >= self.radius:
-            self.finish(frozenset(self.known))
+            self.finish(snapshot)
             return None
-        return {w: frozenset(self.known) for w in sorted(self.ports)}
+        return dict.fromkeys(self.ports, snapshot)
 
 
 class MisIdProgram(NodeProgram):
-    """MIS where a node joins once its id is minimal among undecided neighbors."""
+    """MIS where a node joins once its id is minimal among undecided neighbors.
+
+    Its state changes only on mail, so it sleeps until mail arrives.
+    """
+
+    sleeps_until_mail = True
 
     def init(self, node_id, neighbor_ids, local_input, rand):
         self.node = node_id
@@ -181,7 +220,8 @@ class MisLubyProgram(NodeProgram):
     Odd rounds deliver iteration values (and exit notices), even rounds
     deliver join announcements.  A node whose (value, id) key is strictly
     minimal among still-undecided neighbors joins; its neighbors exit on the
-    following round.  Ties are impossible because ids break them.
+    following round.  Ties are impossible because ids break them.  It polls:
+    an undecided node starts its next iteration even when no mail arrives.
     """
 
     def init(self, node_id, neighbor_ids, local_input, rand):
@@ -194,12 +234,10 @@ class MisLubyProgram(NodeProgram):
             return None
         return self._vals()
 
-    def _key(self) -> tuple[float, int]:
-        return (self.rand(self.iteration), self.node)
-
     def _vals(self) -> Outbox:
-        key = self._key()
-        return {w: ("val", key) for w in sorted(self.undecided)}
+        """Draw this iteration's key once and announce it."""
+        self.key = (self.rand(self.iteration), self.node)
+        return {w: ("val", self.key) for w in sorted(self.undecided)}
 
     def on_round(self, round_no, inbox):
         if round_no % 2 == 1:
@@ -214,8 +252,7 @@ class MisLubyProgram(NodeProgram):
             if not self.undecided:
                 self.finish("in")
                 return None
-            mine = self._key()
-            if all(mine < values[w] for w in self.undecided):
+            if all(self.key < values[w] for w in self.undecided):
                 out = {w: "join" for w in sorted(self.undecided)}
                 self.finish("in")
                 return out

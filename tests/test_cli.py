@@ -225,6 +225,26 @@ def test_round_cap_flag_reaches_subroutines(tmp_path):
     assert main([*base, "--round-cap", "1"]) == EXIT_INTERNAL
 
 
+def test_round_cap_below_one_is_refused(tmp_path, capsys, monkeypatch):
+    import misrecon.constlength as constlength
+
+    def no_engine(*args, **kwargs):
+        raise AssertionError("the engine ran before the cap was checked")
+
+    monkeypatch.setattr(constlength, "run", no_engine)
+    gp, ap, bp = write_instance(
+        tmp_path, Graph(range(10), [(i, i + 1) for i in range(9)]),
+        frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)),
+    )
+    out = tmp_path / "s.txt"
+    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
+    for cap in ("-5", "0"):
+        assert main([*base, "--round-cap", cap]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and cap in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_misrecon_seed_env_default(tmp_path, monkeypatch, capsys):
     prefix = tmp_path / "r"
     monkeypatch.setenv("MISRECON_SEED", "21")

@@ -1,11 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
+import misrecon.sim as sim
+from misrecon import gen_gadget
+from misrecon.constlength import _CoreBroadcast
 from misrecon.errors import InputError
 from misrecon.graph import Graph, components_of, distances_from, is_mis
 from misrecon.sim import (
     CollectProgram,
+    MisIdProgram,
+    MisLubyProgram,
+    NodeProgram,
     SimReport,
     counter_rand,
     dist_mis,
@@ -183,3 +191,128 @@ def test_mis_on_alternating_cycle_seed_7():
     for mode in ("deterministic-id", "luby"):
         selected, _ = dist_mis(c6, mode=mode, seed=7)
         assert is_mis(c6, selected)
+
+
+def reference_run(g, program, inputs, round_cap=10_000, seed=0):
+    """The engine before it woke nodes on mail: every undone node steps
+    every round, and every round rescans all nodes for completion."""
+    if frozenset(inputs) != g.nodes:
+        raise InputError("inputs must be keyed exactly by the graph's nodes")
+    order = sorted(g.nodes)
+    programs = {v: program() for v in order}
+    messages_sent = 0
+    pending = {}
+
+    def collect(v, outbox):
+        nonlocal messages_sent
+        if not outbox:
+            return
+        for target, msg in outbox.items():
+            if target not in g.neighbors(v):
+                raise InputError(f"node {v} addressed non-neighbor {target}")
+            pending.setdefault(target, {})[v] = msg
+            messages_sent += 1
+
+    for v in order:
+        rand = lambda counter, _v=v: counter_rand(seed, _v, counter)
+        collect(v, programs[v].init(v, g.neighbors(v), inputs[v], rand))
+
+    rounds_used = 0
+    while not all(p.done for p in programs.values()):
+        if rounds_used >= round_cap:
+            outputs = {v: programs[v].output for v in order if programs[v].done}
+            return SimReport(outputs, rounds_used, messages_sent, timed_out=True)
+        rounds_used += 1
+        inboxes, pending = pending, {}
+        for v in order:
+            if programs[v].done:
+                continue
+            collect(v, programs[v].on_round(rounds_used, inboxes.get(v, {})))
+    outputs = {v: programs[v].output for v in order}
+    return SimReport(outputs, rounds_used, messages_sent)
+
+
+class _Echo(NodeProgram):
+    """Sleeps until mail.  A node whose input is 0 starts at init; every
+    other node logs the senders of each inbox in inbox order (the engine
+    keeps them sorted, which no MIS or collect program reveals), echoes to
+    all neighbors, and decides once its input's number of inboxes arrived.
+    A node that never hears enough stalls the run."""
+
+    sleeps_until_mail = True
+
+    def init(self, node_id, neighbor_ids, local_input, rand):
+        self.ports = sorted(neighbor_ids)
+        self.need = local_input
+        self.log = []
+        if self.need == 0:
+            self.finish(())
+            return dict.fromkeys(self.ports, "go")
+        return None
+
+    def on_round(self, round_no, inbox):
+        if not inbox:
+            return None
+        self.log.append((round_no, tuple(inbox)))
+        if len(self.log) >= self.need:
+            self.finish(tuple(self.log))
+        return dict.fromkeys(self.ports, "go")
+
+
+@st.composite
+def engine_runs(draw):
+    n = draw(st.integers(1, 10))
+    # Sparse ids whose hash order differs from their sorted order.
+    ids = draw(st.lists(st.integers(0, 10**5).map(lambda k: 1000 + 37 * k), min_size=n, max_size=n, unique=True))
+    pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(ids, edges)
+    kind = draw(st.sampled_from(["collect", "mis-id", "luby", "core", "echo"]))
+    if kind == "collect":
+        radius = draw(st.integers(0, 4))
+        factory, inputs = (lambda: CollectProgram(radius)), dict.fromkeys(ids)
+    elif kind == "mis-id":
+        factory, inputs = MisIdProgram, dict.fromkeys(ids)
+    elif kind == "luby":
+        factory, inputs = MisLubyProgram, dict.fromkeys(ids)
+    elif kind == "core":
+        factory, inputs = _CoreBroadcast, dict(zip(ids, draw(st.lists(st.booleans(), min_size=n, max_size=n))))
+    else:
+        factory, inputs = _Echo, dict(zip(ids, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+    cap = draw(st.integers(0, 3) | st.integers(4, 40))
+    return g, factory, inputs, cap, draw(st.integers(0, 5))
+
+
+@seed(20261018)
+@settings(max_examples=400, deadline=None)
+@given(engine_runs())
+def test_event_engine_matches_every_node_loop(case):
+    g, factory, inputs, cap, rng_seed = case
+    expected = reference_run(g, factory, inputs, round_cap=cap, seed=rng_seed)
+    assert run(g, factory, inputs, round_cap=cap, seed=rng_seed) == expected
+
+
+def test_stalled_run_reports_the_cap_at_once():
+    # Node 2 needs two inboxes but only node 1 ever writes to it.
+    g = path(3)
+    inputs = {0: 0, 1: 1, 2: 2}
+    report = run(g, _Echo, inputs, round_cap=10**6)
+    assert report == SimReport({0: (), 1: ((1, (0,)),)}, 10**6, 4, timed_out=True)
+    assert run(g, _Echo, inputs, round_cap=0) == SimReport({0: ()}, 0, 1, timed_out=True)
+
+
+def test_engine_wakes_only_nodes_with_mail(monkeypatch):
+    calls = 0
+
+    class Counted(MisIdProgram):
+        def on_round(self, round_no, inbox):
+            nonlocal calls
+            calls += 1
+            return super().on_round(round_no, inbox)
+
+    monkeypatch.setattr(sim, "MisIdProgram", Counted)
+    g = gen_gadget("alt-path", n=4000).graph
+    _, report = dist_mis(g, "deterministic-id")
+    # Monotone ids: Theta(n) rounds, so an every-node loop makes ~n^2/4 calls.
+    assert report.rounds_used > 1000
+    assert 0 < calls <= len(g) + 2 * report.messages_sent
