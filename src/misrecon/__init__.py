@@ -10,7 +10,6 @@ from .analysis import (
     small_diameter_fallback,
 )
 from .constlength import (
-    LayeredPartition,
     ReductionResult,
     constant_length_schedule_distributed,
     layer_component,

@@ -131,6 +131,8 @@ def dispatch(args: argparse.Namespace) -> int:
         seed = _default_seed()
 
     if args.command == "const-length":
+        if args.round_cap is not None and args.round_cap < 1:
+            raise InputError(f"round cap must be at least 1, got {args.round_cap}")
         inst = _load_instance(args)
         if diameter(inst.graph, cap=4) <= 3:
             sched = small_diameter_fallback(inst)

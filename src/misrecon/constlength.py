@@ -23,7 +23,7 @@ from .graph import (
     distances_from,
 )
 from .schedule import PropertySpec, ReconfigInstance, Schedule, run_side_by_side, update_component, validate
-from .sim import CollectProgram, NodeProgram, SimReport, dist_mis, ruling_set_32, run
+from .sim import SimReport, collect_cost, dist_mis, ruling_set_32
 
 NON_ISOLATED_STEPS = 18
 ISOLATED_STEPS = 10
@@ -63,9 +63,15 @@ def reduce_instance(inst: ReconfigInstance) -> ReductionResult:
     return ReductionResult(kept, core, halo, reduced)
 
 
-@dataclass(frozen=True)
-class LayeredPartition:
-    """Distance layers around the ruling set of one large component.
+def layer_component(
+    g: Graph,
+    comp: VertexSet,
+    alpha: VertexSet,
+    beta: VertexSet,
+    ruling: VertexSet,
+) -> dict[int, VertexSet]:
+    """Partition a diameter >= 5 component into the eight distance layers
+    driving the cascade schedule, keyed by layer.
 
     Keys run from -2 to 5.  Even layers hold alpha-nodes, odd layers hold
     beta-nodes.  Layer 1 holds the beta-neighbors of the ruling set that
@@ -74,22 +80,6 @@ class LayeredPartition:
     A distance-2 node adjacent to both layer 1 and layer -1 lands in layer 2:
     it must be gone before layer 1 is added, so the earlier removal wins.
     """
-
-    layers: dict[int, VertexSet]
-
-    def __getitem__(self, i: int) -> VertexSet:
-        return self.layers[i]
-
-
-def layer_component(
-    g: Graph,
-    comp: VertexSet,
-    alpha: VertexSet,
-    beta: VertexSet,
-    ruling: VertexSet,
-) -> LayeredPartition:
-    """Partition a diameter >= 5 component into the eight distance layers
-    driving the cascade schedule."""
     y = frozenset(comp)
     if not ruling <= (alpha & y):
         raise InputError("ruling set must consist of the component's alpha-nodes")
@@ -119,7 +109,7 @@ def layer_component(
 
     layers = {-2: rm2, -1: rm1, 0: r0, 1: r1, 2: r2, 3: r3, 4: r4, 5: r5}
     _check_layers(g, y, alpha, beta, layers)
-    return LayeredPartition(layers)
+    return layers
 
 
 def _check_layers(g, y, alpha, beta, layers) -> None:
@@ -274,10 +264,9 @@ def schedule_non_isolated(
     for c in small:
         if c.min_id in updated or c.min_id in m_labels:
             continue
-        for e in sorted(eps):
-            if (g.neighbors(e) & beta & c.vertices) and (g.neighbors(e) & alpha & (m_vertices - c.vertices)):
-                part2.append(c)
-                break
+        fringe = frozenset().union(*(g.neighbors(b) for b in beta & c.vertices)) & eps
+        if any(g.neighbors(e) & alpha & (m_vertices - c.vertices) for e in fringe):
+            part2.append(c)
     _batch_update(steps, mark(part2), alpha, beta)
 
     # Part 3: all big components cascade in parallel over eight steps.
@@ -315,12 +304,11 @@ def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[
             if e in claimed:
                 raise InternalError(f"epsilon-node {e} adjacent to two isolated components")
             claimed[e] = comp.min_id
-        blob = comp.vertices | fringe
-        aug = diameter(g, blob, cap=4)
+        aug = diameter(g, comp.vertices | fringe, cap=4)
         if aug == math.inf or aug > 3:
             raise InternalError("augmented isolated component has diameter above 3")
         blobs.append(
-            {"core": comp.vertices, "fringe": fringe, "all": blob, "diameter": int(aug), "label": comp.min_id}
+            {"core": comp.vertices, "fringe": fringe, "diameter": int(aug), "label": comp.min_id}
         )
     return blobs
 
@@ -424,9 +412,18 @@ def constant_length_schedule_distributed(
     round_cap: int | None = None,
 ) -> tuple[Schedule, SimReport]:
     """A valid 28-step schedule for any connected instance of diameter > 3,
-    with its round cost: the shared-core broadcast, the 4-round collect and
-    every MIS and ruling-set call run on the round engine.  Calls of one
-    phase run in parallel, so a phase costs its slowest call's rounds."""
+    with its round cost.
+
+    Every MIS and ruling-set call runs on the round engine; calls of one
+    phase run in parallel, so a phase costs its slowest call's rounds.  The
+    two fixed-length phases are derived, not executed: their cost is a
+    closed form of the graph, ``reduce_instance`` computes the broadcast's
+    result centrally and nothing reads the collected balls.  The shared-core
+    broadcast (core nodes announce, their neighbors relay) takes 2 rounds and
+    one message per port of a core or halo node; the 4-round collect on the
+    reduced graph costs ``collect_cost``.  Neither graph has a node without
+    neighbors: g is connected with diameter > 3, and such a node of the
+    reduced graph would be in both its alpha and its beta."""
     if round_cap is not None and round_cap < 1:
         raise InputError(f"round cap must be at least 1, got {round_cap}")
     g = inst.graph
@@ -435,16 +432,14 @@ def constant_length_schedule_distributed(
         raise InputError("graph must be connected")
     if diam <= 3:
         raise InputError("diameter must exceed 3; use the small-diameter fallback")
-    core = inst.alpha & inst.beta
-    core_report = run(g, _CoreBroadcast, {v: v in core for v in g.nodes}, round_cap=4)
-    rounds, messages = core_report.rounds_used, core_report.messages_sent
     reduction = reduce_instance(inst)
+    senders = reduction.stripped_always_in | reduction.stripped_never_in
+    broadcast = SimReport(outputs={}, rounds_used=2, messages_sent=sum(g.degree(v) for v in senders))
     red = reduction.reduced_instance
     if not (red.alpha | red.beta):
-        sched = Schedule((inst.alpha,) * (TOTAL_STEPS + 1))
-        return sched, SimReport(outputs={}, rounds_used=rounds, messages_sent=messages)
+        return Schedule((inst.alpha,) * (TOTAL_STEPS + 1)), broadcast
 
-    reports: list[tuple[str, SimReport]] = []
+    reports = [("broadcast", broadcast), ("collect", collect_cost(red.graph, 4))]
     comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
     covered, isolated_small = _split_components(comps)
     if covered:
@@ -464,36 +459,8 @@ def constant_length_schedule_distributed(
     if not verdict.valid:
         raise InternalError(f"assembled schedule invalid: {verdict.first_violation.describe()}")
 
-    collect = run(red.graph, lambda: CollectProgram(4), {v: None for v in red.graph.nodes}, round_cap=8)
-    rounds += collect.rounds_used
-    messages += collect.messages_sent
     by_phase: dict[str, int] = {}
     for tag, report in reports:
         by_phase[tag] = max(by_phase.get(tag, 0), report.rounds_used)
-        messages += report.messages_sent
-    rounds += sum(by_phase.values())
-    return sched, SimReport(outputs={}, rounds_used=rounds, messages_sent=messages)
-
-
-class _CoreBroadcast(NodeProgram):
-    """Two rounds: shared-core nodes announce, their neighbors relay.  It
-    polls, because every node decides in round 2 whether or not mail came."""
-
-    def init(self, node_id, neighbor_ids, local_input, rand):
-        self.ports = sorted(neighbor_ids)
-        self.in_core = bool(local_input)
-        self.near_core = False
-        if not self.ports:
-            self.finish("core" if self.in_core else "free")
-            return None
-        return {w: "core" for w in self.ports} if self.in_core else None
-
-    def on_round(self, round_no, inbox):
-        if round_no == 1:
-            self.near_core = any(msg == "core" for msg in inbox.values())
-            if self.near_core and not self.in_core:
-                return {w: "halo" for w in self.ports}
-            return None
-        status = "core" if self.in_core else ("halo" if self.near_core else "free")
-        self.finish(status)
-        return None
+    messages = sum(report.messages_sent for _, report in reports)
+    return sched, SimReport(outputs={}, rounds_used=sum(by_phase.values()), messages_sent=messages)

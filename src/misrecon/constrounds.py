@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent, is_mis
 from .schedule import PropertySpec, ReconfigInstance, Schedule, first_violation, run_side_by_side, validate
-from .sim import CollectProgram, SimReport, run
+from .sim import SimReport, collect_cost
 
 SLOT = 6
 # Id-slotted schedules have SLOT·(max id + 1) steps; larger ids are refused.
@@ -218,7 +218,9 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
 
     Every plan depends only on a 9-hop ball (the changed region spans 4
     hops, the nodes it can endanger 5, their covers 9), so the communication
-    cost is the 9-round collection, independent of the graph size.
+    cost is the 9-round collection, independent of the graph size.  That
+    cost is derived by ``collect_cost``, not executed: a flood's cost is a
+    closed form, and the plans are computed from the graph directly.
     """
     g = inst.graph
     _require_deep_diameter(g)
@@ -228,10 +230,7 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
             f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
             f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
         )
-    collect = run(g, lambda: CollectProgram(9), {v: None for v in g.nodes}, round_cap=12)
-    sched = _windowed_schedule(inst, ([k] for k in range(top + 1)))
-    report = SimReport(outputs={}, rounds_used=collect.rounds_used, messages_sent=collect.messages_sent)
-    return sched, report
+    return _windowed_schedule(inst, ([k] for k in range(top + 1))), collect_cost(g, 9)
 
 
 def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Schedule:

@@ -1,6 +1,9 @@
 """Deterministic round-synchronous message-passing engine plus the two
 distributed primitives the schedule constructions are parameterized by:
 a maximal-independent-set subroutine and a (3,2)-ruling-set subroutine.
+Only those two run on the engine.  A fixed-length phase, in which every
+node collects its r-hop ball, has a closed-form cost (``collect_cost``), so
+the pipelines derive it instead of simulating a flood.
 
 Within a round all node steps are logically simultaneous; the engine applies
 them in sorted node order, which is unobservable to the programs because
@@ -149,37 +152,17 @@ def run(
     return SimReport(outputs, rounds_used, messages_sent)
 
 
-class CollectProgram(NodeProgram):
-    """Flood-and-collect: after r rounds each node outputs the edge set it has
-    seen, which is exactly its r-hop neighborhood.
+def collect_cost(g: Graph, radius: int) -> SimReport:
+    """Cost of every node collecting its ``radius``-hop ball of g, derived,
+    not executed.
 
-    It may sleep until mail arrives: every node floods every round until all
-    decide together at round r, so an undone node is never left without mail.
+    Flooding does it: each node sends all it knows to every neighbor in each
+    of ``radius`` rounds, so the phase costs ``radius`` rounds and
+    ``radius`` · Σ deg(v) messages whatever the graph looks like.  Callers
+    never read the balls, so the flood is not run.  The count assumes g has
+    an edge; on an edgeless graph a flood ends at round 0.
     """
-
-    sleeps_until_mail = True
-
-    def __init__(self, radius: int) -> None:
-        self.radius = radius
-        self.known: set[tuple[int, int]] = set()
-
-    def init(self, node_id, neighbor_ids, local_input, rand):
-        self.node = node_id
-        self.ports = sorted(neighbor_ids)
-        self.known = {(min(node_id, w), max(node_id, w)) for w in neighbor_ids}
-        if self.radius == 0 or not self.ports:
-            self.finish(frozenset(self.known))
-            return None
-        return dict.fromkeys(self.ports, frozenset(self.known))
-
-    def on_round(self, round_no, inbox):
-        for edges in inbox.values():
-            self.known |= edges
-        snapshot = frozenset(self.known)
-        if round_no >= self.radius:
-            self.finish(snapshot)
-            return None
-        return dict.fromkeys(self.ports, snapshot)
+    return SimReport(outputs={}, rounds_used=radius, messages_sent=radius * sum(g.degree(v) for v in g.nodes))
 
 
 class MisIdProgram(NodeProgram):

@@ -226,23 +226,25 @@ def test_round_cap_flag_reaches_subroutines(tmp_path):
 
 
 def test_round_cap_below_one_is_refused(tmp_path, capsys, monkeypatch):
-    import misrecon.constlength as constlength
+    import misrecon.sim as sim
 
     def no_engine(*args, **kwargs):
         raise AssertionError("the engine ran before the cap was checked")
 
-    monkeypatch.setattr(constlength, "run", no_engine)
-    gp, ap, bp = write_instance(
+    monkeypatch.setattr(sim, "run", no_engine)
+    path10 = write_instance(
         tmp_path, Graph(range(10), [(i, i + 1) for i in range(9)]),
         frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)),
     )
-    out = tmp_path / "s.txt"
-    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
-    for cap in ("-5", "0"):
-        assert main([*base, "--round-cap", cap]) == EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and cap in err and "Traceback" not in err
-    assert not out.exists()
+    # p4 has diameter 3, so the CLI would take the small-diameter fallback.
+    for gp, ap, bp in (path10, p4_files(tmp_path)):
+        out = tmp_path / "s.txt"
+        base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
+        for cap in ("-5", "0"):
+            assert main([*base, "--round-cap", cap]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and cap in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_misrecon_seed_env_default(tmp_path, monkeypatch, capsys):

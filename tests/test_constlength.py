@@ -97,7 +97,7 @@ def test_layers_on_alternating_path():
     alpha, beta = frozenset(range(0, 13, 2)), frozenset(range(1, 13, 2))
     ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
-    union = frozenset().union(*lp.layers.values())
+    union = frozenset().union(*lp.values())
     assert union == g.nodes
     for i in range(-2, 6):
         assert lp[i] <= (alpha if i % 2 == 0 else beta)
@@ -350,7 +350,8 @@ def test_distributed_alpha_equals_beta_stops_after_broadcast():
     g = path(8)
     a = frozenset(range(0, 8, 2))
     _, report = constant_length_schedule_distributed(ReconfigInstance(g, a, a))
-    assert report.rounds_used == 2
+    # Every node is core or halo: one broadcast message per port, 2·7 in all.
+    assert report.rounds_used == 2 and report.messages_sent == 14
 
 
 def test_distributed_identical_across_subroutines_given_seed():

@@ -6,15 +6,14 @@ from hypothesis import strategies as st
 
 import misrecon.sim as sim
 from misrecon import gen_gadget
-from misrecon.constlength import _CoreBroadcast
 from misrecon.errors import InputError
 from misrecon.graph import Graph, components_of, distances_from, is_mis
 from misrecon.sim import (
-    CollectProgram,
     MisIdProgram,
     MisLubyProgram,
     NodeProgram,
     SimReport,
+    collect_cost,
     counter_rand,
     dist_mis,
     format_sim_report,
@@ -36,25 +35,17 @@ def random_graph(n, p, seed):
     return Graph(range(n), [(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p])
 
 
-def test_collect_floods_whole_path():
-    g = path(4)
-    report = run(g, lambda: CollectProgram(3), {v: None for v in g.nodes}, round_cap=10)
-    assert report.rounds_used == 3
-    for out in report.outputs.values():
-        assert out == frozenset({(0, 1), (1, 2), (2, 3)})
-
-
 def test_single_node_outputs_at_init():
     g = Graph([5])
-    report = run(g, lambda: CollectProgram(3), {5: None}, round_cap=10)
-    assert report.rounds_used == 0 and report.outputs[5] == frozenset()
+    report = run(g, MisIdProgram, {5: None}, round_cap=10)
+    assert report.rounds_used == 0 and report.outputs[5] == "in"
 
 
 def test_run_rejects_bad_inputs_and_caps():
-    g = path(3)
     with pytest.raises(InputError):
-        run(g, lambda: CollectProgram(1), {0: None}, round_cap=10)
-    report = run(g, lambda: CollectProgram(50), {v: None for v in g.nodes}, round_cap=4)
+        run(path(3), MisIdProgram, {0: None}, round_cap=10)
+    g = path(50)
+    report = run(g, MisIdProgram, {v: None for v in g.nodes}, round_cap=4)
     assert report.timed_out and report.rounds_used == 4
 
 
@@ -234,10 +225,11 @@ def reference_run(g, program, inputs, round_cap=10_000, seed=0):
 
 class _Echo(NodeProgram):
     """Sleeps until mail.  A node whose input is 0 starts at init; every
-    other node logs the senders of each inbox in inbox order (the engine
-    keeps them sorted, which no MIS or collect program reveals), echoes to
-    all neighbors, and decides once its input's number of inboxes arrived.
-    A node that never hears enough stalls the run."""
+    other node logs the senders of each inbox in inbox order, echoes to all
+    neighbors, and decides once its input's number of inboxes arrived.  The
+    log shows the sender order the engine keeps sorted, which
+    ``MisIdProgram`` reveals only through its message count.  A node that
+    never hears enough stalls the run."""
 
     sleeps_until_mail = True
 
@@ -259,26 +251,48 @@ class _Echo(NodeProgram):
         return dict.fromkeys(self.ports, "go")
 
 
+class _Flood(NodeProgram):
+    """The flood whose cost ``collect_cost`` derives.  Each node sends the
+    edges it knows to every neighbor each round; at round ``radius`` it
+    outputs them, every edge with an end within ``radius`` hops.  It polls."""
+
+    def __init__(self, radius):
+        self.radius = radius
+
+    def init(self, node_id, neighbor_ids, local_input, rand):
+        self.ports = sorted(neighbor_ids)
+        self.known = frozenset((min(node_id, w), max(node_id, w)) for w in neighbor_ids)
+        return dict.fromkeys(self.ports, self.known)
+
+    def on_round(self, round_no, inbox):
+        self.known = self.known.union(*inbox.values())
+        if round_no >= self.radius:
+            self.finish(self.known)
+            return None
+        return dict.fromkeys(self.ports, self.known)
+
+
 @st.composite
-def engine_runs(draw):
-    n = draw(st.integers(1, 10))
+def sparse_id_graphs(draw, min_edges=0):
+    n = draw(st.integers(1 + min_edges, 10))
     # Sparse ids whose hash order differs from their sorted order.
     ids = draw(st.lists(st.integers(0, 10**5).map(lambda k: 1000 + 37 * k), min_size=n, max_size=n, unique=True))
     pairs = [(ids[i], ids[j]) for i in range(n) for j in range(i + 1, n)]
-    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    g = Graph(ids, edges)
-    kind = draw(st.sampled_from(["collect", "mis-id", "luby", "core", "echo"]))
-    if kind == "collect":
-        radius = draw(st.integers(0, 4))
-        factory, inputs = (lambda: CollectProgram(radius)), dict.fromkeys(ids)
-    elif kind == "mis-id":
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=min_edges, unique=True)) if pairs else []
+    return Graph(ids, edges)
+
+
+@st.composite
+def engine_runs(draw):
+    g = draw(sparse_id_graphs())
+    ids = sorted(g.nodes)
+    kind = draw(st.sampled_from(["mis-id", "luby", "echo"]))
+    if kind == "mis-id":
         factory, inputs = MisIdProgram, dict.fromkeys(ids)
     elif kind == "luby":
         factory, inputs = MisLubyProgram, dict.fromkeys(ids)
-    elif kind == "core":
-        factory, inputs = _CoreBroadcast, dict(zip(ids, draw(st.lists(st.booleans(), min_size=n, max_size=n))))
     else:
-        factory, inputs = _Echo, dict(zip(ids, draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))))
+        factory, inputs = _Echo, dict(zip(ids, draw(st.lists(st.integers(0, 3), min_size=len(ids), max_size=len(ids)))))
     cap = draw(st.integers(0, 3) | st.integers(4, 40))
     return g, factory, inputs, cap, draw(st.integers(0, 5))
 
@@ -290,6 +304,17 @@ def test_event_engine_matches_every_node_loop(case):
     g, factory, inputs, cap, rng_seed = case
     expected = reference_run(g, factory, inputs, round_cap=cap, seed=rng_seed)
     assert run(g, factory, inputs, round_cap=cap, seed=rng_seed) == expected
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(sparse_id_graphs(min_edges=1), st.integers(1, 5))
+def test_collect_cost_matches_an_executed_flood(g, radius):
+    flood = reference_run(g, lambda: _Flood(radius), dict.fromkeys(g.nodes))
+    assert collect_cost(g, radius) == SimReport({}, flood.rounds_used, flood.messages_sent)
+    for v, known in flood.outputs.items():
+        near = distances_from(g, v, radius=radius)
+        assert known == frozenset(e for e in g.edges() if e[0] in near or e[1] in near)
 
 
 def test_stalled_run_reports_the_cap_at_once():
