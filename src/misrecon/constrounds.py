@@ -1,5 +1,5 @@
 """Constant-round scheduling: each beta-node is inserted by a six-step local
-gadget computed from its 5-hop neighborhood, and nodes take turns either by
+gadget computed from its 9-hop neighborhood, and nodes take turns either by
 identifier (slots 6k+1..6k+6 for id k) or by a coloring of the 10th power
 (equal colors run concurrently, their gadgets cannot interact)."""
 
@@ -10,8 +10,9 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
-from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent, is_mis
-from .schedule import PropertySpec, ReconfigInstance, Schedule, first_violation, run_side_by_side, validate
+from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
+from .schedule import PropertySpec, ReconfigInstance, Schedule, run_side_by_side, validate
+from .schedule import first_violation, lost_cover, step_defect
 from .sim import SimReport, collect_cost
 
 SLOT = 6
@@ -72,11 +73,13 @@ def plan_insertion(
 ) -> InsertionPlan:
     """Materialize a six-step fragment that brings v into the running set.
 
+    ``current`` must be an MIS, so v has a set-neighbor to evict; the
+    schedules keep this true window by window, starting from alpha.
     Candidate constructions are tried in a fixed order (the set-node-at-2
     shortcut, then the four helper cases, then need-driven parking and a
-    single-helper sweep), each vetted by a full per-step check before being
-    accepted, so an unsafe helper choice falls through to the next rung.
-    All witnesses are id-smallest, making plans deterministic and
+    single-helper sweep), each vetted step by step around its flip before
+    being accepted, so an unsafe helper choice falls through to the next
+    rung.  All witnesses are id-smallest, making plans deterministic and
     recomputable from the 9-hop ball of v alone (changes stay within 4 hops;
     any node a change can endanger lies within 5, its covers within 9).
     """
@@ -92,12 +95,9 @@ def plan_insertion(
     base = (current - blockers) | {v}
     gamma = greedy_complete(g, base, alpha, beta, within=reach)
 
-    dist = distances_from(g, v, radius=5)
+    dist = distances_from(g, v, radius=3)
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)
-    # Only nodes whose nearest set-member is removed can lose coverage, and
-    # removals stay within 4 hops of v, so checks are confined to this ball.
-    risk = frozenset(dist)
 
     def parked_steps(helpers: list[int]) -> list[VertexSet]:
         parked = [c for c in helpers if c not in current]
@@ -110,9 +110,6 @@ def plan_insertion(
         return [s1, s2, s3, s4, s5, gamma]
 
     def attempts() -> Iterator[tuple[str, list[VertexSet]]]:
-        if not blockers:
-            yield "free", [gamma] * SLOT
-            return
         if any(u in current for u in sphere2):
             yield "alpha-at-2", [current - blockers] + [gamma] * (SLOT - 1)
         for u in sphere2:
@@ -132,7 +129,7 @@ def plan_insertion(
         outward = [u for u in sphere2 if g.neighbors(u) & sphere3]
         if outward:
             yield "case4", parked_steps(_independent_partners(g, current, outward, sphere3))
-        needed = _needed_helpers(g, current, blockers, sphere2, sphere3, risk)
+        needed = _needed_helpers(g, current, blockers, sphere2, sphere3)
         if needed is not None:
             yield ("case4" if needed else "direct"), parked_steps(needed)
         for c in sphere2 + sorted(sphere3):
@@ -140,7 +137,7 @@ def plan_insertion(
                 yield "helper", parked_steps([c])
 
     for tag, steps in attempts():
-        if first_violation(g, current, steps, 4, watch=risk) is None:
+        if first_violation(g, current, steps, 4) is None:
             return _checked_plan(g, current, v, tag, steps, gamma, blockers)
 
     raise InternalError(
@@ -165,15 +162,13 @@ def _independent_partners(g, current, outward, sphere3) -> list[int]:
     return chosen
 
 
-def _needed_helpers(g, current, blockers, sphere2, sphere3, risk) -> list[int] | None:
+def _needed_helpers(g, current, blockers, sphere2, sphere3) -> list[int] | None:
     """Helpers parked only where the mid-fragment set actually leaves a hole.
 
     Returns None when some hole admits no helper (the rung is skipped)."""
-    covered = distances_from(g, current - blockers, radius=4)
-    holes = sorted(risk.difference(covered))
     chosen: list[int] = []
     candidates = [c for c in sphere2 + sorted(sphere3) if c not in current]
-    for x in holes:
+    for x in lost_cover(g, current, current - blockers, 4):
         near = ball(g, x, 4)
         if any(c in near for c in chosen):
             continue
@@ -198,7 +193,7 @@ def _checked_plan(g, current, v, tag, steps, gamma, blockers) -> InsertionPlan:
         raise InternalError(f"insertion fragment removed non-neighbors {sorted(net_removed - blockers)}")
     if v not in gamma:
         raise InternalError("insertion fragment lost its target")
-    if not is_mis(g, gamma):
+    if step_defect(g, current, gamma, 1) is not None:
         raise InternalError("insertion fragment did not end at a maximal independent set")
     return InsertionPlan(v, tag, tuple(steps), gamma)
 
@@ -260,6 +255,7 @@ def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> 
     current = inst.alpha
     steps: list[VertexSet] = [current]
     for window in windows:
+        start = current
         plans = [
             plan_insertion(g, current, inst.alpha, inst.beta, v)
             for v in window
@@ -268,7 +264,7 @@ def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> 
         steps.extend(run_side_by_side(current, [(current, *p.six_steps) for p in plans], SLOT))
         current = steps[-1]
         # A lone plan's end set was checked by _checked_plan.
-        if len(plans) > 1 and not is_mis(g, current):
+        if len(plans) > 1 and step_defect(g, start, current, 1) is not None:
             raise InternalError("merged window did not end at a maximal independent set")
     sched = Schedule(tuple(steps))
     _assert_valid(inst, sched)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import InputError
-from .graph import ComponentInfo, Graph, VertexSet, distances_from, edge_inside, is_mis
+from .graph import Graph, VertexSet, distances_from, edge_inside, is_mis
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,6 @@ class Schedule:
     @property
     def length(self) -> int:
         return len(self.steps) - 1
-
-    def __len__(self) -> int:
-        return len(self.steps)
-
-    def __getitem__(self, i: int) -> VertexSet:
-        return self.steps[i]
 
 
 @dataclass(frozen=True)
@@ -86,41 +80,51 @@ class ValidationReport:
     first_violation: Violation | None = None
 
 
-def first_violation(
-    g: Graph,
-    prev: VertexSet,
-    steps: Sequence[VertexSet],
-    d: int,
-    watch: VertexSet | None = None,
-) -> Violation | None:
+def lost_cover(g: Graph, prev: VertexSet, step: VertexSet, d: int) -> list[int]:
+    """The nodes, ascending, within d hops of ``prev`` but not of ``step``.
+
+    Each lies within d hops of a removed node, and every path that could
+    still cover it stays inside the 2d-ball of the removals."""
+    removed = prev - step
+    if not removed:
+        return []
+    near = distances_from(g, removed, radius=2 * d)
+    pool = frozenset(near)
+    covered = distances_from(g, step & pool, pool, d)
+    return sorted(u for u, k in near.items() if k <= d and u not in covered)
+
+
+def step_defect(g: Graph, prev: VertexSet, step: VertexSet, d: int) -> tuple[str, tuple[int, int] | int] | None:
+    """The condition ``step`` breaks and its witness, given that ``prev`` is
+    independent and d-dominating; None if ``step`` is too.  At d = 1 this
+    asks whether ``step`` is still an MIS.  A new edge touches an added node
+    and a lost cover is near a removed one, so the witnesses (smallest edge,
+    smallest uncovered node) are found around the flip alone."""
+    added = step - prev
+    if any(not g.neighbors(v).isdisjoint(step) for v in added):
+        return "independence", edge_inside(g, step.intersection(distances_from(g, added, radius=1)))
+    holes = lost_cover(g, prev, step, d)
+    return ("domination", holes[0]) if holes else None
+
+
+def first_violation(g: Graph, prev: VertexSet, steps: Sequence[VertexSet], d: int) -> Violation | None:
     """The earliest step that breaks a step condition; ``steps[0]`` is step 1.
 
-    Each step is compared with the one before it (``prev`` before the first):
-    its flip must be independent, the step itself independent, and every node
-    of ``watch`` (default: every node) within ``d`` hops of it.  A step whose
-    flip is empty equals its predecessor, which is ``prev`` (an MIS in every
-    caller) or a step that already passed, so it is skipped.
+    Each step's flip from its predecessor (``prev`` before the first) must be
+    independent and the step must pass ``step_defect``, whose precondition
+    holds: ``prev`` is an MIS in every caller and earlier steps have passed.
+    A step whose flip is empty equals its predecessor and is skipped.
     """
-    if watch is None:
-        watch = pool = g.nodes
-    else:
-        # A member of a step covers a watched node only through a path of at
-        # most d hops, and that path lies inside the d-ball around ``watch``.
-        pool = frozenset(distances_from(g, watch, radius=d))
     for i, step in enumerate(steps, 1):
         flip = step ^ prev
+        if flip:
+            edge = edge_inside(g, flip)
+            if edge is not None:
+                return Violation(i, "flip-independence", edge)
+            defect = step_defect(g, prev, step, d)
+            if defect is not None:
+                return Violation(i, *defect)
         prev = step
-        if not flip:
-            continue
-        edge = edge_inside(g, flip)
-        if edge is not None:
-            return Violation(i, "flip-independence", edge)
-        edge = edge_inside(g, step)
-        if edge is not None:
-            return Violation(i, "independence", edge)
-        missing = watch.difference(distances_from(g, step & pool, pool, d))
-        if missing:
-            return Violation(i, "domination", min(missing))
     return None
 
 
@@ -155,13 +159,13 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
 
 def update_component(
     current: VertexSet,
-    comp: ComponentInfo | VertexSet,
+    comp: VertexSet,
     alpha: VertexSet,
     beta: VertexSet,
 ) -> tuple[VertexSet, VertexSet]:
-    """The two-step update of a component (or batched union of components):
-    first remove its alpha-part, then add its beta-part."""
-    vertices = comp.vertices if isinstance(comp, ComponentInfo) else frozenset(comp)
+    """The two-step update of a component's vertices (or of a batched union
+    of components): first remove its alpha-part, then add its beta-part."""
+    vertices = frozenset(comp)
     if not (vertices & alpha) <= current:
         raise InputError("component alpha-part not contained in current set")
     removed = frozenset(current) - (frozenset(alpha) & vertices)

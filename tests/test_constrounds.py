@@ -1,5 +1,6 @@
 import pytest
 
+from misrecon import constrounds, graph, schedule
 from misrecon.analysis import gen_gadget, random_connected_instance
 from misrecon.constrounds import (
     coloring_schedule,
@@ -133,6 +134,28 @@ def test_plan_is_9_hop_local():
             current = plan.resulting_mis
             checked += 1
     assert checked >= 3
+
+
+def test_bfs_work_per_node_is_constant_on_id_slotted_alt_path(monkeypatch):
+    visited = 0
+    real = graph.distances_from
+
+    def counted(*args, **kwargs):
+        nonlocal visited
+        dist = real(*args, **kwargs)
+        visited += len(dist)
+        return dist
+
+    for module in (graph, schedule, constrounds):
+        monkeypatch.setattr(module, "distances_from", counted)
+    work = []
+    for n in (1000, 2000):
+        visited = 0
+        constant_rounds_schedule(gen_gadget("alt-path", n=n))
+        work.append(visited)
+    # Local checks visit a bounded ball per step: doubling n about doubles
+    # the work.  A whole-graph search per plan or per step would quadruple it.
+    assert work[1] <= 2.1 * work[0]
 
 
 def test_plan_rejects_bad_targets():

@@ -1,20 +1,22 @@
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from misrecon.errors import InputError
-from misrecon.graph import Graph
+from misrecon.graph import Graph, is_mis
 from misrecon.schedule import (
     PropertySpec,
     ReconfigInstance,
     Schedule,
     format_schedule_file,
     format_vertex_set_file,
+    lost_cover,
     parse_schedule_file,
     parse_vertex_set_file,
     run_side_by_side,
+    step_defect,
     update_component,
     validate,
 )
@@ -77,6 +79,27 @@ def test_length_zero_schedule_iff_alpha_equals_beta():
     assert not validate(diff, Schedule(({0, 2},)), PropertySpec(4)).valid
 
 
+def smallest_edge(g, s):
+    edges = [(u, w) for u in s for w in s if u < w and w in g.neighbors(u)]
+    return min(edges) if edges else None
+
+
+def undominated(g, s, d):
+    """Every node with no member of s within d hops, ascending, by a fresh
+    BFS from each node."""
+    missing = []
+    for v in sorted(g.nodes):
+        frontier, seen, dist, ok = {v}, {v}, 0, v in s
+        while not ok and dist < d:
+            frontier = {w for u in frontier for w in g.neighbors(u)} - seen
+            seen |= frontier
+            dist += 1
+            ok = bool(frontier & s)
+        if not ok:
+            missing.append(v)
+    return missing
+
+
 def naive_check(inst, sched, d):
     """Independent re-implementation: full rescans with no shared helpers.
 
@@ -86,36 +109,19 @@ def naive_check(inst, sched, d):
     steps = [set(s) for s in sched.steps]
     last = len(steps) - 1
 
-    def smallest_edge(s):
-        edges = [(u, w) for u in s for w in s if u < w and w in g.neighbors(u)]
-        return min(edges) if edges else None
-
-    def smallest_undominated(s):
-        missing = []
-        for v in g.nodes:
-            frontier, seen, dist, ok = {v}, {v}, 0, v in s
-            while not ok and dist < d:
-                frontier = {w for u in frontier for w in g.neighbors(u)} - seen
-                seen |= frontier
-                dist += 1
-                ok = bool(frontier & s)
-            if not ok:
-                missing.append(v)
-        return min(missing) if missing else None
-
     if steps[0] != set(inst.alpha):
         return (0, "endpoints", min(steps[0] ^ set(inst.alpha)))
     for i in range(1, last + 1):
-        edge = smallest_edge(steps[i] ^ steps[i - 1])
+        edge = smallest_edge(g, steps[i] ^ steps[i - 1])
         if edge is not None:
             return (i, "flip-independence", edge)
         if i < last:
-            edge = smallest_edge(steps[i])
+            edge = smallest_edge(g, steps[i])
             if edge is not None:
                 return (i, "independence", edge)
-            node = smallest_undominated(steps[i])
-            if node is not None:
-                return (i, "domination", node)
+            missing = undominated(g, steps[i], d)
+            if missing:
+                return (i, "domination", missing[0])
     if steps[last] != set(inst.beta):
         return (last, "endpoints", min(steps[last] ^ set(inst.beta)))
     return None
@@ -187,6 +193,48 @@ def schedules(draw):
 def test_validator_reports_the_naive_first_violation(case):
     inst, sched, d = case
     assert reported(validate(inst, sched, PropertySpec(d))) == naive_check(inst, sched, d)
+
+
+@st.composite
+def flipped_steps(draw):
+    """A graph, a radius d, a ``prev`` that is independent and d-dominating,
+    and ``prev`` with a few random nodes flipped or with the flip to another
+    such set."""
+    n = draw(st.integers(1, 12))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    g = Graph(range(n), edges)
+    d = draw(st.integers(1, 4))
+
+    def ruling_set():
+        # An MIS thinned while it stays d-dominating.
+        s = greedy_mis(g, draw(st.permutations(range(n))))
+        for v in draw(st.permutations(sorted(s))):
+            if draw(st.booleans()) and not undominated(g, s - {v}, d):
+                s -= {v}
+        return s
+
+    prev = ruling_set()
+    if draw(st.booleans()):
+        return g, d, prev, ruling_set()
+    return g, d, prev, prev ^ draw(st.frozensets(st.integers(0, n - 1), min_size=1, max_size=3))
+
+
+@seed(20261020)
+@settings(max_examples=400, deadline=None)
+@given(flipped_steps())
+def test_step_defect_matches_a_whole_graph_check(case):
+    g, d, prev, step = case
+    missing = undominated(g, step, d)
+    edge = smallest_edge(g, step)
+    if edge is not None:
+        expected = ("independence", edge)
+    else:
+        expected = ("domination", missing[0]) if missing else None
+    assert step_defect(g, prev, step, d) == expected
+    assert lost_cover(g, prev, step, d) == missing
+    if d == 1:
+        assert (step_defect(g, prev, step, 1) is None) == is_mis(g, step)
 
 
 def test_update_component_set_arithmetic():
