@@ -160,16 +160,11 @@ def schedule_big_component(
         ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
         reports.append(("ruling-set", report))
         layers = layer_component(g, y, alpha_c, beta_c, ruling)
+        # _check_layers proved even layers alpha-nodes and odd ones beta-nodes.
         steps = [alpha_c]
         for i in range(4):
-            after_removal = steps[-1] - layers[4 - 2 * i]
-            if after_removal != steps[-1] and not (steps[-1] - after_removal) <= alpha_c:
-                raise InternalError("odd cascade step removed a non-alpha node")
-            steps.append(after_removal)
-            after_addition = steps[-1] | layers[5 - 2 * i]
-            if not (after_addition - steps[-1]) <= beta_c:
-                raise InternalError("even cascade step added a non-beta node")
-            steps.append(after_addition)
+            steps.append(steps[-1] - layers[4 - 2 * i])
+            steps.append(steps[-1] | layers[5 - 2 * i])
     while len(steps) < 9:
         steps.append(steps[-1])
     if steps[0] != alpha_c or steps[-1] != beta_c:
@@ -187,9 +182,9 @@ def _small_diameter_fragment(g, y, alpha_c, beta_c) -> list[VertexSet]:
 
 
 def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple[Graph, dict[int, ComponentInfo]]:
-    """Graph on components (labeled by minimum vertex id) with an edge where
-    some epsilon-node has an alpha-neighbor in one and a beta-neighbor in the
-    other."""
+    """Graph on the given components (labeled by minimum vertex id) with an
+    edge where some epsilon-node has an alpha-neighbor in one and a
+    beta-neighbor in the other."""
     label = {}
     for comp in comps:
         label.update(dict.fromkeys(comp.vertices, comp.min_id))
@@ -238,9 +233,7 @@ def schedule_non_isolated(
     if len(c_ab) + len(c_a) + len(c_b) != len(small):
         raise InternalError("non-isolated small component with no covering label")
 
-    comp_graph, by_label = _component_graph(g, comps, alpha, beta)
-    ab_labels = frozenset(c.min_id for c in c_ab)
-    mis_graph = comp_graph.induced(ab_labels)
+    mis_graph, by_label = _component_graph(g, c_ab, alpha, beta)
     m_labels, m_report = dist_mis(mis_graph, mode=mode, seed=seed, round_cap=round_cap)
     reports.append(("component-mis", m_report))
     m_comps = [by_label[l] for l in sorted(m_labels)]

@@ -91,11 +91,10 @@ def plan_insertion(
         raise InputError(f"target {v} is already in the set")
     current = frozenset(current)
     blockers = g.neighbors(v) & current
-    reach = ball(g, v, 4)
+    dist = distances_from(g, v, radius=4)
     base = (current - blockers) | {v}
-    gamma = greedy_complete(g, base, alpha, beta, within=reach)
+    gamma = greedy_complete(g, base, alpha, beta, within=frozenset(dist))
 
-    dist = distances_from(g, v, radius=3)
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)
 
@@ -267,16 +266,10 @@ def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> 
         if len(plans) > 1 and step_defect(g, start, current, 1) is not None:
             raise InternalError("merged window did not end at a maximal independent set")
     sched = Schedule(tuple(steps))
-    _assert_valid(inst, sched)
+    verdict = validate(inst, sched, PropertySpec(4))
+    if not verdict.valid:
+        raise InternalError(f"constructed schedule invalid: {verdict.first_violation.describe()}")
     return sched
-
-
-def _assert_valid(inst: ReconfigInstance, sched: Schedule) -> None:
-    report = validate(inst, sched, PropertySpec(4))
-    if not report.valid:
-        raise InternalError(f"constructed schedule invalid: {report.first_violation.describe()}")
-    if sched.steps[-1] != inst.beta:
-        raise InternalError("schedule does not end exactly at beta")
 
 
 def greedy_power_coloring(g: Graph) -> dict[int, int]:

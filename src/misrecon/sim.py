@@ -27,7 +27,6 @@ from .graph import (
     ComponentInfo,
     Graph,
     VertexSet,
-    ball,
     distances_from,
     is_independent,
     is_mis,
@@ -38,8 +37,13 @@ Outbox = dict[int, Message]
 
 
 def counter_rand(seed: int, node: int, counter: int) -> float:
-    """Deterministic uniform [0,1) value keyed by (seed, node, counter)."""
-    digest = hashlib.sha256(struct.pack(">qqq", seed, node, counter)).digest()
+    """Deterministic uniform [0,1) value keyed by (seed, node, counter), each
+    a signed 64-bit integer."""
+    try:
+        key = struct.pack(">qqq", seed, node, counter)
+    except struct.error:
+        raise InputError(f"seed {seed} and node id {node} must lie in [-2**63, 2**63)") from None
+    digest = hashlib.sha256(key).digest()
     return int.from_bytes(digest[:8], "big") / 2**64
 
 
@@ -273,27 +277,6 @@ def dist_mis(
     return selected, report
 
 
-def _virtual_graph(g: Graph, y: VertexSet, alpha: VertexSet) -> Graph:
-    """Graph on the alpha-nodes of y with an edge between every two that share
-    a beta-neighbor inside y (multi-edges collapse to simple edges)."""
-    alpha_y = sorted(alpha & y)
-    edges = set()
-    for b in sorted(y - alpha):
-        hub = sorted(g.neighbors(b) & alpha & y)
-        for i, u in enumerate(hub):
-            for v in hub[i + 1 :]:
-                edges.add((u, v))
-    return Graph(alpha_y, sorted(edges))
-
-
-def _square(g: Graph) -> Graph:
-    edges = set()
-    for v in sorted(g.nodes):
-        for w in ball(g, v, 2) - {v}:
-            edges.add((min(v, w), max(v, w)))
-    return Graph(sorted(g.nodes), sorted(edges))
-
-
 # One hop of the squared virtual graph spans at most this many real hops:
 # two hops per virtual edge, two virtual edges per squared edge.
 VIRTUAL_HOP_OVERHEAD = 4
@@ -309,11 +292,17 @@ def ruling_set_32(
     seed: int = 0,
     round_cap: int | None = None,
 ) -> tuple[VertexSet, SimReport]:
-    """A (3,2)-ruling set of the virtual graph on the component's alpha-nodes,
-    computed as an MIS of the squared virtual graph.
+    """A (3,2)-ruling set of the virtual graph on the component's alpha-nodes
+    (two joined when they share a beta-neighbor), computed as an MIS of the
+    squared virtual graph.
 
-    In the subgraph induced by the component the result is a (6,5)-ruling
-    set.  The reported rounds account for simulating each virtual hop in g.
+    Both parts of the component are independent, so G[y] is bipartite and
+    every path between two alpha-nodes alternates sides: their virtual
+    distance is exactly half their hop distance in G[y].  The squared
+    virtual graph is therefore the graph on the alpha-nodes joining two at
+    most 4 hops apart in G[y], and it is built that way.  In G[y] the
+    result is a (6,5)-ruling set.  The reported rounds account for
+    simulating each virtual hop in g.
     """
     y = comp.vertices
     alpha_y, beta_y = frozenset(alpha) & y, frozenset(beta) & y
@@ -324,11 +313,11 @@ def ruling_set_32(
     if comp.diameter < 5:
         raise InputError(f"component diameter must be at least 5, got {comp.diameter}")
 
-    virtual = _virtual_graph(g, y, alpha_y)
-    squared = _square(virtual)
+    edges = [(u, w) for u in sorted(alpha_y) for w in distances_from(g, u, y, 4) if w in alpha_y and u < w]
+    squared = Graph(alpha_y, edges)
     ruling, mis_report = dist_mis(squared, mode=mode, seed=seed, round_cap=round_cap)
 
-    _check_ruling(virtual, ruling, g, y)
+    _check_ruling(g, y, alpha_y, ruling)
     report = SimReport(
         outputs=dict(mis_report.outputs),
         rounds_used=VIRTUAL_SETUP_ROUNDS + VIRTUAL_HOP_OVERHEAD * mis_report.rounds_used,
@@ -337,20 +326,22 @@ def ruling_set_32(
     return ruling, report
 
 
-def _check_ruling(virtual: Graph, ruling: VertexSet, g: Graph, y: VertexSet) -> None:
-    """Exhaustively confirm the (3,2) property on the virtual graph and the
-    induced (6,5) property on y."""
+def _check_ruling(g: Graph, y: VertexSet, alpha_y: VertexSet, ruling: VertexSet) -> None:
+    """Exhaustively confirm the ruling-set property in hops of G[y]: ruling
+    nodes more than 4 apart (3 virtual hops), every alpha-node within 4 (2
+    virtual hops) and every node within 5."""
     for v in sorted(ruling):
-        dist = distances_from(virtual, v, radius=2)
+        dist = distances_from(g, v, y, radius=4)
         close = sorted(w for w in dist if w in ruling and w != v)
         if close:
-            raise InternalError(f"ruling nodes {v},{close[0]} at virtual distance {dist[close[0]]}")
-    uncovered = virtual.nodes.difference(distances_from(virtual, ruling, radius=2))
+            raise InternalError(f"ruling nodes {v},{close[0]} {dist[close[0]]} hops apart in the component")
+    dist = distances_from(g, ruling, y, radius=5)
+    far = sorted(v for v in alpha_y if dist.get(v, 5) > 4)
+    if far:
+        raise InternalError(f"alpha-node {far[0]} not within 4 hops of the ruling set")
+    uncovered = y.difference(dist)
     if uncovered:
-        raise InternalError(f"virtual node {min(uncovered)} not 2-covered by the ruling set")
-    uncovered = y.difference(distances_from(g, ruling, y, radius=5))
-    if uncovered:
-        raise InternalError(f"node {min(uncovered)} not 5-covered in the induced subgraph")
+        raise InternalError(f"node {min(uncovered)} not within 5 hops of the ruling set")
 
 
 def format_sim_report(report: SimReport) -> str:

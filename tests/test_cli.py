@@ -274,3 +274,31 @@ def test_bad_seed_env_exits_2(tmp_path, monkeypatch, capsys):
     argv = ["gen", "--family", "alt-path", "--n", "10", "--out-prefix", str(tmp_path / "x")]
     assert main(argv) == EXIT_USAGE
     assert "'abc'" in capsys.readouterr().err
+
+
+def test_seed_beyond_64_bits_exits_2(tmp_path, monkeypatch, capsys):
+    g = Graph(range(10), [(i, i + 1) for i in range(9)])
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)))
+    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--subroutine", "luby",
+            "--out", str(tmp_path / "s.txt")]
+    huge = "99999999999999999999"
+    assert main([*base, "--seed", huge]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and huge in err and "Traceback" not in err
+    monkeypatch.setenv("MISRECON_SEED", str(-2**63 - 1))
+    assert main(base) == EXIT_USAGE
+    assert str(-2**63 - 1) in capsys.readouterr().err
+    assert not (tmp_path / "s.txt").exists()
+
+
+def test_node_id_beyond_64_bits_exits_2(tmp_path, capsys):
+    top = 2**63
+    ids = [top + i for i in range(12)]
+    g = Graph(ids, list(zip(ids, ids[1:])))
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(ids[0::2]), frozenset(ids[1::2]))
+    argv = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")]
+    # The id-based MIS draws no random numbers, so it takes any id.
+    assert main(argv) == EXIT_OK
+    assert main([*argv, "--subroutine", "luby"]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(top) in err and "Traceback" not in err

@@ -1,11 +1,12 @@
 import random
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import misrecon.sim as sim
 from misrecon import gen_gadget
+from misrecon.constlength import reduce_instance
 from misrecon.errors import InputError
 from misrecon.graph import Graph, components_of, distances_from, is_mis
 from misrecon.sim import (
@@ -341,3 +342,48 @@ def test_engine_wakes_only_nodes_with_mail(monkeypatch):
     # Monotone ids: Theta(n) rounds, so an every-node loop makes ~n^2/4 calls.
     assert report.rounds_used > 1000
     assert 0 < calls <= len(g) + 2 * report.messages_sent
+
+
+def reference_ruling_set(g, comp, alpha, mode, seed):
+    """Reference construction: the virtual graph joins the component's
+    alpha-nodes that share a beta-neighbour, and its square joins those at
+    most two virtual hops apart."""
+    y = comp.vertices
+    alpha_y = sorted(alpha & y)
+    edges = set()
+    for b in sorted(y - alpha):
+        hub = sorted(g.neighbors(b) & alpha & y)
+        edges.update((u, w) for i, u in enumerate(hub) for w in hub[i + 1 :])
+    virtual = Graph(alpha_y, edges)
+    squared = Graph(alpha_y, [(u, w) for u in alpha_y for w in distances_from(virtual, u, radius=2) if u < w])
+    ruling, report = dist_mis(squared, mode=mode, seed=seed)
+    rounds = sim.VIRTUAL_SETUP_ROUNDS + sim.VIRTUAL_HOP_OVERHEAD * report.rounds_used
+    return ruling, SimReport(dict(report.outputs), rounds, report.messages_sent)
+
+
+@st.composite
+def big_components(draw):
+    # logstar is left out: its components are single alpha-beta edges
+    # (diameter 1), so it never reaches the ruling set.
+    family = draw(st.sampled_from(["random", "alt-path", "alt-cycle"]))
+    if family == "random":
+        n = draw(st.integers(20, 120))
+        inst = gen_gadget(family, n=n, p=3 / n, seed=draw(st.integers(0, 10**6)))
+    elif family == "alt-path":
+        inst = gen_gadget(family, n=draw(st.integers(6, 60)))
+    else:
+        inst = gen_gadget(family, n=2 * draw(st.integers(5, 30)))
+    red = reduce_instance(inst).reduced_instance
+    comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
+    big = [c for c in comps if c.diameter >= 5]
+    assume(big)
+    return red, draw(st.sampled_from(big))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(big_components(), st.sampled_from(["deterministic-id", "luby"]), st.integers(0, 5))
+def test_ruling_set_matches_the_squared_virtual_graph(case, mode, rng_seed):
+    red, comp = case
+    expected = reference_ruling_set(red.graph, comp, red.alpha, mode, rng_seed)
+    assert ruling_set_32(red.graph, comp, red.alpha, red.beta, mode=mode, seed=rng_seed) == expected
