@@ -38,25 +38,25 @@ class InsertionPlan:
     resulting_mis: VertexSet
 
 
-def greedy_complete(
-    g: Graph,
-    partial: VertexSet,
-    alpha: VertexSet,
-    beta: VertexSet,
-    within: VertexSet | None = None,
-) -> VertexSet:
+def greedy_complete(g: Graph, partial: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
     """Extend an independent set to a maximal one, trying beta-nodes first,
     then alpha-nodes, then the rest, each in ascending id order.
 
     Completing over all nodes keeps every completion a genuine MIS, which the
     insertion cases rely on (every node keeps a set-neighbor within one hop).
     A parked non-target node never survives to the end: its beta-neighbor's
-    own insertion evicts it.  ``within`` optionally caps candidates to a
-    locality ball."""
+    own insertion evicts it."""
     if not is_independent(g, partial):
         raise InputError("partial set must be independent")
+    return _complete(g, partial, g.nodes, alpha, beta)
+
+
+def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
+    """``greedy_complete`` over ``pool`` without its O(n) input check: the
+    planner's ``(current - blockers) | {v}`` is independent by construction,
+    and ``_checked_plan``'s ``step_defect(g, current, gamma, 1)`` still
+    rejects an end set that is not an MIS, so no property goes unchecked."""
     current = set(partial)
-    pool = g.nodes if within is None else g.nodes & within
     ordered = sorted(pool & beta) + sorted(pool & alpha - beta) + sorted(pool - alpha - beta)
     for v in ordered:
         if v not in current and not (g.neighbors(v) & current):
@@ -93,7 +93,7 @@ def plan_insertion(
     blockers = g.neighbors(v) & current
     dist = distances_from(g, v, radius=4)
     base = (current - blockers) | {v}
-    gamma = greedy_complete(g, base, alpha, beta, within=frozenset(dist))
+    gamma = _complete(g, base, frozenset(dist), alpha, beta)
 
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)

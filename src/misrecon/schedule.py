@@ -35,7 +35,11 @@ class ReconfigInstance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A materialized sequence of vertex sets; length is steps, not sets."""
+    """A materialized sequence of vertex sets; length is steps, not sets.
+
+    The pipelines and the parser give a run of equal steps one shared object,
+    and no loop does set work on a step that ``is`` its predecessor.  This is
+    for speed only: correctness never depends on it."""
 
     steps: tuple[VertexSet, ...]
 
@@ -116,6 +120,8 @@ def first_violation(g: Graph, prev: VertexSet, steps: Sequence[VertexSet], d: in
     A step whose flip is empty equals its predecessor and is skipped.
     """
     for i, step in enumerate(steps, 1):
+        if step is prev:
+            continue
         flip = step ^ prev
         if flip:
             edge = edge_inside(g, flip)
@@ -138,12 +144,14 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
     if not sched.steps:
         raise InputError("empty schedule")
     g = inst.graph
-    for step in sched.steps:
+    steps, last = sched.steps, len(sched.steps) - 1
+    for i, step in enumerate(steps):
+        if i and step is steps[i - 1]:
+            continue
         unknown = step - g.nodes
         if unknown:
             raise InputError(f"schedule step contains unknown node ids {sorted(unknown)}")
 
-    steps, last = sched.steps, len(sched.steps) - 1
     if steps[0] != inst.alpha:
         violation = Violation(0, "endpoints", min(steps[0] ^ inst.alpha))
     else:
@@ -182,15 +190,20 @@ def run_side_by_side(
 
     Each fragment is a sequence of sets whose first set is its part of
     ``start``; step j replaces that part with the fragment's j-th set, or its
-    last once it has run out.  Fragments must change disjoint nodes.  With no
-    fragments every step is ``start`` itself, one repeated object.
+    last once it has run out.  Fragments must change disjoint nodes.  A step
+    where no fragment's set changes object is the previous step's object
+    (``start`` at first), so with no fragments every step is ``start``.
     """
     if not fragments:
         return [start] * length
-    return [
-        start ^ frozenset().union(*(f[min(j, len(f) - 1)] ^ f[0] for f in fragments))
-        for j in range(1, length + 1)
-    ]
+    steps, step, sets = [], start, [f[0] for f in fragments]
+    for j in range(1, length + 1):
+        now = [f[min(j, len(f) - 1)] for f in fragments]
+        if any(a is not b for a, b in zip(now, sets)):
+            step = start ^ frozenset().union(*(s ^ f[0] for s, f in zip(now, fragments)))
+        steps.append(step)
+        sets = now
+    return steps
 
 
 def parse_vertex_set_file(text: str) -> VertexSet:
@@ -221,14 +234,23 @@ def parse_schedule_file(text: str) -> Schedule:
     lines = text.splitlines()
     if not lines:
         raise InputError("empty schedule file")
-    steps = []
+    steps, prev = [], None
     for lineno, line in enumerate(lines, start=1):
-        try:
-            steps.append(frozenset(int(tok) for tok in line.split()))
-        except ValueError:
-            raise InputError(f"line {lineno}: bad node id in {line!r}") from None
+        if line != prev:
+            try:
+                step = frozenset(int(tok) for tok in line.split())
+            except ValueError:
+                raise InputError(f"line {lineno}: bad node id in {line!r}") from None
+            prev = line
+        steps.append(step)
     return Schedule(tuple(steps))
 
 
 def format_schedule_file(sched: Schedule) -> str:
-    return "".join(" ".join(str(v) for v in sorted(step)) + "\n" for step in sched.steps)
+    lines, prev = [], None
+    for step in sched.steps:
+        if step is not prev:
+            line = " ".join(str(v) for v in sorted(step)) + "\n"
+            prev = step
+        lines.append(line)
+    return "".join(lines)

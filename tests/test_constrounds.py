@@ -185,6 +185,16 @@ def test_schedule_length_tracks_largest_identifier():
     assert sched.length == 6 * (1000 + 1)
 
 
+def test_sparse_ids_share_every_step_outside_insertion_windows():
+    ids = [0, 111, 222, 333, 444, 555, 666, 777, 888, 1000]
+    g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(9)])
+    inst = ReconfigInstance(g, frozenset(ids[0::2]), frozenset(ids[1::2]))
+    steps = constant_rounds_schedule(inst)[0].steps
+    changed = sum(steps[i] is not steps[i - 1] for i in range(1, len(steps)))
+    assert changed <= 6 * len(inst.beta - inst.alpha)
+    assert all(s is inst.alpha for s in steps[: 6 * 111 + 1])
+
+
 def test_alpha_equals_beta_collapses_to_padding():
     g = path(8)
     a = frozenset(range(0, 8, 2))

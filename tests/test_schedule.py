@@ -296,6 +296,36 @@ def test_run_side_by_side_equals_sequential_steps():
     ]
 
 
+def side_by_side_formula(start, fragments, length):
+    """Every step built anew, no object shared."""
+    return [
+        start ^ frozenset().union(*(f[min(j, len(f) - 1)] ^ f[0] for f in fragments))
+        for j in range(1, length + 1)
+    ]
+
+
+def test_run_side_by_side_shares_steps_where_no_fragment_moves():
+    x, y, z = frozenset({0}), frozenset(), frozenset({1})
+    start = frozenset({0, 9})
+    steps = run_side_by_side(start, [(x, y, z, z)], 6)
+    assert steps == side_by_side_formula(start, [(x, y, z, z)], 6)
+    assert steps[0] is not steps[1]
+    assert all(s is steps[1] for s in steps[2:])
+    # A second fragment that keeps moving breaks the run of shared steps.
+    other = [frozenset({5}), frozenset({6}), frozenset({5}), frozenset({6}), frozenset({7})]
+    start = frozenset({0, 5, 9})
+    steps = run_side_by_side(start, [(x, y, z, z), other], 6)
+    assert steps == side_by_side_formula(start, [(x, y, z, z), other], 6)
+    assert [steps[j] is steps[j - 1] for j in range(1, 6)] == [False, False, False, True, True]
+
+
+def test_run_side_by_side_step_equal_to_start_is_start():
+    x = frozenset({3})
+    start = frozenset({3, 4})
+    steps = run_side_by_side(start, [(x, x, frozenset())], 3)
+    assert steps[0] is start and steps[1] == steps[2] == frozenset({4})
+
+
 def test_schedule_file_round_trip_bit_exact():
     sched = Schedule(({3, 1, 2}, frozenset(), {0,}))
     text = format_schedule_file(sched)
@@ -309,3 +339,57 @@ def test_vertex_set_file_round_trip():
     assert parse_vertex_set_file("# c\n1 5\n9\n") == s
     with pytest.raises(InputError, match="line 1"):
         parse_vertex_set_file("1 x\n")
+
+
+def test_parse_schedule_shares_one_set_per_run_of_identical_lines():
+    steps = parse_schedule_file("0 2\n0 2\n0\n0\n0\n0 2\n\n\n").steps
+    assert steps == tuple(map(frozenset, ({0, 2}, {0, 2}, {0}, {0}, {0}, {0, 2}, (), ())))
+    runs = [steps[0], steps[2], steps[5], steps[6]]
+    assert len({id(s) for s in steps}) == len({id(s) for s in runs}) == 4
+    assert steps[1] is steps[0] and steps[3] is steps[4] is steps[2] and steps[7] is steps[6]
+
+
+def test_parse_schedule_reports_a_repeated_bad_id_at_its_first_line():
+    with pytest.raises(InputError, match="line 2:"):
+        parse_schedule_file("0 2\n1 x\n1 x\n1 x\n")
+    with pytest.raises(InputError, match="line 1:"):
+        parse_schedule_file("0 x\n0 x\n")
+
+
+def test_validate_reports_unknown_ids_in_a_shared_step():
+    inst = p4_instance()
+    bad = frozenset({0, 9})
+    with pytest.raises(InputError, match=r"schedule step contains unknown node ids \[9\]"):
+        validate(inst, Schedule((inst.alpha, bad, bad, inst.beta)), PropertySpec(4))
+
+
+def fresh_copy(sched):
+    """The same steps, each a new frozenset object."""
+    return Schedule(tuple(frozenset(set(step)) for step in sched.steps))
+
+
+def written_line_by_line(sched):
+    """The schedule file, each line formatted on its own."""
+    return "".join(" ".join(str(v) for v in sorted(step)) + "\n" for step in sched.steps)
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_validate_does_not_depend_on_shared_steps(case):
+    inst, sched, d = case
+    copy = fresh_copy(sched)
+    assert all(a is not b for a, b in zip(copy.steps, sched.steps))
+    assert reported(validate(inst, copy, PropertySpec(d))) == reported(validate(inst, sched, PropertySpec(d)))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_schedule_file_round_trips_with_and_without_sharing(case):
+    _, sched, _ = case
+    text = written_line_by_line(sched)
+    for s in (sched, fresh_copy(sched)):
+        assert format_schedule_file(s) == text
+        assert parse_schedule_file(format_schedule_file(s)) == s
+    assert format_schedule_file(parse_schedule_file(text)) == text
