@@ -253,8 +253,8 @@ def gen_gadget(
         g = Graph(range(k + 1), [(0, i) for i in range(1, k + 1)])
         return ReconfigInstance(g, frozenset({0}), frozenset(range(1, k + 1)))
     if family == "random":
-        if n is None:
-            raise InputError("random needs n")
+        if n is None or n < 1 or (p is not None and not 0 <= p <= 1):
+            raise InputError(f"random needs n >= 1 and p in [0, 1], got n={n}, p={p}")
         return random_instance(n, p if p is not None else 2.5 / max(n, 2), seed)
     if family == "alt-path":
         if n is None or n < 2:

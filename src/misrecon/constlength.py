@@ -1,11 +1,8 @@
 """The constant-length schedule pipeline: strip the shared core, classify the
 components of alpha ∪ beta, and emit a schedule of exactly 28 steps for any
-connected graph of diameter greater than 3.
-
-Sub-schedules are budgeted per regime: 8 steps for a single component of
-diameter at least 3, 18 for the non-isolated regime, 10 for isolated small
-components.  Shorter constructions are right-padded by repeating their final
-set, which is always legal because an empty flip is independent.
+connected graph of diameter greater than 3: 18 for the non-isolated regime,
+which gives 8 to the cascades of all components of diameter at least 3, and
+10 for the isolated small components.
 """
 
 from __future__ import annotations
@@ -70,8 +67,8 @@ def layer_component(
     beta: VertexSet,
     ruling: VertexSet,
 ) -> dict[int, VertexSet]:
-    """Partition a diameter >= 5 component into the eight distance layers
-    driving the cascade schedule, keyed by layer.
+    """Partition a component into the eight distance layers of the cascade,
+    keyed by layer, from its ruling set (one anchor at diameter 3 or 4).
 
     Keys run from -2 to 5.  Even layers hold alpha-nodes, odd layers hold
     beta-nodes.  Layer 1 holds the beta-neighbors of the ruling set that
@@ -140,11 +137,22 @@ def schedule_big_component(
     seed: int = 0,
     round_cap: int | None = None,
 ) -> list[VertexSet]:
-    """Eight-step fragment updating one component of diameter at least 3,
-    returned as 9 sets from its alpha-part to its beta-part.
+    """Eight-step cascade updating one component of diameter at least 3,
+    returned as 9 sets: steps 1 to 8 remove layer 4, add 5, remove 2, add 3,
+    remove 0, add 1, remove -2 and add -1.  The ruling set is
+    ``ruling_set_32``'s at diameter >= 5, else the smallest alpha-node with a
+    node 3 hops away, which all nodes know after the 4-round collect.  Each
+    engine run appends ``(phase tag, report)`` to ``reports``; so do the
+    other two fragment builders.
 
-    Each engine run appends ``(phase tag, report)`` to ``reports``; so do the
-    other two fragment builders."""
+    Each ruling node has a layer-3 node 3 hops away, through layer 1: ruling
+    nodes are >= 6 hops apart, at diameter >= 5 each node has one, and the
+    anchor is chosen so.  As layer -2 touches only layer -1 and layer 2 touches
+    layer 1, after every step each node of the component is within 4 hops of
+    the set, each alpha-node within 3 except after step 3, and each beta-node
+    within 3 except after step 5.  So while cascades run side by side, an
+    epsilon-node's alpha- or beta-neighbor keeps it within 4 hops (one in a
+    component that sits out part 3 of ``schedule_non_isolated`` is within 1)."""
     y = comp.vertices
     alpha_c, beta_c = alpha & y, beta & y
     if alpha_c & beta_c:
@@ -155,30 +163,22 @@ def schedule_big_component(
         raise InputError(f"component diameter must be at least 3, got {comp.diameter}")
 
     if comp.diameter <= 4:
-        steps = _small_diameter_fragment(g, y, alpha_c, beta_c)
+        anchor = next((v for v in sorted(alpha_c) if 3 in distances_from(g, v, y, radius=3).values()), None)
+        if anchor is None:
+            raise InternalError("no alpha endpoint of a distance-3 pair in the component")
+        ruling = frozenset({anchor})
     else:
         ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
         reports.append(("ruling-set", report))
-        layers = layer_component(g, y, alpha_c, beta_c, ruling)
-        # _check_layers proved even layers alpha-nodes and odd ones beta-nodes.
-        steps = [alpha_c]
-        for i in range(4):
-            steps.append(steps[-1] - layers[4 - 2 * i])
-            steps.append(steps[-1] | layers[5 - 2 * i])
-    while len(steps) < 9:
-        steps.append(steps[-1])
-    if steps[0] != alpha_c or steps[-1] != beta_c:
-        raise InternalError("big-component fragment has wrong endpoints")
+    layers = layer_component(g, y, alpha_c, beta_c, ruling)
+    # _check_layers proved even layers alpha-nodes and odd ones beta-nodes.
+    steps = [alpha_c]
+    for i in range(4):
+        steps.append(steps[-1] - layers[4 - 2 * i])
+        steps.append(steps[-1] | layers[5 - 2 * i])
+    if steps[-1] != beta_c:
+        raise InternalError("big-component fragment does not end at the beta-part")
     return steps
-
-
-def _small_diameter_fragment(g, y, alpha_c, beta_c) -> list[VertexSet]:
-    """Diameter 3 or 4: anchor on an alpha endpoint of a distance-3 geodesic."""
-    v = next((v for v in sorted(alpha_c) if 3 in distances_from(g, v, y, radius=3).values()), None)
-    if v is None:
-        raise InternalError("no alpha endpoint of a distance-3 pair in the component")
-    far_beta = beta_c - g.neighbors(v)
-    return [alpha_c, frozenset({v}), frozenset({v}) | far_beta, far_beta, beta_c]
 
 
 def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple[Graph, dict[int, ComponentInfo]]:
@@ -264,7 +264,6 @@ def schedule_non_isolated(
 
     # Part 3: all big components cascade in parallel over eight steps.
     fragments = [schedule_big_component(g, c, alpha, beta, reports, mode, seed, round_cap) for c in big]
-    updated.update(c.min_id for c in big)
     steps.extend(run_side_by_side(steps[-1], fragments, 8))
 
     # Part 4: the MIS components themselves.

@@ -91,27 +91,37 @@ def test_criterion_2_fragment_budgets():
 def test_criterion_3_characterization_equivalence():
     """Over every connected graph with at most 7 nodes and every ordered pair
     of distinct MISes, the blocker test agrees exactly with oracle
-    non-existence at d=4."""
+    non-existence at d=4.  On diameter <= 3 graphs the small-diameter
+    fallback returns a schedule exactly when the oracle finds one, that
+    schedule validates at d=4, and it is no shorter than the oracle's."""
     t0 = time.time()
     graphs = enumerate_connected_graphs(7)
     assert len(graphs) == 996
-    pairs = 0
+    pairs = fallbacks = 0
     for g in graphs:
         mises = all_mis(g)
         if len(mises) < 2:
             continue
+        small = diameter(g) <= 3
         for a, b in itertools.permutations(mises, 2):
             inst = ReconfigInstance(g, a, b)
+            where = f"edges={g.edges()} alpha={sorted(a)} beta={sorted(b)}"
             blocked = check_blocker(inst).blocked
-            exists = brute_force_oracle(inst, D4).exists
-            assert exists is not None
-            assert blocked == (not exists), (
-                f"mismatch on edges={g.edges()} alpha={sorted(a)} beta={sorted(b)}"
-            )
+            oracle = brute_force_oracle(inst, D4)
+            assert oracle.exists is not None
+            assert blocked == (not oracle.exists), f"mismatch on {where}"
             pairs += 1
+            if small:
+                sched = small_diameter_fallback(inst)
+                assert (sched is not None) == oracle.exists, f"fallback mismatch on {where}"
+                if sched is not None:
+                    assert validate(inst, sched, D4).valid, where
+                    assert oracle.min_length <= sched.length, where
+                fallbacks += 1
     elapsed = time.time() - t0
     assert elapsed < 300.0
-    print(f"criterion 3: PASS ({pairs} ordered MIS pairs, 0 mismatches, {elapsed:.1f}s)")
+    print(f"criterion 3: PASS ({pairs} ordered MIS pairs, 0 mismatches, "
+          f"{fallbacks} fallback schedules checked, {elapsed:.1f}s)")
 
 
 def test_criterion_4_three_domination_impossibility():

@@ -1,5 +1,4 @@
 import itertools
-import math
 import random
 
 import networkx as nx
@@ -162,23 +161,6 @@ def test_fallback_identity():
 def test_fallback_rejects_large_diameter():
     with pytest.raises(InputError):
         small_diameter_fallback(ReconfigInstance(path(8), frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))))
-
-
-def test_fallback_agrees_with_oracle_on_small_graphs():
-    rng = random.Random(11)
-    agreed = 0
-    for i in range(40):
-        n = rng.randrange(3, 8)
-        inst = gen_gadget("random", n=n, p=0.55, seed=1200 + i)
-        if math.isinf(diameter(inst.graph)) or diameter(inst.graph) > 3:
-            continue
-        sched = small_diameter_fallback(inst)
-        res = brute_force_oracle(inst)
-        assert (sched is not None) == res.exists
-        if sched is not None:
-            assert res.min_length <= sched.length
-        agreed += 1
-    assert agreed > 15
 
 
 # --- gadget families -------------------------------------------------------------

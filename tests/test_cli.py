@@ -1,3 +1,5 @@
+import pytest
+
 from misrecon.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from misrecon.graph import Graph, format_graph_file
 from misrecon.schedule import (
@@ -302,3 +304,25 @@ def test_node_id_beyond_64_bits_exits_2(tmp_path, capsys):
     assert main([*argv, "--subroutine", "luby"]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(top) in err and "Traceback" not in err
+
+
+def test_non_utf8_input_file_exits_2(tmp_path, capsys):
+    gp, ap, bp = p4_files(tmp_path)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(b"\xff\xfe")
+    for argv in (
+        ["check", "--graph", str(bad), "--alpha", ap, "--beta", bp],
+        ["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(bad)],
+    ):
+        assert main(argv) == EXIT_USAGE, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(bad) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [["--n", "0"], ["--n", "-3"], ["--p", "2"], ["--p", "-1"], ["--p", "nan"]])
+def test_gen_random_refuses_out_of_range_input(tmp_path, capsys, flags):
+    argv = ["gen", "--family", "random", "--n", "5", *flags, "--out-prefix", str(tmp_path / "r")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: random needs") and "Traceback" not in err
+    assert not list(tmp_path.iterdir())

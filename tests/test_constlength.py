@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from misrecon.analysis import gen_gadget, random_connected_instance, random_instance
 from misrecon.constlength import (
@@ -12,8 +14,8 @@ from misrecon.constlength import (
     schedule_isolated,
     schedule_non_isolated,
 )
-from misrecon.errors import InputError, InternalError
-from misrecon.graph import Graph, components_of, diameter
+from misrecon.errors import InputError
+from misrecon.graph import Graph, components_of, diameter, distances_from
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 from misrecon.sim import ruling_set_32
 
@@ -138,16 +140,27 @@ def big_fragment(inst):
 
 
 def test_p4_fragment_matches_hand_execution():
+    # P4 0-1-2-3 with alpha {0, 2} has diameter 3, so it cascades from one
+    # anchor: the smallest alpha-node with a node 3 hops away, which is 0.
+    # Distances from 0 are 1, 2, 3 for nodes 1, 2, 3.  Node 1 is 2 hops from
+    # the distance-3 node 3, so it is in layer 1 and layer -1 is empty; layer
+    # 2 is the non-anchor neighbors of layer 1, {2}, so layer -2 is empty.
+    # L0 = {0}, L1 = {1}, L2 = {2}, L3 = {3}, the rest empty.  The cascade
+    # removes L4 (nothing), adds L5 (nothing), removes L2, adds L3, removes
+    # L0, adds L1, removes L-2 (nothing) and adds L-1 (nothing).
     inst = alt(4)
     frag = big_fragment(inst)
-    assert frag[:5] == [
+    assert frag == [
+        frozenset({0, 2}),
+        frozenset({0, 2}),
         frozenset({0, 2}),
         frozenset({0}),
         frozenset({0, 3}),
         frozenset({3}),
         frozenset({1, 3}),
+        frozenset({1, 3}),
+        frozenset({1, 3}),
     ]
-    assert len(frag) == 9 and frag[-1] == inst.beta
     assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
 
 
@@ -285,19 +298,78 @@ def test_random_100_node_instance():
     assert validate(inst, sched, PropertySpec(4)).valid
 
 
-@pytest.mark.xfail(raises=InternalError, strict=True)
-def test_random_582_node_instance_known_domination_defect():
-    """Known defect: the 28-step schedule breaks 4-domination at step 7.
-
-    In the reduced instance, epsilon-node 88 has two neighbors in alpha ∪ beta.
-    Its only alpha-neighbor, 80, sits in layer 4 of a diameter-5 cascade.  Its
-    only beta-neighbor, 140, sits in a diameter-4 component whose
-    ``_small_diameter_fragment`` runs in parallel in part 3 of
-    ``schedule_non_isolated``.  At cascade step 3 neither side keeps a set
-    member within 4 hops of node 88.
-    """
+def test_random_582_node_instance_keeps_epsilon_node_covered():
+    """Epsilon-node 88 of the reduced instance has one alpha-neighbor, 80, in
+    layer 4 of a diameter >= 5 cascade, and one beta-neighbor, 140, in a
+    diameter-4 component.  A 4-step fragment for that component once ran
+    beside the cascade and left node 88 with no set member within 4 hops at
+    step 7.  The component now cascades too, and after step 3 of part 3 its
+    beta-nodes are within 3 hops of the set."""
     inst = gen_gadget("random", n=582, p=3 / 582, seed=186725930014)
-    constant_length_schedule_distributed(inst)
+    sched, _ = constant_length_schedule_distributed(inst)
+    assert sched.length == 28
+    assert validate(inst, sched, PropertySpec(4)).valid
+    # Step 7 is step 3 of part 3: beta-node 140 is within 3 hops of the set.
+    assert not sched.steps[7].isdisjoint(distances_from(inst.graph, 140, radius=3))
+
+
+# (n, seed, modes) of gen_gadget("random", n, 3 / n, seed) instances on
+# which other treatments of diameter-3/4 components broke 4-domination: a
+# 4-step fragment beside the cascades (step 7; step 9 for n=400, seed
+# 505247116758, when run in steps 5-8 of part 3), and a cascade from the
+# component's smallest alpha-node (step 11, n=40).
+REPRODUCERS = [
+    (582, 186725930014, ("deterministic-id", "luby")),
+    (400, 659891313703, ("luby",)),
+    (500, 866353767850, ("deterministic-id",)),
+    (500, 212993481164, ("deterministic-id",)),
+    (582, 742707253018, ("deterministic-id",)),
+    (700, 472021431947, ("deterministic-id",)),
+    (700, 606927525529, ("luby",)),
+    (400, 296165340652, ("deterministic-id", "luby")),
+    (582, 227363839639, ("deterministic-id", "luby")),
+    (120, 794843125393, ("deterministic-id",)),
+    (400, 505247116758, ("deterministic-id", "luby")),
+    (40, 425657604110, ("deterministic-id", "luby")),
+]
+
+
+@pytest.mark.parametrize(
+    "n, seed, mode", [(n, seed, mode) for n, seed, modes in REPRODUCERS for mode in modes]
+)
+def test_random_reproducers_give_valid_28_steps(n, seed, mode):
+    inst = gen_gadget("random", n=n, p=3 / n, seed=seed)
+    sched, _ = constant_length_schedule_distributed(inst, mode, seed=1)
+    assert sched.length == 28
+    assert validate(inst, sched, PropertySpec(4)).valid
+
+
+@st.composite
+def deep_instances(draw):
+    """Instances of diameter > 3 from the random (n 400-700, p = 3/n),
+    alt-path, alt-cycle and logstar (k = 4) families."""
+    family = draw(st.sampled_from(["random", "random", "alt-path", "alt-cycle", "logstar"]))
+    if family == "random":
+        n = draw(st.integers(400, 700))
+        inst = gen_gadget("random", n=n, p=3 / n, seed=draw(st.integers(0, 2**40)))
+    elif family == "alt-cycle":
+        inst = gen_gadget("alt-cycle", n=2 * draw(st.integers(2, 150)))
+    elif family == "alt-path":
+        inst = gen_gadget("alt-path", n=draw(st.integers(2, 300)))
+    else:
+        inst = gen_gadget("logstar", n=draw(st.integers(15, 600)), k=4)
+    assume(diameter(inst.graph, cap=4) > 3)
+    return inst
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(deep_instances())
+def test_every_deep_instance_gets_a_valid_28_step_schedule(inst):
+    for mode in ("deterministic-id", "luby"):
+        sched, _ = constant_length_schedule_distributed(inst, mode, seed=1)
+        assert sched.length == 28
+        assert validate(inst, sched, PropertySpec(4)).valid
 
 
 def test_rejects_small_diameter_and_disconnected():

@@ -82,10 +82,10 @@ GOLDEN = {
     "28step-alt-path-6-luby": ("41f02664f5bb25a35217f0de3bdc4ebb74ca5c96f4add00c10d237f21899fba0", (16, 50)),
     "28step-escape-blobs-deterministic-id": ("6614ece71673a6cda4614ece1c5c2148b7d0a2d51a1f47a68f11e0b432177db9", (21, 385)),
     "28step-escape-blobs-luby": ("bcd4da4e6daf1b916af1f0278cd6e632a593cc5bce21071e8fc1a1a0a087dcde", (18, 408)),
-    "28step-random-60-2-deterministic-id": ("5ea0bb7ce34988e8914015dec6a28ef44e8224e78164c39331b7b57fde14e0b4", (20, 331)),
-    "28step-random-60-2-luby": ("854d1040a2d46b823bce6958935e59a82566e7dd6c25103c195cdef0d00064d5", (16, 349)),
-    "28step-random-80-8-deterministic-id": ("ab7ba12979e195329e96fddb7d22b42e012f17c61499dbaa4f95370c3402786c", (20, 592)),
-    "28step-random-80-8-luby": ("c135603f9791d8dd48d28ce0cd4d8f174199edfc155213f0bd08650da1878949", (16, 663)),
+    "28step-random-60-2-deterministic-id": ("b4121b521826e01e93785c60b56381debf2f2abac69b9aec6f5de7a5d4fb5469", (20, 331)),
+    "28step-random-60-2-luby": ("071ac68326b4331e39d61bab93ea3c658eb49750b341984e4fa8ea14870fa841", (16, 349)),
+    "28step-random-80-8-deterministic-id": ("afc9476ade9d3e79e799916b08c9090b8df4a84518987eaac24b7ca4c2fe89b6", (20, 592)),
+    "28step-random-80-8-luby": ("4bef50078493ed602c3a071f441220fb41a4d4b6945e9eb593b892531396796a", (16, 663)),
     "coloring-alt-cycle-40": ("7fa207c1a1b673186d4747c5286d03cd9dc65101cebc84be7ad4c7fa7814b70f", None),
     "idslot-alt-path-40": ("0b600ec7b0c1e45c8986546389d042442cf9f72212508ee7435f91d2e35b6a27", (9, 702)),
     "idslot-alt-path-40-sparse": ("b51f13e89145f9bd86cccdf32ea6832351636a99d575073833ec4eea68dc1581", (9, 702)),
