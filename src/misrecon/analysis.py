@@ -4,6 +4,7 @@ the small-graph enumerator used by the equivalence test."""
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -18,7 +19,6 @@ from .graph import (
     connected_components,
     diameter,
     distances_from,
-    is_mis,
 )
 from .schedule import PropertySpec, ReconfigInstance, Schedule, validate
 
@@ -45,14 +45,9 @@ def check_blocker(inst: ReconfigInstance) -> BlockerReport:
     if not g.nodes:
         raise InputError("cannot classify the empty graph")
 
-    cond1, witness1 = True, None
-    for a in sorted(alpha):
-        for b in sorted(beta):
-            if not g.has_edge(a, b):
-                cond1, witness1 = False, ("non-adjacent-pair", a, b)
-                break
-        if not cond1:
-            break
+    witness1 = next((("non-adjacent-pair", a, b) for a in sorted(alpha) for b in sorted(beta)
+                     if not g.has_edge(a, b)), None)
+    cond1 = witness1 is None
 
     eps = g.nodes - alpha - beta
     eps_alpha = frozenset(e for e in eps if alpha <= g.neighbors(e))
@@ -120,33 +115,14 @@ def brute_force_oracle(
     permits simultaneous additions and removals in one step.
     """
     g = inst.graph
-    nodes = sorted(g.nodes)
-    n = len(nodes)
+    n = len(g.nodes)
     if n > ORACLE_NODE_LIMIT:
         raise InputError(f"oracle limited to {ORACLE_NODE_LIMIT} nodes, got {n}")
     if cap_states < 1:
         raise InputError(f"state cap must be at least 1, got {cap_states}")
-    index = {v: i for i, v in enumerate(nodes)}
-    adj = [0] * n
-    for v in nodes:
-        for w in g.neighbors(v):
-            adj[index[v]] |= 1 << index[w]
-    balls = [sum(1 << index[w] for w in distances_from(g, v, radius=prop.d)) for v in nodes]
-
-    def independent(mask: int) -> bool:
-        rest = mask
-        while rest:
-            low = rest & -rest
-            i = low.bit_length() - 1
-            if adj[i] & mask:
-                return False
-            rest ^= low
-        return True
-
-    full = (1 << n) - 1
-    states = [m for m in range(full + 1) if independent(m) and all(b & m for b in balls)]
-    alpha_mask = sum(1 << index[v] for v in inst.alpha)
-    beta_mask = sum(1 << index[v] for v in inst.beta)
+    nodes, indep, states = _state_space(g, prop.d)
+    alpha_mask = sum(1 << i for i, v in enumerate(nodes) if v in inst.alpha)
+    beta_mask = sum(1 << i for i, v in enumerate(nodes) if v in inst.beta)
 
     parent: dict[int, int | None] = {alpha_mask: None}
     queue = deque([alpha_mask])
@@ -159,15 +135,36 @@ def brute_force_oracle(
             while parent[masks[-1]] is not None:
                 masks.append(parent[masks[-1]])
             masks.reverse()
-            steps = tuple(frozenset(nodes[i] for i in range(n) if m >> i & 1) for m in masks)
+            steps = tuple(frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in masks)
             return OracleResult(True, len(masks) - 1, Schedule(steps), explored)
         for nxt in states:
-            if nxt not in parent and independent(cur ^ nxt):
+            if nxt not in parent and indep[cur ^ nxt]:
                 if len(parent) >= cap_states:
                     return OracleResult(None, None, None, explored)
                 parent[nxt] = cur
                 queue.append(nxt)
     return OracleResult(False, None, None, explored)
+
+
+@functools.lru_cache(maxsize=4)
+def _state_space(g: Graph, d: int) -> tuple[tuple[int, ...], bytes, tuple[int, ...]]:
+    """The oracle's state space, built once per (graph, d).
+
+    Returns the sorted nodes (a node's bit is its position), the table
+    ``indep[m]`` of every mask's independence, and the ascending masks of
+    every independent d-dominating set.  A mask's entry follows from the mask
+    without its top bit: independent iff that is and the top node has no
+    neighbour in it.  Graphs are immutable, so the cache never goes stale.
+    """
+    nodes = tuple(sorted(g.nodes))
+    bit = {v: 1 << i for i, v in enumerate(nodes)}
+    adj = [sum(bit[w] for w in g.neighbors(v)) for v in nodes]
+    indep = bytearray(b"\x01")
+    for i in range(len(nodes)):
+        indep += bytes(indep[rest] and not adj[i] & rest for rest in range(1 << i))
+    balls = [sum(bit[w] for w in distances_from(g, v, radius=d)) for v in nodes]
+    states = tuple(m for m in itertools.compress(range(len(indep)), indep) if all(b & m for b in balls))
+    return nodes, bytes(indep), states
 
 
 def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
@@ -226,6 +223,11 @@ def greedy_mis(g: Graph, order: list[int]) -> VertexSet:
     return frozenset(chosen)
 
 
+# The sizes each gadget family reads, out of n, k and p.
+_FAMILY_SIZES = {"threedom-blocker": "", "threedom-linear": "n", "logstar": "nk", "star": "k",
+                "random": "np", "alt-path": "n", "alt-cycle": "n"}
+
+
 def gen_gadget(
     family: str,
     n: int | None = None,
@@ -235,7 +237,13 @@ def gen_gadget(
 ) -> ReconfigInstance:
     """Deterministic instance families used by the impossibility and scaling
     experiments.  Structural properties are verified by tests through the
-    oracle, never assumed."""
+    oracle, never assumed.  A size the family does not read is refused."""
+    if family not in _FAMILY_SIZES:
+        raise InputError(f"unknown family {family!r}")
+    unread = [f"{name}={value}" for name, value in zip("nkp", (n, k, p))
+              if value is not None and name not in _FAMILY_SIZES[family]]
+    if unread:
+        raise InputError(f"family {family} does not take {', '.join(unread)}")
     if family == "threedom-blocker":
         g = Graph(range(5), [(i, i + 1) for i in range(4)])
         return ReconfigInstance(g, frozenset({0, 2, 4}), frozenset({1, 3}))
@@ -244,9 +252,9 @@ def gen_gadget(
             raise InputError("threedom-linear needs n >= 7")
         return _threedom_linear((n + 2) // 3)
     if family == "logstar":
-        if n is None or k is None or k < 3:
-            raise InputError("logstar needs n and k >= 3")
-        return _logstar_ring(max(3, n // (k + 1)), k)
+        if n is None or k is None or k < 3 or n // (k + 1) < 3:
+            raise InputError(f"logstar needs k >= 3 and n >= 3(k + 1), got n={n}, k={k}")
+        return _logstar_ring(n // (k + 1), k)
     if family == "star":
         if k is None or k < 1:
             raise InputError("star needs k >= 1")
@@ -261,12 +269,10 @@ def gen_gadget(
             raise InputError("alt-path needs n >= 2")
         g = Graph(range(n), [(i, i + 1) for i in range(n - 1)])
         return ReconfigInstance(g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
-    if family == "alt-cycle":
-        if n is None or n < 4 or n % 2:
-            raise InputError("alt-cycle needs even n >= 4")
-        g = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
-        return ReconfigInstance(g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
-    raise InputError(f"unknown family {family!r}")
+    if n is None or n < 4 or n % 2:  # alt-cycle
+        raise InputError("alt-cycle needs even n >= 4")
+    g = Graph(range(n), [(i, (i + 1) % n) for i in range(n)])
+    return ReconfigInstance(g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
 
 
 def _threedom_linear(k: int) -> ReconfigInstance:
@@ -422,24 +428,14 @@ def rows_to_graph(rows: tuple[int, ...]) -> Graph:
 
 def enumerate_connected_graphs(max_n: int) -> list[Graph]:
     reps = enumerate_graphs(max_n)
-    out = []
-    for n in range(1, max_n + 1):
-        for rows in reps[n]:
-            g = rows_to_graph(rows)
-            if len(connected_components(g)) == 1:
-                out.append(g)
-    return out
+    graphs = (rows_to_graph(rows) for n in range(1, max_n + 1) for rows in reps[n])
+    return [g for g in graphs if len(connected_components(g)) == 1]
 
 
 def all_mis(g: Graph) -> list[VertexSet]:
-    """Every maximal independent set, by exhaustive subset filtering."""
-    nodes = sorted(g.nodes)
-    n = len(nodes)
-    if n > ORACLE_NODE_LIMIT:
+    """Every maximal independent set, ascending by node bitmask: the oracle's
+    d = 1 states, since an MIS is exactly an independent 1-dominating set."""
+    if len(g.nodes) > ORACLE_NODE_LIMIT:
         raise InputError(f"exhaustive MIS listing limited to {ORACLE_NODE_LIMIT} nodes")
-    out = []
-    for mask in range(1 << n):
-        s = frozenset(nodes[i] for i in range(n) if mask >> i & 1)
-        if is_mis(g, s):
-            out.append(s)
-    return out
+    nodes, _, states = _state_space(g, 1)
+    return [frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in states]

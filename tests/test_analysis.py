@@ -3,8 +3,11 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from misrecon.analysis import (
+    _state_space,
     all_mis,
     brute_force_oracle,
     check_blocker,
@@ -16,7 +19,7 @@ from misrecon.analysis import (
     small_diameter_fallback,
 )
 from misrecon.errors import InputError
-from misrecon.graph import Graph, connected_components, diameter, is_mis
+from misrecon.graph import Graph, connected_components, diameter, is_d_dominating, is_independent, is_mis
 from misrecon.schedule import PropertySpec, ReconfigInstance, validate
 
 
@@ -126,6 +129,105 @@ def test_oracle_witnesses_validate_on_random_instances():
     assert confirmed > 10
 
 
+def subsets(g):
+    """Every node subset, ascending by bitmask over the sorted nodes."""
+    nodes = sorted(g.nodes)
+    return [frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in range(1 << len(nodes))]
+
+
+def naive_oracle(inst, d):
+    """BFS over frozensets: states are the independent d-dominating subsets in
+    the oracle's order, and a step is legal when its flip is independent."""
+    g = inst.graph
+    states = [s for s in subsets(g) if is_independent(g, s) and is_d_dominating(g, s, d)]
+    seen, queue, explored = {inst.alpha}, [inst.alpha], 0
+    for depth in itertools.count():
+        if not queue:
+            return False, None, explored
+        layer, queue = queue, []
+        for cur in layer:
+            explored += 1
+            if cur == inst.beta:
+                return True, depth, explored
+            for nxt in states:
+                if nxt not in seen and is_independent(g, cur ^ nxt):
+                    seen.add(nxt)
+                    queue.append(nxt)
+
+
+@st.composite
+def small_instances(draw):
+    """A graph on at most 8 nodes with arbitrary ids (connected or not, half
+    of them on a long path, where the radius matters), two of its MIS and a
+    domination radius."""
+    n = draw(st.integers(1, 8))
+    ids = draw(st.lists(st.integers(0, 40), min_size=n, max_size=n, unique=True))
+    pairs = list(itertools.combinations(ids, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * n)) if pairs else []
+    if draw(st.booleans()):
+        edges = list(zip(ids, ids[1:])) + edges[:draw(st.integers(0, 2))]
+    g = Graph(ids, edges)
+    alpha = greedy_mis(g, draw(st.permutations(ids)))
+    beta = greedy_mis(g, draw(st.permutations(ids)))
+    return ReconfigInstance(g, alpha, beta), draw(st.integers(1, 4))
+
+
+@seed(20261018)
+@settings(max_examples=300, deadline=None)
+@given(small_instances())
+def test_oracle_and_all_mis_match_a_frozenset_search(case):
+    inst, d = case
+    res = brute_force_oracle(inst, PropertySpec(d))
+    assert (res.exists, res.min_length, res.states_explored) == naive_oracle(inst, d)
+    if res.exists:
+        assert res.witness.length == res.min_length
+        assert validate(inst, res.witness, PropertySpec(d)).valid
+    assert all_mis(inst.graph) == [s for s in subsets(inst.graph) if is_mis(inst.graph, s)]
+
+
+# --- the state-space cache ------------------------------------------------------
+
+def test_state_space_is_kept_per_radius():
+    inst = gen_gadget("threedom-blocker")
+    answers = [brute_force_oracle(inst, PropertySpec(d)) for d in (4, 3, 4)]
+    assert [r.exists for r in answers] == [True, False, True]
+    assert answers[0] == answers[2]
+
+
+def test_equal_graphs_built_apart_share_results():
+    g1 = Graph(range(6), [(i, i + 1) for i in range(5)])
+    g2 = Graph(reversed(range(6)), [(i + 1, i) for i in reversed(range(5))])
+    assert g1 == g2 and g1 is not g2
+    inst1 = ReconfigInstance(g1, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    inst2 = ReconfigInstance(g2, frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    assert brute_force_oracle(inst1) == brute_force_oracle(inst2)
+    assert all_mis(g1) == all_mis(g2)
+    assert _state_space(g1, 4) is _state_space(g2, 4)
+
+
+def test_oversized_graph_is_refused_before_any_table_is_built():
+    inst = ReconfigInstance(path(21), frozenset(range(0, 21, 2)), frozenset(range(1, 21, 2)))
+    misses = _state_space.cache_info().misses
+    with pytest.raises(InputError):
+        brute_force_oracle(inst)
+    with pytest.raises(InputError):
+        all_mis(inst.graph)
+    assert _state_space.cache_info().misses == misses
+
+
+def test_cached_state_space_cannot_be_mutated():
+    g = path(5)
+    expected = all_mis(g)
+    nodes, indep, states = _state_space(g, 1)
+    assert (type(nodes), type(indep), type(states)) == (tuple, bytes, tuple)
+    with pytest.raises(TypeError):
+        indep[0] = 0
+    with pytest.raises(TypeError):
+        states[0] = 0
+    all_mis(g).clear()
+    assert all_mis(g) == expected
+
+
 # --- small-diameter fallback ----------------------------------------------------
 
 def test_fallback_absent_for_star():
@@ -213,6 +315,16 @@ def test_alt_families():
         gen_gadget("alt-cycle", n=7)
     with pytest.raises(InputError):
         gen_gadget("no-such-family")
+
+
+def test_gadget_families_refuse_sizes_they_do_not_read():
+    for family, sizes in [("threedom-blocker", {"n": 5}), ("alt-path", {"n": 8, "k": 3}),
+                          ("star", {"k": 3, "p": 0.5}), ("random", {"n": 9, "k": 2})]:
+        with pytest.raises(InputError, match="does not take"):
+            gen_gadget(family, **sizes)
+    with pytest.raises(InputError, match="logstar needs"):
+        gen_gadget("logstar", n=14, k=4)
+    assert len(gen_gadget("logstar", n=19, k=4).graph) == 15
 
 
 def test_random_family_produces_valid_instances():

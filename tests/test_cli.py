@@ -326,3 +326,23 @@ def test_gen_random_refuses_out_of_range_input(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: random needs") and "Traceback" not in err
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("flags, named", [
+    (["--family", "alt-path", "--n", "8", "--p", "nan"], "p=nan"),
+    (["--family", "random", "--n", "5", "--k", "-7"], "k=-7"),
+    (["--family", "star", "--k", "3", "--n", "-4"], "n=-4"),
+    (["--family", "threedom-linear", "--n", "7", "--p", "9"], "p=9.0"),
+    (["--family", "logstar", "--n", "1", "--k", "4"], "n=1, k=4"),
+])
+def test_gen_refuses_unread_sizes_and_raised_logstar_sizes(tmp_path, capsys, flags, named):
+    assert main(["gen", *flags, "--out-prefix", str(tmp_path / "g")]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and "Traceback" not in err
+    assert not list(tmp_path.iterdir())
+
+
+def test_gen_logstar_keeps_its_smallest_ring(tmp_path, capsys):
+    argv = ["gen", "--family", "logstar", "--n", "15", "--k", "4", "--out-prefix", str(tmp_path / "g")]
+    assert main(argv) == EXIT_OK
+    assert (tmp_path / "g.graph").read_text().count("node ") == 15
