@@ -44,8 +44,8 @@ from .schedule import (
     ReconfigInstance,
     Schedule,
     ValidationReport,
+    fold_flips,
     run_side_by_side,
-    update_component,
     validate,
 )
 from .sim import NodeProgram, SimReport, dist_mis, ruling_set_32, run

@@ -136,7 +136,7 @@ def brute_force_oracle(
                 masks.append(parent[masks[-1]])
             masks.reverse()
             steps = tuple(frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in masks)
-            return OracleResult(True, len(masks) - 1, Schedule(steps), explored)
+            return OracleResult(True, len(masks) - 1, Schedule.from_steps(steps), explored)
         for nxt in states:
             if nxt not in parent and indep[cur ^ nxt]:
                 if len(parent) >= cap_states:
@@ -181,7 +181,7 @@ def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
         raise InputError("fallback applies to connected graphs of diameter at most 3")
     alpha, beta = inst.alpha, inst.beta
     if alpha == beta:
-        return Schedule((alpha,))
+        return Schedule(alpha, ())
     report = check_blocker(inst)
     if report.blocked:
         return None
@@ -208,7 +208,7 @@ def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
             steps.append(frozenset({prev}))
             steps.append(frozenset({prev, nxt}))
         steps = steps + [{path[-1]}, {path[-1], b}, {b}, beta]
-    sched = Schedule(tuple(frozenset(s) for s in steps))
+    sched = Schedule.from_steps(steps)
     outcome = validate(inst, sched, PropertySpec(4))
     if not outcome.valid:
         raise InternalError(f"fallback schedule invalid: {outcome.first_violation.describe()}")

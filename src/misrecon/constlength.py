@@ -19,7 +19,7 @@ from .graph import (
     diameter,
     distances_from,
 )
-from .schedule import PropertySpec, ReconfigInstance, Schedule, run_side_by_side, update_component, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
 from .sim import SimReport, collect_cost, dist_mis, ruling_set_32
 
 NON_ISOLATED_STEPS = 18
@@ -32,17 +32,13 @@ class ReductionResult:
     """Outcome of removing alpha ∩ beta and its closed neighborhood.
 
     Nodes in the shared core stay in every schedule step; their neighbors can
-    never enter.  Any schedule for the reduced instance lifts by unioning the
-    shared core onto every step.
+    never enter.  A schedule for the reduced instance becomes one for the
+    whole instance by adding the shared core to its start set.
     """
 
-    kept_nodes: VertexSet
     stripped_always_in: VertexSet
     stripped_never_in: VertexSet
     reduced_instance: ReconfigInstance
-
-    def lift(self, steps: list[VertexSet]) -> list[VertexSet]:
-        return [step | self.stripped_always_in for step in steps]
 
 
 def reduce_instance(inst: ReconfigInstance) -> ReductionResult:
@@ -57,7 +53,7 @@ def reduce_instance(inst: ReconfigInstance) -> ReductionResult:
         alpha=inst.alpha & kept,
         beta=inst.beta & kept,
     )
-    return ReductionResult(kept, core, halo, reduced)
+    return ReductionResult(core, halo, reduced)
 
 
 def layer_component(
@@ -138,12 +134,12 @@ def schedule_big_component(
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Eight-step cascade updating one component of diameter at least 3,
-    returned as 9 sets: steps 1 to 8 remove layer 4, add 5, remove 2, add 3,
-    remove 0, add 1, remove -2 and add -1.  The ruling set is
-    ``ruling_set_32``'s at diameter >= 5, else the smallest alpha-node with a
-    node 3 hops away, which all nodes know after the 4-round collect.  Each
-    engine run appends ``(phase tag, report)`` to ``reports``; so do the
-    other two fragment builders.
+    returned as 8 flips from its alpha-part: steps 1 to 8 remove layer 4,
+    add 5, remove 2, add 3, remove 0, add 1, remove -2 and add -1.  The
+    ruling set is ``ruling_set_32``'s at diameter >= 5, else the smallest
+    alpha-node with a node 3 hops away, which all nodes know after the
+    4-round collect.  Each engine run appends ``(phase tag, report)`` to
+    ``reports``; so do the other two fragment builders.
 
     Each ruling node has a layer-3 node 3 hops away, through layer 1: ruling
     nodes are >= 6 hops apart, at diameter >= 5 each node has one, and the
@@ -171,14 +167,12 @@ def schedule_big_component(
         ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
         reports.append(("ruling-set", report))
     layers = layer_component(g, y, alpha_c, beta_c, ruling)
-    # _check_layers proved even layers alpha-nodes and odd ones beta-nodes.
-    steps = [alpha_c]
-    for i in range(4):
-        steps.append(steps[-1] - layers[4 - 2 * i])
-        steps.append(steps[-1] | layers[5 - 2 * i])
-    if steps[-1] != beta_c:
+    # _check_layers proved the layers disjoint, even ones alpha-nodes and odd
+    # ones beta-nodes, so removing or adding a layer toggles it.
+    flips = [layers[k] for k in (4, 5, 2, 3, 0, 1, -2, -1)]
+    if fold_flips(alpha_c, flips)[-1] != beta_c:
         raise InternalError("big-component fragment does not end at the beta-part")
-    return steps
+    return flips
 
 
 def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple[Graph, dict[int, ComponentInfo]]:
@@ -201,8 +195,11 @@ def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple
     return Graph(sorted(by_label), sorted(edges)), by_label
 
 
-def _batch_update(steps: list[VertexSet], comps: list[ComponentInfo], alpha, beta) -> None:
-    steps.extend(update_component(steps[-1], frozenset().union(*(c.vertices for c in comps)), alpha, beta))
+def _batch_update(flips: list[VertexSet], parts: list[VertexSet], alpha, beta) -> None:
+    """The two steps updating a batch of components: remove its alpha-part,
+    then add its beta-part."""
+    vertices = frozenset().union(*parts)
+    flips += [alpha & vertices, beta & vertices]
 
 
 def schedule_non_isolated(
@@ -216,7 +213,7 @@ def schedule_non_isolated(
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Eighteen-step fragment updating every component that is non-isolated or
-    has diameter at least 3, returned as 19 sets.
+    has diameter at least 3, returned as 18 flips from their alpha-part.
 
     Order of parts: alpha-covered-only components; components alpha-covered by
     the MIS over doubly-covered components; the big-component cascades in
@@ -239,16 +236,16 @@ def schedule_non_isolated(
     m_comps = [by_label[l] for l in sorted(m_labels)]
 
     universe = frozenset().union(*(c.vertices for c in comps))
-    steps: list[VertexSet] = [alpha & universe]
+    flips: list[VertexSet] = []
     updated: set[int] = set()
 
-    def mark(batch: list[ComponentInfo]) -> list[ComponentInfo]:
+    def mark(batch: list[ComponentInfo]) -> list[VertexSet]:
         fresh = [c for c in batch if c.min_id not in updated]
         updated.update(c.min_id for c in fresh)
-        return fresh
+        return [c.vertices for c in fresh]
 
     # Part 1: alpha-covered-only components.
-    _batch_update(steps, mark(c_a), alpha, beta)
+    _batch_update(flips, mark(c_a), alpha, beta)
 
     # Part 2: small components alpha-covered through an MIS component.
     eps = g.nodes - alpha - beta
@@ -260,24 +257,24 @@ def schedule_non_isolated(
         fringe = frozenset().union(*(g.neighbors(b) for b in beta & c.vertices)) & eps
         if any(g.neighbors(e) & alpha & (m_vertices - c.vertices) for e in fringe):
             part2.append(c)
-    _batch_update(steps, mark(part2), alpha, beta)
+    _batch_update(flips, mark(part2), alpha, beta)
 
     # Part 3: all big components cascade in parallel over eight steps.
     fragments = [schedule_big_component(g, c, alpha, beta, reports, mode, seed, round_cap) for c in big]
-    steps.extend(run_side_by_side(steps[-1], fragments, 8))
+    flips += run_side_by_side(fragments, 8)
 
     # Part 4: the MIS components themselves.
-    _batch_update(steps, mark(m_comps), alpha, beta)
+    _batch_update(flips, mark(m_comps), alpha, beta)
     # Part 5: remaining doubly-covered components.
-    _batch_update(steps, mark(c_ab), alpha, beta)
+    _batch_update(flips, mark(c_ab), alpha, beta)
     # Part 6: remaining beta-covered components.
-    _batch_update(steps, mark(c_b), alpha, beta)
+    _batch_update(flips, mark(c_b), alpha, beta)
 
-    if len(steps) != NON_ISOLATED_STEPS + 1:
+    if len(flips) != NON_ISOLATED_STEPS:
         raise InternalError("non-isolated fragment has the wrong length")
-    if steps[-1] != beta & universe:
+    if fold_flips(alpha & universe, flips)[-1] != beta & universe:
         raise InternalError("non-isolated fragment does not end at beta")
-    return steps
+    return flips
 
 
 def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[dict]:
@@ -316,7 +313,7 @@ def schedule_isolated(
     round_cap: int | None = None,
 ) -> list[VertexSet]:
     """Ten-step fragment updating the isolated small components, returned as
-    11 sets.
+    10 flips from their alpha-part.
 
     Components of absorbed diameter at most 2 are updated in two waves around
     an MIS of their contact graph (4 steps).  Components of absorbed diameter
@@ -331,7 +328,7 @@ def schedule_isolated(
     deep = [b for b in blobs if b["diameter"] == 3]
 
     universe = frozenset().union(*(b["core"] for b in blobs))
-    steps: list[VertexSet] = [alpha & universe]
+    flips: list[VertexSet] = []
 
     # Part 1: contact graph over shallow blobs (edges where their fringes
     # touch), MIS first, then the rest.
@@ -353,7 +350,7 @@ def schedule_isolated(
     first_wave = [b for b in shallow if b["label"] in m_labels]
     second_wave = [b for b in shallow if b["label"] not in m_labels]
     for wave in (first_wave, second_wave):
-        steps.extend(update_component(steps[-1], frozenset().union(*(b["core"] for b in wave)), alpha, beta))
+        _batch_update(flips, [b["core"] for b in wave], alpha, beta)
 
     # Part 2: six-step gadget for the deep blobs.
     gadgets = []
@@ -379,16 +376,16 @@ def schedule_isolated(
         if gad["u"] in mprime:
             u, b = frozenset({gad["u"]}), frozenset({gad["b"]})
             kept = a_part - g.neighbors(gad["u"])
-            fragments.append([a_part, kept, kept | u, u, u | b, b, b_part])
+            fragments.append([a_part - kept, u, kept, b, u, b_part - b])
         else:
-            fragments.append([a_part, a_part, a_part, frozenset(), b_part, b_part, b_part])
-    steps.extend(run_side_by_side(steps[-1], fragments, 6))
+            fragments.append([frozenset(), frozenset(), a_part, b_part])
+    flips += run_side_by_side(fragments, 6)
 
-    if len(steps) != ISOLATED_STEPS + 1:
+    if len(flips) != ISOLATED_STEPS:
         raise InternalError("isolated fragment has the wrong length")
-    if steps[-1] != beta & universe:
+    if fold_flips(alpha & universe, flips)[-1] != beta & universe:
         raise InternalError("isolated fragment does not end at beta")
-    return steps
+    return flips
 
 
 def _split_components(comps: list[ComponentInfo]) -> tuple[list[ComponentInfo], list[ComponentInfo]]:
@@ -429,7 +426,7 @@ def constant_length_schedule_distributed(
     broadcast = SimReport(outputs={}, rounds_used=2, messages_sent=sum(g.degree(v) for v in senders))
     red = reduction.reduced_instance
     if not (red.alpha | red.beta):
-        return Schedule((inst.alpha,) * (TOTAL_STEPS + 1)), broadcast
+        return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), broadcast
 
     reports = [("broadcast", broadcast), ("collect", collect_cost(red.graph, 4))]
     comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
@@ -437,14 +434,14 @@ def constant_length_schedule_distributed(
     if covered:
         frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, reports, mode, seed, round_cap)
     else:
-        frag_a = [frozenset()] * (NON_ISOLATED_STEPS + 1)
+        frag_a = [frozenset()] * NON_ISOLATED_STEPS
     if isolated_small:
         frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, reports, mode, seed, round_cap)
     else:
-        frag_b = [frozenset()] * (ISOLATED_STEPS + 1)
+        frag_b = [frozenset()] * ISOLATED_STEPS
 
-    steps = [frag_b[0] | s for s in frag_a] + [frag_a[-1] | s for s in frag_b[1:]]
-    sched = Schedule(tuple(reduction.lift(steps)))
+    # Alpha is the shared core plus each fragment's start, its alpha-part.
+    sched = Schedule(inst.alpha, tuple(frag_a + frag_b))
     if sched.length != TOTAL_STEPS:
         raise InternalError("assembled schedule is not 28 steps long")
     verdict = validate(inst, sched, PropertySpec(4))

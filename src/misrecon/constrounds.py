@@ -11,7 +11,7 @@ from typing import Iterable, Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
-from .schedule import PropertySpec, ReconfigInstance, Schedule, run_side_by_side, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
 from .schedule import first_violation, lost_cover, step_defect
 from .sim import SimReport, collect_cost
 
@@ -25,7 +25,8 @@ COLOR_POWER = 10
 
 @dataclass(frozen=True)
 class InsertionPlan:
-    """Six-step fragment that brings one beta-node into the running set.
+    """Six-step fragment, one flip per step, that brings one beta-node into
+    the running set.
 
     The fragment's final set keeps everything it did not have to remove: net
     removals are confined to the target's set-neighbors, so nodes of
@@ -34,7 +35,7 @@ class InsertionPlan:
 
     target: int
     case_tag: str
-    six_steps: tuple[VertexSet, ...]
+    six_flips: tuple[VertexSet, ...]
     resulting_mis: VertexSet
 
 
@@ -48,20 +49,23 @@ def greedy_complete(g: Graph, partial: VertexSet, alpha: VertexSet, beta: Vertex
     own insertion evicts it."""
     if not is_independent(g, partial):
         raise InputError("partial set must be independent")
-    return _complete(g, partial, g.nodes, alpha, beta)
+    return frozenset(partial) | _complete(g, partial, g.nodes, alpha, beta)
 
 
 def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
-    """``greedy_complete`` over ``pool`` without its O(n) input check: the
-    planner's ``(current - blockers) | {v}`` is independent by construction,
-    and ``_checked_plan``'s ``step_defect(g, current, gamma, 1)`` still
-    rejects an end set that is not an MIS, so no property goes unchecked."""
+    """The nodes ``greedy_complete`` adds to ``partial`` from ``pool``, without
+    its O(n) input check: the planner's ``(current - blockers) | {v}`` is
+    independent by construction, and ``_checked_plan``'s ``step_defect`` at
+    d = 1 still rejects an end set that is not an MIS, so no property goes
+    unchecked."""
     current = set(partial)
+    added = []
     ordered = sorted(pool & beta) + sorted(pool & alpha - beta) + sorted(pool - alpha - beta)
     for v in ordered:
         if v not in current and not (g.neighbors(v) & current):
             current.add(v)
-    return frozenset(current)
+            added.append(v)
+    return frozenset(added)
 
 
 def plan_insertion(
@@ -71,7 +75,7 @@ def plan_insertion(
     beta: VertexSet,
     v: int,
 ) -> InsertionPlan:
-    """Materialize a six-step fragment that brings v into the running set.
+    """A six-step fragment, as flips, that brings v into the running set.
 
     ``current`` must be an MIS, so v has a set-neighbor to evict; the
     schedules keep this true window by window, starting from alpha.
@@ -92,52 +96,52 @@ def plan_insertion(
     current = frozenset(current)
     blockers = g.neighbors(v) & current
     dist = distances_from(g, v, radius=4)
-    base = (current - blockers) | {v}
-    gamma = _complete(g, base, frozenset(dist), alpha, beta)
+    target = frozenset({v})
+    base = (current - blockers) | target
+    added = _complete(g, base, frozenset(dist), alpha, beta)
+    gamma = base | added
 
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)
 
-    def parked_steps(helpers: list[int]) -> list[VertexSet]:
-        parked = [c for c in helpers if c not in current]
+    def parked_flips(helpers: list[int]) -> list[VertexSet]:
+        # Evict the helpers' set-neighbors, park the helpers, evict v's other
+        # set-neighbors, add v, drop the helpers, restore and complete.
+        parked = frozenset(c for c in helpers if c not in current)
         helper_blockers = frozenset(w for c in parked for w in g.neighbors(c) & current)
-        s1 = current - helper_blockers
-        s2 = s1 | frozenset(parked)
-        s3 = s2 - blockers
-        s4 = s3 | {v}
-        s5 = s4 - frozenset(parked)
-        return [s1, s2, s3, s4, s5, gamma]
+        restored = helper_blockers - blockers
+        return [helper_blockers, parked, blockers - helper_blockers, target, parked, restored | added]
 
     def attempts() -> Iterator[tuple[str, list[VertexSet]]]:
         if any(u in current for u in sphere2):
-            yield "alpha-at-2", [current - blockers] + [gamma] * (SLOT - 1)
+            yield "alpha-at-2", [blockers, added | target] + [frozenset()] * (SLOT - 2)
         for u in sphere2:
             if not (g.neighbors(u) & blockers):
-                yield "case1", parked_steps([u])
+                yield "case1", parked_flips([u])
                 break
         for u in sphere2:
             if blockers <= g.neighbors(u):
                 partners = sorted(g.neighbors(u) & sphere3)
                 if partners:
-                    yield "case2", parked_steps([partners[0]])
+                    yield "case2", parked_flips([partners[0]])
                     break
         for u in sphere2:
             if not (g.neighbors(u) & sphere3) and (blockers - g.neighbors(u)):
-                yield "case3", parked_steps([u])
+                yield "case3", parked_flips([u])
                 break
         outward = [u for u in sphere2 if g.neighbors(u) & sphere3]
         if outward:
-            yield "case4", parked_steps(_independent_partners(g, current, outward, sphere3))
+            yield "case4", parked_flips(_independent_partners(g, current, outward, sphere3))
         needed = _needed_helpers(g, current, blockers, sphere2, sphere3)
         if needed is not None:
-            yield ("case4" if needed else "direct"), parked_steps(needed)
+            yield ("case4" if needed else "direct"), parked_flips(needed)
         for c in sphere2 + sorted(sphere3):
             if c not in current:
-                yield "helper", parked_steps([c])
+                yield "helper", parked_flips([c])
 
-    for tag, steps in attempts():
-        if first_violation(g, current, steps, 4) is None:
-            return _checked_plan(g, current, v, tag, steps, gamma, blockers)
+    for tag, flips in attempts():
+        if first_violation(g, current, flips, 4) is None:
+            return _checked_plan(g, current, v, tag, flips, gamma, blockers)
 
     raise InternalError(
         f"no insertion fragment validates for node {v}; 2-sphere {sphere2}, "
@@ -167,7 +171,7 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3) -> list[int] | None:
     Returns None when some hole admits no helper (the rung is skipped)."""
     chosen: list[int] = []
     candidates = [c for c in sphere2 + sorted(sphere3) if c not in current]
-    for x in lost_cover(g, current, current - blockers, 4):
+    for x in lost_cover(g, blockers, current - blockers, 4):
         near = ball(g, x, 4)
         if any(c in near for c in chosen):
             continue
@@ -182,19 +186,19 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3) -> list[int] | None:
     return chosen
 
 
-def _checked_plan(g, current, v, tag, steps, gamma, blockers) -> InsertionPlan:
-    if len(steps) != SLOT:
+def _checked_plan(g, current, v, tag, flips, gamma, blockers) -> InsertionPlan:
+    if len(flips) != SLOT:
         raise InternalError("insertion fragment must have exactly six steps")
-    if steps[-1] != gamma:
+    if fold_flips(current, flips)[-1] != gamma:
         raise InternalError("insertion fragment must end at its completion")
     net_removed = current - gamma
     if not net_removed <= blockers:
         raise InternalError(f"insertion fragment removed non-neighbors {sorted(net_removed - blockers)}")
     if v not in gamma:
         raise InternalError("insertion fragment lost its target")
-    if step_defect(g, current, gamma, 1) is not None:
+    if step_defect(g, gamma, current ^ gamma, 1) is not None:
         raise InternalError("insertion fragment did not end at a maximal independent set")
-    return InsertionPlan(v, tag, tuple(steps), gamma)
+    return InsertionPlan(v, tag, tuple(flips), gamma)
 
 
 def _require_deep_diameter(g: Graph) -> None:
@@ -252,20 +256,22 @@ def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> 
     the group not yet in the set is inserted, the plans side by side."""
     g = inst.graph
     current = inst.alpha
-    steps: list[VertexSet] = [current]
+    flips: list[VertexSet] = []
     for window in windows:
-        start = current
         plans = [
             plan_insertion(g, current, inst.alpha, inst.beta, v)
             for v in window
             if v in inst.beta and v not in current
         ]
-        steps.extend(run_side_by_side(current, [(current, *p.six_steps) for p in plans], SLOT))
-        current = steps[-1]
-        # A lone plan's end set was checked by _checked_plan.
-        if len(plans) > 1 and step_defect(g, start, current, 1) is not None:
-            raise InternalError("merged window did not end at a maximal independent set")
-    sched = Schedule(tuple(steps))
+        window_flips = run_side_by_side([p.six_flips for p in plans], SLOT)
+        flips += window_flips
+        if len(plans) == 1:
+            current = plans[0].resulting_mis  # checked by _checked_plan
+        elif plans:
+            start, current = current, fold_flips(current, window_flips)[-1]
+            if step_defect(g, current, start ^ current, 1) is not None:
+                raise InternalError("merged window did not end at a maximal independent set")
+    sched = Schedule(inst.alpha, tuple(flips))
     verdict = validate(inst, sched, PropertySpec(4))
     if not verdict.valid:
         raise InternalError(f"constructed schedule invalid: {verdict.first_violation.describe()}")

@@ -1,19 +1,23 @@
 """Reconfiguration instances, schedules, and the validator every algorithm's
 output must pass.
 
-A schedule is a sequence of vertex sets from alpha to beta.  Each intermediate
-set must be a (2, d)-ruling set (independent and d-dominating), and the
-symmetric difference of consecutive sets must be independent, so no two
-neighbors flip membership in the same step.
+A schedule starts at alpha and flips a set of nodes in each step, ending at
+beta.  Each intermediate set must be a (2, d)-ruling set (independent and
+d-dominating), and each flip must be independent, so no two neighbors flip
+membership in the same step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .errors import InputError
 from .graph import Graph, VertexSet, distances_from, edge_inside, is_mis
+
+
+# The flip of an unchanged step: one object serves every such step.
+NO_FLIP: VertexSet = frozenset()
 
 
 @dataclass(frozen=True)
@@ -35,20 +39,44 @@ class ReconfigInstance:
 
 @dataclass(frozen=True)
 class Schedule:
-    """A materialized sequence of vertex sets; length is steps, not sets.
+    """A start set and one flip per step: step i is step i - 1 with
+    ``flips[i - 1]`` toggled, so an unchanged step is an empty flip.  The
+    length counts steps, not sets."""
 
-    The pipelines and the parser give a run of equal steps one shared object,
-    and no loop does set work on a step that ``is`` its predecessor.  This is
-    for speed only: correctness never depends on it."""
-
-    steps: tuple[VertexSet, ...]
+    start: VertexSet
+    flips: tuple[VertexSet, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "steps", tuple(frozenset(s) for s in self.steps))
+        object.__setattr__(self, "start", frozenset(self.start))
+        object.__setattr__(self, "flips", tuple(map(frozenset, self.flips)))
+
+    @classmethod
+    def from_steps(cls, steps: Iterable[Iterable[int]]) -> Schedule:
+        """The schedule through the given sets, the first being its start."""
+        sets = [frozenset(s) for s in steps]
+        if not sets:
+            raise InputError("empty schedule")
+        return cls(sets[0], tuple(b ^ a for a, b in zip(sets, sets[1:])))
+
+    @property
+    def steps(self) -> tuple[VertexSet, ...]:
+        return tuple(fold_flips(self.start, self.flips))
 
     @property
     def length(self) -> int:
-        return len(self.steps) - 1
+        return len(self.flips)
+
+
+def fold_flips(start: VertexSet, flips: Iterable[VertexSet]) -> list[VertexSet]:
+    """``start`` and then the set after each flip in turn.  An empty flip
+    repeats the previous set, so an unchanged step costs O(1)."""
+    step = frozenset(start)
+    sets = [step]
+    for flip in flips:
+        if flip:
+            step = step ^ flip
+        sets.append(step)
+    return sets
 
 
 @dataclass(frozen=True)
@@ -84,12 +112,11 @@ class ValidationReport:
     first_violation: Violation | None = None
 
 
-def lost_cover(g: Graph, prev: VertexSet, step: VertexSet, d: int) -> list[int]:
-    """The nodes, ascending, within d hops of ``prev`` but not of ``step``.
+def lost_cover(g: Graph, removed: VertexSet, step: VertexSet, d: int) -> list[int]:
+    """The nodes, ascending, within d hops of ``removed`` but not of ``step``.
 
-    Each lies within d hops of a removed node, and every path that could
-    still cover it stays inside the 2d-ball of the removals."""
-    removed = prev - step
+    Every path that could still cover such a node stays inside the 2d-ball
+    of the removals."""
     if not removed:
         return []
     near = distances_from(g, removed, radius=2 * d)
@@ -98,39 +125,39 @@ def lost_cover(g: Graph, prev: VertexSet, step: VertexSet, d: int) -> list[int]:
     return sorted(u for u, k in near.items() if k <= d and u not in covered)
 
 
-def step_defect(g: Graph, prev: VertexSet, step: VertexSet, d: int) -> tuple[str, tuple[int, int] | int] | None:
-    """The condition ``step`` breaks and its witness, given that ``prev`` is
-    independent and d-dominating; None if ``step`` is too.  At d = 1 this
-    asks whether ``step`` is still an MIS.  A new edge touches an added node
-    and a lost cover is near a removed one, so the witnesses (smallest edge,
-    smallest uncovered node) are found around the flip alone."""
-    added = step - prev
+def step_defect(g: Graph, step: VertexSet, flip: VertexSet, d: int) -> tuple[str, tuple[int, int] | int] | None:
+    """The condition ``step`` breaks and its witness, given that the set
+    before it, ``step`` with ``flip`` toggled back, is independent and
+    d-dominating; None if ``step`` is too.  At d = 1 this asks whether
+    ``step`` is still an MIS.  A new edge touches an added node and a lost
+    cover is near a removed one, so the witnesses (smallest edge, smallest
+    uncovered node) are found around the flip alone."""
+    added = flip & step
     if any(not g.neighbors(v).isdisjoint(step) for v in added):
         return "independence", edge_inside(g, step.intersection(distances_from(g, added, radius=1)))
-    holes = lost_cover(g, prev, step, d)
+    holes = lost_cover(g, flip - step, step, d)
     return ("domination", holes[0]) if holes else None
 
 
-def first_violation(g: Graph, prev: VertexSet, steps: Sequence[VertexSet], d: int) -> Violation | None:
-    """The earliest step that breaks a step condition; ``steps[0]`` is step 1.
+def first_violation(g: Graph, start: VertexSet, flips: Sequence[VertexSet], d: int) -> Violation | None:
+    """The earliest step that breaks a step condition; ``flips[0]`` makes step 1.
 
-    Each step's flip from its predecessor (``prev`` before the first) must be
-    independent and the step must pass ``step_defect``, whose precondition
-    holds: ``prev`` is an MIS in every caller and earlier steps have passed.
-    A step whose flip is empty equals its predecessor and is skipped.
+    Each flip must be independent and each step must pass ``step_defect``,
+    whose precondition holds: ``start`` is an MIS in every caller and earlier
+    steps have passed.  One running set takes each flip in place, so an
+    empty flip costs nothing.
     """
-    for i, step in enumerate(steps, 1):
-        if step is prev:
+    step = set(start)
+    for i, flip in enumerate(flips, 1):
+        if not flip:
             continue
-        flip = step ^ prev
-        if flip:
-            edge = edge_inside(g, flip)
-            if edge is not None:
-                return Violation(i, "flip-independence", edge)
-            defect = step_defect(g, prev, step, d)
-            if defect is not None:
-                return Violation(i, *defect)
-        prev = step
+        edge = edge_inside(g, flip)
+        if edge is not None:
+            return Violation(i, "flip-independence", edge)
+        step ^= flip
+        defect = step_defect(g, step, flip, d)
+        if defect is not None:
+            return Violation(i, *defect)
     return None
 
 
@@ -138,72 +165,37 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
     """Check all three schedule conditions, reporting the earliest violation.
 
     Endpoints must equal alpha and beta; every strictly intermediate set must
-    be independent and d-dominating; every consecutive pair must differ by an
-    independent set.  Sets may repeat (an empty flip is independent).
+    be independent and d-dominating; every flip must be independent.  Sets
+    may repeat (an empty flip is independent).
     """
-    if not sched.steps:
-        raise InputError("empty schedule")
-    g = inst.graph
-    steps, last = sched.steps, len(sched.steps) - 1
-    for i, step in enumerate(steps):
-        if i and step is steps[i - 1]:
-            continue
-        unknown = step - g.nodes
-        if unknown:
-            raise InputError(f"schedule step contains unknown node ids {sorted(unknown)}")
+    g, start, flips = inst.graph, sched.start, sched.flips
+    unknown = start.union(*flips) - g.nodes
+    if unknown:
+        raise InputError(f"schedule step contains unknown node ids {sorted(unknown)}")
 
-    if steps[0] != inst.alpha:
-        violation = Violation(0, "endpoints", min(steps[0] ^ inst.alpha))
+    if start != inst.alpha:
+        violation = Violation(0, "endpoints", min(start ^ inst.alpha))
     else:
-        violation = first_violation(g, steps[0], steps[1:last], prop.d)
+        violation = first_violation(g, start, flips[:-1], prop.d)
+    last = len(flips)
     if violation is None and last:
-        edge = edge_inside(g, steps[last] ^ steps[last - 1])
+        edge = edge_inside(g, flips[-1])
         if edge is not None:
             violation = Violation(last, "flip-independence", edge)
-    if violation is None and steps[last] != inst.beta:
-        violation = Violation(last, "endpoints", min(steps[last] ^ inst.beta))
+    if violation is None:
+        end = fold_flips(start, filter(None, flips))[-1]
+        if end != inst.beta:
+            violation = Violation(last, "endpoints", min(end ^ inst.beta))
     return ValidationReport(violation is None, violation)
 
 
-def update_component(
-    current: VertexSet,
-    comp: VertexSet,
-    alpha: VertexSet,
-    beta: VertexSet,
-) -> tuple[VertexSet, VertexSet]:
-    """The two-step update of a component's vertices (or of a batched union
-    of components): first remove its alpha-part, then add its beta-part."""
-    vertices = frozenset(comp)
-    if not (vertices & alpha) <= current:
-        raise InputError("component alpha-part not contained in current set")
-    removed = frozenset(current) - (frozenset(alpha) & vertices)
-    added = removed | (frozenset(beta) & vertices)
-    return removed, added
-
-
-def run_side_by_side(
-    start: VertexSet,
-    fragments: Sequence[Sequence[VertexSet]],
-    length: int,
-) -> list[VertexSet]:
-    """The ``length`` steps after ``start`` of fragments run side by side.
-
-    Each fragment is a sequence of sets whose first set is its part of
-    ``start``; step j replaces that part with the fragment's j-th set, or its
-    last once it has run out.  Fragments must change disjoint nodes.  A step
-    where no fragment's set changes object is the previous step's object
-    (``start`` at first), so with no fragments every step is ``start``.
-    """
+def run_side_by_side(fragments: Sequence[Sequence[VertexSet]], length: int) -> list[VertexSet]:
+    """The ``length`` flips of fragments run side by side: flip j is the
+    union of every fragment's j-th flip, of which a fragment that has run
+    out has none.  Fragments must change disjoint nodes."""
     if not fragments:
-        return [start] * length
-    steps, step, sets = [], start, [f[0] for f in fragments]
-    for j in range(1, length + 1):
-        now = [f[min(j, len(f) - 1)] for f in fragments]
-        if any(a is not b for a, b in zip(now, sets)):
-            step = start ^ frozenset().union(*(s ^ f[0] for s, f in zip(now, fragments)))
-        steps.append(step)
-        sets = now
-    return steps
+        return [NO_FLIP] * length
+    return [frozenset().union(*(f[j] for f in fragments if j < len(f))) for j in range(length)]
 
 
 def parse_vertex_set_file(text: str) -> VertexSet:
@@ -234,23 +226,26 @@ def parse_schedule_file(text: str) -> Schedule:
     lines = text.splitlines()
     if not lines:
         raise InputError("empty schedule file")
-    steps, prev = [], None
+    # The first line is a flip from the empty set; a repeated line flips nothing.
+    flips, step, prev = [], NO_FLIP, None
     for lineno, line in enumerate(lines, start=1):
-        if line != prev:
-            try:
-                step = frozenset(int(tok) for tok in line.split())
-            except ValueError:
-                raise InputError(f"line {lineno}: bad node id in {line!r}") from None
-            prev = line
-        steps.append(step)
-    return Schedule(tuple(steps))
+        if line == prev:
+            flips.append(NO_FLIP)
+            continue
+        try:
+            new = frozenset(int(tok) for tok in line.split())
+        except ValueError:
+            raise InputError(f"line {lineno}: bad node id in {line!r}") from None
+        flips.append(new ^ step)
+        step, prev = new, line
+    return Schedule(flips[0], tuple(flips[1:]))
 
 
 def format_schedule_file(sched: Schedule) -> str:
-    lines, prev = [], None
-    for step in sched.steps:
-        if step is not prev:
+    """One line per step; after an empty flip the line repeats."""
+    lines = []
+    for step, flip in zip(sched.steps, (True, *sched.flips)):
+        if flip:
             line = " ".join(str(v) for v in sorted(step)) + "\n"
-            prev = step
         lines.append(line)
     return "".join(lines)

@@ -1,12 +1,22 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from misrecon.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
-from misrecon.graph import Graph, format_graph_file
+from misrecon.constrounds import parse_coloring_file
+from misrecon.errors import InputError
+from misrecon.graph import Graph, format_graph_file, parse_graph_file
 from misrecon.schedule import (
     Schedule,
     format_schedule_file,
     format_vertex_set_file,
     parse_schedule_file,
+    parse_vertex_set_file,
 )
 
 
@@ -28,7 +38,7 @@ def p4_files(tmp_path):
 def test_validate_accepts_good_schedule(tmp_path, capsys):
     gp, ap, bp = p4_files(tmp_path)
     sp = tmp_path / "sched.txt"
-    sp.write_text(format_schedule_file(Schedule(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))))
+    sp.write_text(format_schedule_file(Schedule.from_steps(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))))
     assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(sp)]) == EXIT_OK
     assert "valid" in capsys.readouterr().out
 
@@ -36,7 +46,7 @@ def test_validate_accepts_good_schedule(tmp_path, capsys):
 def test_validate_rejects_with_diagnostic(tmp_path, capsys):
     gp, ap, bp = p4_files(tmp_path)
     sp = tmp_path / "sched.txt"
-    sp.write_text(format_schedule_file(Schedule(({0, 2}, {1, 3}))))
+    sp.write_text(format_schedule_file(Schedule.from_steps(({0, 2}, {1, 3}))))
     code = main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(sp)])
     assert code == EXIT_NEGATIVE
     assert "flip-independence violated at step 1: edge 0-1" in capsys.readouterr().out
@@ -346,3 +356,48 @@ def test_gen_logstar_keeps_its_smallest_ring(tmp_path, capsys):
     argv = ["gen", "--family", "logstar", "--n", "15", "--k", "4", "--out-prefix", str(tmp_path / "g")]
     assert main(argv) == EXIT_OK
     assert (tmp_path / "g.graph").read_text().count("node ") == 15
+
+
+# Pieces of the four text formats and of what breaks them: huge and negative
+# ids, non-ASCII digits, digit separators, NUL and the line breaks that
+# ``str.splitlines`` knows beyond newline.
+FORMAT_PIECES = [
+    "node", "edge", "color", "#", " ", "  ", "\t", "\n", "\n", "\r\n", "\x0b", "\x85", "\u2028", "\x00",
+    "0", "1", "2", "3", "9", "-1", "+2", "1_0", "\u0663", "x", "1.5", "99999999999999999999999", "9" * 5000,
+]
+texts = st.one_of(st.text(), st.lists(st.sampled_from(FORMAT_PIECES), max_size=40).map("".join))
+PARSERS = (parse_graph_file, parse_vertex_set_file, parse_schedule_file, parse_coloring_file)
+
+
+@seed(20261101)
+@settings(max_examples=400, deadline=None)
+@given(texts)
+def test_parsers_raise_only_input_errors(text):
+    for parse in PARSERS:
+        try:
+            parse(text)
+        except InputError:
+            pass
+
+
+@seed(20261101)
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["graph", "alpha", "beta", "schedule"]), texts)
+def test_validate_on_arbitrary_text_exits_0_1_or_2(which, text):
+    """One of the four files of a valid P4 instance and schedule is replaced
+    by arbitrary text; validate must answer with an exit code, not raise."""
+    files = {
+        "graph": format_graph_file(Graph(range(4), [(0, 1), (1, 2), (2, 3)])),
+        "alpha": "0 2\n",
+        "beta": "1 3\n",
+        "schedule": "0 2\n0\n0 3\n3\n1 3\n",
+        which: text,
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["validate"]
+        for name, content in files.items():
+            path = Path(tmp) / name
+            path.write_text(content, encoding="utf-8", errors="surrogatepass")
+            argv += [f"--{name}", str(path)]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) in (EXIT_OK, EXIT_NEGATIVE, EXIT_USAGE)

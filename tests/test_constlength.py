@@ -39,7 +39,7 @@ def test_reduce_identity_when_disjoint():
     inst = alt(4)
     red = reduce_instance(inst)
     assert red.stripped_always_in == frozenset()
-    assert red.kept_nodes == inst.graph.nodes
+    assert red.reduced_instance.graph.nodes == inst.graph.nodes
     assert red.reduced_instance.alpha == inst.alpha
 
 
@@ -48,7 +48,7 @@ def test_reduce_alpha_equals_beta_strips_everything():
     a = frozenset({0, 2, 4})
     red = reduce_instance(ReconfigInstance(g, a, a))
     assert red.stripped_always_in == a
-    assert red.kept_nodes == frozenset()
+    assert red.reduced_instance.graph.nodes == frozenset()
 
 
 def test_reduce_p5_shared_endpoint():
@@ -57,7 +57,7 @@ def test_reduce_p5_shared_endpoint():
     red = reduce_instance(inst)
     assert red.stripped_always_in == frozenset({4})
     assert red.stripped_never_in == frozenset({3})
-    assert red.kept_nodes == frozenset({0, 1, 2})
+    assert red.reduced_instance.graph.nodes == frozenset({0, 1, 2})
     assert red.reduced_instance.alpha == frozenset({0, 2})
     assert red.reduced_instance.beta == frozenset({1})
 
@@ -133,10 +133,15 @@ def test_layers_overlap_candidate_resolves_to_layer_2():
 
 # --- big components ----------------------------------------------------------
 
+def sets_of(start, flips):
+    """The sets a fragment of flips passes through, ``start`` first."""
+    return list(Schedule(start, flips).steps)
+
+
 def big_fragment(inst):
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     assert len(comps) == 1
-    return schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
+    return sets_of(inst.alpha, schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, []))
 
 
 def test_p4_fragment_matches_hand_execution():
@@ -161,13 +166,13 @@ def test_p4_fragment_matches_hand_execution():
         frozenset({1, 3}),
         frozenset({1, 3}),
     ]
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
 
 def test_c6_diameter_3_fragment():
     inst = alt(6, cycle(6))
     frag = big_fragment(inst)
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
     assert len(frag) == 9
 
 
@@ -175,7 +180,7 @@ def test_long_path_cascade_fragment():
     inst = alt(14)
     frag = big_fragment(inst)
     assert len(frag) == 9
-    sched = Schedule(tuple(frag))
+    sched = Schedule.from_steps(frag)
     assert validate(inst, sched, PropertySpec(4)).valid
     # odd steps only remove alpha-nodes, even steps only add beta-nodes
     for i in range(1, 9):
@@ -201,9 +206,9 @@ def test_two_components_covering_through_one_epsilon():
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_non_isolated(g, comps, alpha, beta, [])
+    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, []))
     assert len(frag) == 19
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
 
 def test_single_big_component_equals_padded_fragment():
@@ -211,10 +216,10 @@ def test_single_big_component_equals_padded_fragment():
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta, [])
     frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
-    # parts 1-2 are no-ops (4 leading repeats), then the 8-step cascade
-    assert frag18[:5] == [frag8[0]] * 5
-    assert frag18[5:13] == frag8[1:]
-    assert frag18[13:] == [frag8[8]] * 6
+    # parts 1-2 are no-ops (4 empty flips), then the 8-step cascade
+    assert frag18[:4] == [frozenset()] * 4
+    assert frag18[4:12] == frag8
+    assert frag18[12:] == [frozenset()] * 6
 
 
 def test_triangle_of_doubly_covered_components():
@@ -226,9 +231,9 @@ def test_triangle_of_doubly_covered_components():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.alpha_covered and c.beta_covered for c in comps)
-    frag = schedule_non_isolated(g, comps, alpha, beta, [])
+    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, []))
     assert len(frag) == 19
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
 
 # --- isolated regime -----------------------------------------------------------
@@ -239,9 +244,9 @@ def test_isolated_shallow_pair_with_bridge():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.isolated for c in comps)
-    frag = schedule_isolated(g, comps, alpha, beta, [])
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
     assert len(frag) == 11
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
 
 def test_isolated_deep_blob_six_step_gadget():
@@ -249,9 +254,9 @@ def test_isolated_deep_blob_six_step_gadget():
     alpha, beta = frozenset({0, 1}), frozenset({2, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_isolated(g, comps, alpha, beta, [])
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
     assert len(frag) == 11
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
     # the selected epsilon-node enters and leaves
     assert any(4 in s for s in frag) and 4 not in frag[-1]
 
@@ -266,8 +271,8 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
     alpha, beta = frozenset({0, 1, 6, 7}), frozenset({2, 3, 8, 9})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = schedule_isolated(g, comps, alpha, beta, [])
-    assert validate(inst, Schedule(tuple(frag)), PropertySpec(4)).valid
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
     # only one escape node is parked; the skipped blob's beta-part arrives in
     # the same step as the parked blob's anchor beta-node
     assert frozenset({4, 10}) & frag[6] == frozenset({4})
@@ -450,8 +455,9 @@ def test_reduced_oracle_witness_lifts_to_valid_schedule():
         if not res.exists:
             continue
         assert validate(red.reduced_instance, res.witness, PropertySpec(4)).valid
-        lifted_steps = red.lift(list(res.witness.steps))
-        report = validate(inst, Schedule(tuple(lifted_steps)), PropertySpec(4))
+        # Lifting adds the shared core to the start; the flips stay.
+        whole = Schedule(res.witness.start | red.stripped_always_in, res.witness.flips)
+        report = validate(inst, whole, PropertySpec(4))
         assert report.valid, report.first_violation
         lifted += 1
     assert lifted >= 5

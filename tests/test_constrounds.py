@@ -13,7 +13,7 @@ from misrecon.constrounds import (
 )
 from misrecon.errors import InputError
 from misrecon.graph import Graph, ball
-from misrecon.schedule import PropertySpec, ReconfigInstance, validate
+from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 
 
 def path(n):
@@ -57,7 +57,8 @@ def test_p8_first_beta_node_uses_distance3_partners():
     plan = plan_insertion(inst.graph, inst.alpha, inst.alpha, inst.beta, 1)
     assert plan.case_tag == "case4"
     assert 1 in plan.resulting_mis
-    assert plan.six_steps[2] == frozenset({4, 6})  # both blockers of 1 gone, partner 4 kept
+    steps = Schedule(inst.alpha, plan.six_flips).steps
+    assert steps[3] == frozenset({4, 6})  # both blockers of 1 gone, partner 4 kept
 
 
 def test_alpha_at_distance_2_branch():
@@ -68,7 +69,7 @@ def test_alpha_at_distance_2_branch():
     inst = ReconfigInstance(g, alpha, beta)
     plan = plan_insertion(g, alpha, alpha, beta, 1)
     assert plan.case_tag == "alpha-at-2"
-    assert plan.six_steps[0] == alpha - {0}
+    assert plan.six_flips[0] == {0}
     assert 1 in plan.resulting_mis
 
 
@@ -81,8 +82,9 @@ def test_case1_private_helper_enters_and_leaves():
     inst = ReconfigInstance(g, alpha, beta)
     plan = plan_insertion(g, alpha, alpha, beta, 0)
     assert plan.case_tag == "case1"
-    assert len(set(plan.six_steps)) == 6
-    assert any(3 in s for s in plan.six_steps) and 3 not in plan.resulting_mis
+    steps = Schedule(alpha, plan.six_flips).steps
+    assert len(set(steps[1:])) == 6
+    assert any(3 in s for s in steps) and 3 not in plan.resulting_mis
 
 
 def test_case_dispatch_covers_random_instances():
@@ -127,8 +129,8 @@ def test_plan_is_9_hop_local():
                 local, current & hood, inst.alpha & hood, inst.beta & hood, k
             )
             assert local_plan.case_tag == plan.case_tag
-            assert [s & hood for s in plan.six_steps] == [
-                s & hood for s in local_plan.six_steps
+            assert [s & hood for s in plan.six_flips] == [
+                s & hood for s in local_plan.six_flips
             ]
             assert plan.resulting_mis & hood == local_plan.resulting_mis & hood
             current = plan.resulting_mis
@@ -189,10 +191,9 @@ def test_sparse_ids_share_every_step_outside_insertion_windows():
     ids = [0, 111, 222, 333, 444, 555, 666, 777, 888, 1000]
     g = Graph(ids, [(ids[i], ids[i + 1]) for i in range(9)])
     inst = ReconfigInstance(g, frozenset(ids[0::2]), frozenset(ids[1::2]))
-    steps = constant_rounds_schedule(inst)[0].steps
-    changed = sum(steps[i] is not steps[i - 1] for i in range(1, len(steps)))
-    assert changed <= 6 * len(inst.beta - inst.alpha)
-    assert all(s is inst.alpha for s in steps[: 6 * 111 + 1])
+    sched = constant_rounds_schedule(inst)[0]
+    assert sum(bool(f) for f in sched.flips) <= 6 * len(inst.beta - inst.alpha)
+    assert sched.start == inst.alpha and not any(sched.flips[: 6 * 111])
 
 
 def test_alpha_equals_beta_collapses_to_padding():
@@ -274,7 +275,7 @@ def test_coloring_windows_round_trip_parked_helpers():
             )
             for v in active:
                 plan = plan_insertion(inst.graph, current, inst.alpha, inst.beta, v)
-                if (current - plan.six_steps[0]) & plan.six_steps[-1]:
+                if plan.six_flips[0] & plan.six_flips[-1]:
                     saw_round_trip = True
                 current = plan.resulting_mis
         assert saw_round_trip

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from misrecon.schedule import (
     PropertySpec,
     ReconfigInstance,
     Schedule,
+    fold_flips,
     format_schedule_file,
     format_vertex_set_file,
     lost_cover,
@@ -17,7 +19,6 @@ from misrecon.schedule import (
     parse_vertex_set_file,
     run_side_by_side,
     step_defect,
-    update_component,
     validate,
 )
 
@@ -37,13 +38,13 @@ def test_instance_requires_mis():
 
 def test_validate_accepts_hand_built_schedule():
     inst = p4_instance()
-    sched = Schedule(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))
+    sched = Schedule.from_steps(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))
     assert validate(inst, sched, PropertySpec(4)).valid
 
 
 def test_validate_flip_independence_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule(({0, 2}, {1, 3})), PropertySpec(4))
+    report = validate(inst, Schedule.from_steps(({0, 2}, {1, 3})), PropertySpec(4))
     assert not report.valid
     v = report.first_violation
     assert v.step == 1 and v.condition == "flip-independence" and v.witness == (0, 1)
@@ -51,14 +52,14 @@ def test_validate_flip_independence_violation():
 
 def test_validate_domination_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule(({0, 2}, frozenset(), {1, 3})), PropertySpec(4))
+    report = validate(inst, Schedule.from_steps(({0, 2}, frozenset(), {1, 3})), PropertySpec(4))
     v = report.first_violation
     assert v.step == 1 and v.condition == "domination"
 
 
 def test_validate_endpoint_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule(({0, 2}, {0}, {0, 3})), PropertySpec(4))
+    report = validate(inst, Schedule.from_steps(({0, 2}, {0}, {0, 3})), PropertySpec(4))
     v = report.first_violation
     assert v.condition == "endpoints" and v.step == 2
 
@@ -66,17 +67,17 @@ def test_validate_endpoint_violation():
 def test_validate_rejects_empty_and_unknown():
     inst = p4_instance()
     with pytest.raises(InputError):
-        validate(inst, Schedule(()), PropertySpec(4))
+        validate(inst, Schedule.from_steps(()), PropertySpec(4))
     with pytest.raises(InputError):
-        validate(inst, Schedule(({0, 2}, {9})), PropertySpec(4))
+        validate(inst, Schedule.from_steps(({0, 2}, {9})), PropertySpec(4))
 
 
 def test_length_zero_schedule_iff_alpha_equals_beta():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     same = ReconfigInstance(g, frozenset({0, 2}), frozenset({0, 2}))
-    assert validate(same, Schedule(({0, 2},)), PropertySpec(4)).valid
+    assert validate(same, Schedule.from_steps(({0, 2},)), PropertySpec(4)).valid
     diff = p4_instance()
-    assert not validate(diff, Schedule(({0, 2},)), PropertySpec(4)).valid
+    assert not validate(diff, Schedule.from_steps(({0, 2},)), PropertySpec(4)).valid
 
 
 def smallest_edge(g, s):
@@ -144,7 +145,7 @@ def test_validator_matches_naive_checker_on_randomized_schedules():
         for _ in range(rng.randrange(1, 5)):
             steps.append(frozenset(v for v in g.nodes if rng.random() < 0.4))
         steps.append(beta)
-        sched = Schedule(tuple(steps))
+        sched = Schedule.from_steps(steps)
         assert reported(validate(inst, sched, PropertySpec(4))) == naive_check(inst, sched, 4)
         agreements += 1
     assert agreements == 300
@@ -185,7 +186,7 @@ def schedules(draw):
             steps.append(prev | {draw(nodes)})
     steps.append(draw(st.frozensets(nodes)) if draw(st.integers(0, 3)) == 0 else beta)
     d = draw(st.integers(1, 4))
-    return ReconfigInstance(g, alpha, beta), Schedule(tuple(steps)), d
+    return ReconfigInstance(g, alpha, beta), Schedule.from_steps(steps), d
 
 
 @settings(max_examples=400, deadline=None)
@@ -231,103 +232,75 @@ def test_step_defect_matches_a_whole_graph_check(case):
         expected = ("independence", edge)
     else:
         expected = ("domination", missing[0]) if missing else None
-    assert step_defect(g, prev, step, d) == expected
-    assert lost_cover(g, prev, step, d) == missing
+    assert step_defect(g, step, prev ^ step, d) == expected
+    assert lost_cover(g, prev - step, step, d) == missing
     if d == 1:
-        assert (step_defect(g, prev, step, 1) is None) == is_mis(g, step)
+        assert (step_defect(g, step, prev ^ step, 1) is None) == is_mis(g, step)
 
 
-def test_update_component_set_arithmetic():
-    comp = frozenset({10, 11})
-    removed, added = update_component(
-        frozenset({10, 12}), comp, alpha=frozenset({10}), beta=frozenset({11})
-    )
-    assert removed == frozenset({12}) and added == frozenset({11, 12})
-
-
-def test_update_component_empty_alpha_part():
-    removed, added = update_component(
-        frozenset({5}), frozenset({7}), alpha=frozenset(), beta=frozenset({7})
-    )
-    assert removed == frozenset({5}) and added == frozenset({5, 7})
-
-
-def test_update_component_batched_equals_sequential():
-    g = Graph(range(6), [(0, 1), (2, 3), (4, 5)])
-    alpha, beta = frozenset({0, 2, 4}), frozenset({1, 3, 5})
-    current = alpha
-    both = frozenset({0, 1, 2, 3})
-    batch_rm, batch_add = update_component(current, both, alpha, beta)
-    rm1, add1 = update_component(current, frozenset({0, 1}), alpha, beta)
-    rm2, add2 = update_component(rm1, frozenset({2, 3}), alpha, beta)
-    assert batch_rm == rm2 and batch_add == add2 | (add1 - alpha)
-
-
-def test_update_component_outputs_flip_independent():
-    rng = random.Random(7)
-    g = Graph(range(8), [(i, i + 1) for i in range(7)])
-    alpha, beta = frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))
-    for _ in range(50):
-        comp = frozenset(v for v in g.nodes if rng.random() < 0.5)
-        current = alpha
-        removed, added = update_component(current, comp, alpha, beta)
-        for flip in (current ^ removed, removed ^ added):
-            for u in flip:
-                assert not (g.neighbors(u) & flip)
+def test_schedule_is_its_start_and_one_flip_per_step():
+    assert [f.name for f in dataclasses.fields(Schedule)] == ["start", "flips"]
+    sched = Schedule({0, 2}, ({2}, (), {3}))
+    assert sched.length == 3
+    steps = sched.steps
+    assert steps == tuple(map(frozenset, ({0, 2}, {0}, {0}, {0, 3})))
+    assert steps[2] is steps[1]  # an empty flip costs no new set
+    assert Schedule.from_steps(steps) == sched
+    assert fold_flips(sched.start, sched.flips) == list(sched.steps)
+    with pytest.raises(InputError, match="empty schedule"):
+        Schedule.from_steps([])
 
 
 def test_run_side_by_side_without_fragments_repeats_start():
     start = frozenset({1, 4})
-    steps = run_side_by_side(start, [], 5)
-    assert len(steps) == 5 and all(s is start for s in steps)
+    flips = run_side_by_side([], 5)
+    assert flips == [frozenset()] * 5
+    assert all(s is start for s in Schedule(start, flips).steps)
 
 
 def test_run_side_by_side_equals_sequential_steps():
-    # Two fragments on disjoint nodes; the shorter holds its last set.
+    # Two fragments on disjoint nodes; the shorter flips nothing once done.
     start = frozenset({0, 2, 9})
-    long = [frozenset({0}), frozenset(), frozenset({1}), frozenset({1, 3})]
-    short = [frozenset({2}), frozenset({5})]
-    steps = run_side_by_side(start, [long, short], 4)
-    assert steps == [
+    long = [frozenset({0}), frozenset(), frozenset({1}), frozenset({3})]
+    short = [frozenset({2, 5})]
+    flips = run_side_by_side([long, short], 4)
+    assert flips == [frozenset({0, 2, 5}), frozenset(), frozenset({1}), frozenset({3})]
+    assert Schedule(start, flips).steps == (
+        start,
+        frozenset({5, 9}),
         frozenset({5, 9}),
         frozenset({1, 5, 9}),
         frozenset({1, 3, 5, 9}),
-        frozenset({1, 3, 5, 9}),
-    ]
+    )
 
 
 def side_by_side_formula(start, fragments, length):
-    """Every step built anew, no object shared."""
+    """Every step built anew from each fragment's sets, no object shared."""
+    sets = [Schedule(frozenset(), f).steps for f in fragments]
     return [
-        start ^ frozenset().union(*(f[min(j, len(f) - 1)] ^ f[0] for f in fragments))
-        for j in range(1, length + 1)
+        start ^ frozenset().union(*(s[min(j, len(s) - 1)] for s in sets))
+        for j in range(length + 1)
     ]
 
 
 def test_run_side_by_side_shares_steps_where_no_fragment_moves():
     x, y, z = frozenset({0}), frozenset(), frozenset({1})
     start = frozenset({0, 9})
-    steps = run_side_by_side(start, [(x, y, z, z)], 6)
-    assert steps == side_by_side_formula(start, [(x, y, z, z)], 6)
-    assert steps[0] is not steps[1]
-    assert all(s is steps[1] for s in steps[2:])
+    flips = run_side_by_side([(x, y, z)], 6)
+    assert flips == [x, y, z, y, y, y]
+    steps = Schedule(start, flips).steps
+    assert list(steps) == side_by_side_formula(start, [(x, y, z)], 6)
+    assert [steps[j] is steps[j - 1] for j in range(1, 7)] == [False, True, False, True, True, True]
     # A second fragment that keeps moving breaks the run of shared steps.
-    other = [frozenset({5}), frozenset({6}), frozenset({5}), frozenset({6}), frozenset({7})]
+    other = [frozenset({5}), frozenset({5, 6}), frozenset({5, 6}), frozenset({5, 6}), frozenset({6, 7})]
     start = frozenset({0, 5, 9})
-    steps = run_side_by_side(start, [(x, y, z, z), other], 6)
-    assert steps == side_by_side_formula(start, [(x, y, z, z), other], 6)
-    assert [steps[j] is steps[j - 1] for j in range(1, 6)] == [False, False, False, True, True]
-
-
-def test_run_side_by_side_step_equal_to_start_is_start():
-    x = frozenset({3})
-    start = frozenset({3, 4})
-    steps = run_side_by_side(start, [(x, x, frozenset())], 3)
-    assert steps[0] is start and steps[1] == steps[2] == frozenset({4})
+    steps = Schedule(start, run_side_by_side([(x, y, z), other], 6)).steps
+    assert list(steps) == side_by_side_formula(start, [(x, y, z), other], 6)
+    assert [steps[j] is steps[j - 1] for j in range(1, 7)] == [False, False, False, False, False, True]
 
 
 def test_schedule_file_round_trip_bit_exact():
-    sched = Schedule(({3, 1, 2}, frozenset(), {0,}))
+    sched = Schedule.from_steps(({3, 1, 2}, frozenset(), {0,}))
     text = format_schedule_file(sched)
     assert text == "1 2 3\n\n0\n"
     assert parse_schedule_file(text) == sched
@@ -342,7 +315,10 @@ def test_vertex_set_file_round_trip():
 
 
 def test_parse_schedule_shares_one_set_per_run_of_identical_lines():
-    steps = parse_schedule_file("0 2\n0 2\n0\n0\n0\n0 2\n\n\n").steps
+    sched = parse_schedule_file("0 2\n0 2\n0\n0\n0\n0 2\n\n\n")
+    assert sched.start == {0, 2}
+    assert sched.flips == tuple(map(frozenset, ((), {2}, (), (), {2}, {0, 2}, ())))
+    steps = sched.steps
     assert steps == tuple(map(frozenset, ({0, 2}, {0, 2}, {0}, {0}, {0}, {0, 2}, (), ())))
     runs = [steps[0], steps[2], steps[5], steps[6]]
     assert len({id(s) for s in steps}) == len({id(s) for s in runs}) == 4
@@ -360,12 +336,12 @@ def test_validate_reports_unknown_ids_in_a_shared_step():
     inst = p4_instance()
     bad = frozenset({0, 9})
     with pytest.raises(InputError, match=r"schedule step contains unknown node ids \[9\]"):
-        validate(inst, Schedule((inst.alpha, bad, bad, inst.beta)), PropertySpec(4))
+        validate(inst, Schedule.from_steps((inst.alpha, bad, bad, inst.beta)), PropertySpec(4))
 
 
 def fresh_copy(sched):
     """The same steps, each a new frozenset object."""
-    return Schedule(tuple(frozenset(set(step)) for step in sched.steps))
+    return Schedule.from_steps(frozenset(set(step)) for step in sched.steps)
 
 
 def written_line_by_line(sched):

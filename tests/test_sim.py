@@ -99,6 +99,31 @@ def test_mis_invariant_under_neighbor_ordering():
     assert dist_mis(g1)[0] == dist_mis(g2)[0]
 
 
+@st.composite
+def rebuilt_graphs(draw):
+    """A graph on sparse ids, and the same graph with its nodes and edges
+    inserted in another order and some edges given endpoints swapped."""
+    n = draw(st.integers(1, 60))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n, unique=True))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    edges = [(ids[a], ids[b]) for a, b in pairs if a != b]
+    rng = draw(st.randoms(use_true_random=False))
+    swapped = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in rng.sample(edges, len(edges))]
+    return Graph(ids, edges), Graph(rng.sample(ids, n), swapped)
+
+
+@seed(20261102)
+@settings(max_examples=300, deadline=None)
+@given(rebuilt_graphs(), st.integers(0, 2**31))
+def test_mis_does_not_depend_on_insertion_order(case, mis_seed):
+    g1, g2 = case
+    assert g1 == g2
+    for mode in ("deterministic-id", "luby"):
+        (mis1, r1), (mis2, r2) = dist_mis(g1, mode, mis_seed), dist_mis(g2, mode, mis_seed)
+        assert mis1 == mis2
+        assert (r1.rounds_used, r1.messages_sent) == (r2.rounds_used, r2.messages_sent)
+
+
 def test_luby_rounds_sublinear_on_random_graphs():
     # Statistical smoke check on a fixed seed, not a hard bound.
     rounds = []
