@@ -48,6 +48,6 @@ from .schedule import (
     run_side_by_side,
     validate,
 )
-from .sim import NodeProgram, SimReport, dist_mis, ruling_set_32, run
+from .sim import NodeProgram, SimReport, Trace, ruling_set_32, run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

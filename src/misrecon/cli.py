@@ -35,7 +35,7 @@ from .schedule import (
     parse_vertex_set_file,
     validate,
 )
-from .sim import format_sim_report
+from .sim import Trace, format_trace
 
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
@@ -131,8 +131,7 @@ def dispatch(args: argparse.Namespace) -> int:
         seed = _default_seed()
 
     if args.command == "const-length":
-        if args.round_cap is not None and args.round_cap < 1:
-            raise InputError(f"round cap must be at least 1, got {args.round_cap}")
+        trace = Trace(args.subroutine, seed, args.round_cap)
         inst = _load_instance(args)
         if diameter(inst.graph, cap=4) <= 3:
             sched = small_diameter_fallback(inst)
@@ -141,11 +140,9 @@ def dispatch(args: argparse.Namespace) -> int:
                 return EXIT_NEGATIVE
             print("note: diameter <= 3, emitted the small-diameter fallback schedule")
         else:
-            sched, report = constant_length_schedule_distributed(
-                inst, mode=args.subroutine, seed=seed, round_cap=args.round_cap
-            )
+            sched, trace = constant_length_schedule_distributed(inst, trace)
             if args.distributed:
-                sys.stdout.write(format_sim_report(report))
+                sys.stdout.write(format_trace(trace))
         _write(args.out, format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK
@@ -156,8 +153,8 @@ def dispatch(args: argparse.Namespace) -> int:
             coloring = parse_coloring_file(_read(args.coloring))
             sched = coloring_schedule(inst, coloring)
         else:
-            sched, report = constant_rounds_schedule(inst)
-            sys.stdout.write(format_sim_report(report))
+            sched, trace = constant_rounds_schedule(inst)
+            sys.stdout.write(format_trace(trace))
         _write(args.out, format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK

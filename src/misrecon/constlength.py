@@ -20,7 +20,7 @@ from .graph import (
     distances_from,
 )
 from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
-from .sim import SimReport, collect_cost, dist_mis, ruling_set_32
+from .sim import Trace, ruling_set_32
 
 NON_ISOLATED_STEPS = 18
 ISOLATED_STEPS = 10
@@ -128,18 +128,15 @@ def schedule_big_component(
     comp: ComponentInfo,
     alpha: VertexSet,
     beta: VertexSet,
-    reports: list[tuple[str, SimReport]],
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
+    trace: Trace,
 ) -> list[VertexSet]:
     """Eight-step cascade updating one component of diameter at least 3,
     returned as 8 flips from its alpha-part: steps 1 to 8 remove layer 4,
     add 5, remove 2, add 3, remove 0, add 1, remove -2 and add -1.  The
     ruling set is ``ruling_set_32``'s at diameter >= 5, else the smallest
     alpha-node with a node 3 hops away, which all nodes know after the
-    4-round collect.  Each engine run appends ``(phase tag, report)`` to
-    ``reports``; so do the other two fragment builders.
+    4-round collect.  Each engine run is charged to ``trace``, here as its
+    ``ruling-set`` phase; so are those of the other two fragment builders.
 
     Each ruling node has a layer-3 node 3 hops away, through layer 1: ruling
     nodes are >= 6 hops apart, at diameter >= 5 each node has one, and the
@@ -164,8 +161,7 @@ def schedule_big_component(
             raise InternalError("no alpha endpoint of a distance-3 pair in the component")
         ruling = frozenset({anchor})
     else:
-        ruling, report = ruling_set_32(g, comp, alpha_c, beta_c, mode=mode, seed=seed, round_cap=round_cap)
-        reports.append(("ruling-set", report))
+        ruling = ruling_set_32(g, comp, alpha_c, beta_c, trace)
     layers = layer_component(g, y, alpha_c, beta_c, ruling)
     # _check_layers proved the layers disjoint, even ones alpha-nodes and odd
     # ones beta-nodes, so removing or adding a layer toggles it.
@@ -175,23 +171,12 @@ def schedule_big_component(
     return flips
 
 
-def _component_graph(g: Graph, comps: list[ComponentInfo], alpha, beta) -> tuple[Graph, dict[int, ComponentInfo]]:
+def _component_graph(comps: list[ComponentInfo]) -> tuple[Graph, dict[int, ComponentInfo]]:
     """Graph on the given components (labeled by minimum vertex id) with an
-    edge where some epsilon-node has an alpha-neighbor in one and a
-    beta-neighbor in the other."""
-    label = {}
-    for comp in comps:
-        label.update(dict.fromkeys(comp.vertices, comp.min_id))
+    edge where one alpha-covers the other: some epsilon-node has an
+    alpha-neighbor in one and a beta-neighbor in the other."""
     by_label = {comp.min_id: comp for comp in comps}
-    edges = set()
-    eps = g.nodes - alpha - beta
-    for e in sorted(eps):
-        alpha_sides = {label[w] for w in g.neighbors(e) & alpha if w in label}
-        beta_sides = {label[w] for w in g.neighbors(e) & beta if w in label}
-        for i in alpha_sides:
-            for j in beta_sides:
-                if i != j:
-                    edges.add((min(i, j), max(i, j)))
+    edges = {(min(i, j), max(i, j)) for j, comp in by_label.items() for i in comp.alpha_covered if i in by_label}
     return Graph(sorted(by_label), sorted(edges)), by_label
 
 
@@ -207,10 +192,7 @@ def schedule_non_isolated(
     comps: list[ComponentInfo],
     alpha: VertexSet,
     beta: VertexSet,
-    reports: list[tuple[str, SimReport]],
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
+    trace: Trace,
 ) -> list[VertexSet]:
     """Eighteen-step fragment updating every component that is non-isolated or
     has diameter at least 3, returned as 18 flips from their alpha-part.
@@ -230,9 +212,8 @@ def schedule_non_isolated(
     if len(c_ab) + len(c_a) + len(c_b) != len(small):
         raise InternalError("non-isolated small component with no covering label")
 
-    mis_graph, by_label = _component_graph(g, c_ab, alpha, beta)
-    m_labels, m_report = dist_mis(mis_graph, mode=mode, seed=seed, round_cap=round_cap)
-    reports.append(("component-mis", m_report))
+    mis_graph, by_label = _component_graph(c_ab)
+    m_labels = trace.mis("component-mis", mis_graph)
     m_comps = [by_label[l] for l in sorted(m_labels)]
 
     universe = frozenset().union(*(c.vertices for c in comps))
@@ -248,19 +229,11 @@ def schedule_non_isolated(
     _batch_update(flips, mark(c_a), alpha, beta)
 
     # Part 2: small components alpha-covered through an MIS component.
-    eps = g.nodes - alpha - beta
-    m_vertices = frozenset().union(*(c.vertices for c in m_comps))
-    part2 = []
-    for c in small:
-        if c.min_id in updated or c.min_id in m_labels:
-            continue
-        fringe = frozenset().union(*(g.neighbors(b) for b in beta & c.vertices)) & eps
-        if any(g.neighbors(e) & alpha & (m_vertices - c.vertices) for e in fringe):
-            part2.append(c)
+    part2 = [c for c in small if c.min_id not in m_labels and c.alpha_covered & m_labels]
     _batch_update(flips, mark(part2), alpha, beta)
 
     # Part 3: all big components cascade in parallel over eight steps.
-    fragments = [schedule_big_component(g, c, alpha, beta, reports, mode, seed, round_cap) for c in big]
+    fragments = [schedule_big_component(g, c, alpha, beta, trace) for c in big]
     flips += run_side_by_side(fragments, 8)
 
     # Part 4: the MIS components themselves.
@@ -307,10 +280,7 @@ def schedule_isolated(
     comps: list[ComponentInfo],
     alpha: VertexSet,
     beta: VertexSet,
-    reports: list[tuple[str, SimReport]],
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
+    trace: Trace,
 ) -> list[VertexSet]:
     """Ten-step fragment updating the isolated small components, returned as
     10 flips from their alpha-part.
@@ -344,8 +314,7 @@ def schedule_isolated(
                 if other is not None and other != b["label"]:
                     contact_edges.add((min(b["label"], other), max(b["label"], other)))
     contact = Graph(sorted(b["label"] for b in shallow), sorted(contact_edges))
-    m_labels, m_report = dist_mis(contact, mode=mode, seed=seed, round_cap=round_cap)
-    reports.append(("blob-mis", m_report))
+    m_labels = trace.mis("blob-mis", contact)
 
     first_wave = [b for b in shallow if b["label"] in m_labels]
     second_wave = [b for b in shallow if b["label"] not in m_labels]
@@ -365,8 +334,7 @@ def schedule_isolated(
 
     u_nodes = sorted(gad["u"] for gad in gadgets)
     u_graph = Graph(u_nodes, [(x, y) for i, x in enumerate(u_nodes) for y in u_nodes[i + 1 :] if g.has_edge(x, y)])
-    mprime, mp_report = dist_mis(u_graph, mode=mode, seed=seed, round_cap=round_cap)
-    reports.append(("escape-mis", mp_report))
+    mprime = trace.mis("escape-mis", u_graph)
 
     # A selected blob parks u, swaps its core through the anchor b, then
     # drops u; a skipped blob swaps its core in the same removal and addition.
@@ -395,13 +363,11 @@ def _split_components(comps: list[ComponentInfo]) -> tuple[list[ComponentInfo], 
 
 
 def constant_length_schedule_distributed(
-    inst: ReconfigInstance,
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
-) -> tuple[Schedule, SimReport]:
+    inst: ReconfigInstance, trace: Trace | None = None
+) -> tuple[Schedule, Trace]:
     """A valid 28-step schedule for any connected instance of diameter > 3,
-    with its round cost.
+    with the trace its cost was charged to (a fresh default one if none is
+    given); the trace's mode, seed and round cap set every MIS run.
 
     Every MIS and ruling-set call runs on the round engine; calls of one
     phase run in parallel, so a phase costs its slowest call's rounds.  The
@@ -410,11 +376,11 @@ def constant_length_schedule_distributed(
     result centrally and nothing reads the collected balls.  The shared-core
     broadcast (core nodes announce, their neighbors relay) takes 2 rounds and
     one message per port of a core or halo node; the 4-round collect on the
-    reduced graph costs ``collect_cost``.  Neither graph has a node without
-    neighbors: g is connected with diameter > 3, and such a node of the
-    reduced graph would be in both its alpha and its beta."""
-    if round_cap is not None and round_cap < 1:
-        raise InputError(f"round cap must be at least 1, got {round_cap}")
+    reduced graph is charged by ``Trace.collect``.  Neither graph has a node
+    without neighbors: g is connected with diameter > 3, and such a node of
+    the reduced graph would be in both its alpha and its beta."""
+    if trace is None:
+        trace = Trace()
     g = inst.graph
     diam = diameter(g, cap=4)
     if diam == math.inf:
@@ -423,20 +389,20 @@ def constant_length_schedule_distributed(
         raise InputError("diameter must exceed 3; use the small-diameter fallback")
     reduction = reduce_instance(inst)
     senders = reduction.stripped_always_in | reduction.stripped_never_in
-    broadcast = SimReport(outputs={}, rounds_used=2, messages_sent=sum(g.degree(v) for v in senders))
+    trace.charge("broadcast", 2, sum(g.degree(v) for v in senders))
     red = reduction.reduced_instance
     if not (red.alpha | red.beta):
-        return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), broadcast
+        return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), trace
 
-    reports = [("broadcast", broadcast), ("collect", collect_cost(red.graph, 4))]
+    trace.collect(red.graph, 4)
     comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
     covered, isolated_small = _split_components(comps)
     if covered:
-        frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, reports, mode, seed, round_cap)
+        frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, trace)
     else:
         frag_a = [frozenset()] * NON_ISOLATED_STEPS
     if isolated_small:
-        frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, reports, mode, seed, round_cap)
+        frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, trace)
     else:
         frag_b = [frozenset()] * ISOLATED_STEPS
 
@@ -447,9 +413,4 @@ def constant_length_schedule_distributed(
     verdict = validate(inst, sched, PropertySpec(4))
     if not verdict.valid:
         raise InternalError(f"assembled schedule invalid: {verdict.first_violation.describe()}")
-
-    by_phase: dict[str, int] = {}
-    for tag, report in reports:
-        by_phase[tag] = max(by_phase.get(tag, 0), report.rounds_used)
-    messages = sum(report.messages_sent for _, report in reports)
-    return sched, SimReport(outputs={}, rounds_used=sum(by_phase.values()), messages_sent=messages)
+    return sched, trace

@@ -13,7 +13,7 @@ from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
 from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
 from .schedule import first_violation, lost_cover, step_defect
-from .sim import SimReport, collect_cost
+from .sim import Trace
 
 SLOT = 6
 # Id-slotted schedules have SLOT·(max id + 1) steps; larger ids are refused.
@@ -209,7 +209,7 @@ def _require_deep_diameter(g: Graph) -> None:
         raise InputError("diameter must exceed 5; use the constant-length pipeline")
 
 
-def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimReport]:
+def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, Trace]:
     """Identifier-driven schedule: node k owns steps 6k+1..6(k+1); total
     length 6·(max id + 1) regardless of how sparse the ids are, so ids must
     stay below ``ID_LIMIT``.
@@ -217,7 +217,7 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
     Every plan depends only on a 9-hop ball (the changed region spans 4
     hops, the nodes it can endanger 5, their covers 9), so the communication
     cost is the 9-round collection, independent of the graph size.  That
-    cost is derived by ``collect_cost``, not executed: a flood's cost is a
+    cost is derived by ``Trace.collect``, not executed: a flood's cost is a
     closed form, and the plans are computed from the graph directly.
     """
     g = inst.graph
@@ -228,7 +228,9 @@ def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, SimRepor
             f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
             f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
         )
-    return _windowed_schedule(inst, ([k] for k in range(top + 1))), collect_cost(g, 9)
+    trace = Trace()
+    trace.collect(g, 9)
+    return _windowed_schedule(inst, ([k] for k in range(top + 1))), trace
 
 
 def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Schedule:

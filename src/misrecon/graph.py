@@ -233,16 +233,17 @@ class ComponentInfo:
     last getting the ruling-set cascade), so the cap keeps every band while
     a large component costs one BFS instead of all pairs.
     ``isolated`` means every adjacent epsilon-node has all of its alpha- and
-    beta-neighbors inside this component.  The covered flags record whether
-    some epsilon-node links the component to an alpha- (beta-) node of a
-    different component while touching this one through a beta- (alpha-) node.
+    beta-neighbors inside this component.  ``alpha_covered`` holds the
+    labels (minimum ids) of the other components that cover this one through
+    alpha: some epsilon-node has a beta-neighbor here and an alpha-neighbor
+    there.  ``beta_covered`` is the same with the sides swapped.
     """
 
     vertices: VertexSet
     diameter: int
     isolated: bool
-    alpha_covered: bool
-    beta_covered: bool
+    alpha_covered: frozenset[int]
+    beta_covered: frozenset[int]
 
     @property
     def min_id(self) -> int:
@@ -256,38 +257,32 @@ def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> 
     if not u <= g.nodes:
         raise InputError(f"component universe contains unknown ids {sorted(u - g.nodes)}")
     alpha, beta = frozenset(alpha), frozenset(beta)
-    comps = connected_components(g, u)
-    comp_index: dict[int, int] = {}
-    for i, comp in enumerate(comps):
-        for v in comp:
-            comp_index[v] = i
+    by_label = {min(comp): comp for comp in connected_components(g, u)}
+    label = {v: i for i, comp in by_label.items() for v in comp}
 
-    eps_nodes = g.nodes - alpha - beta
-    isolated = [True] * len(comps)
-    alpha_covered = [False] * len(comps)
-    beta_covered = [False] * len(comps)
-    for e in sorted(eps_nodes):
-        touched = {comp_index[w] for w in g.neighbors(e) if w in comp_index}
+    isolated = dict.fromkeys(by_label, True)
+    alpha_covered: dict[int, set[int]] = {i: set() for i in by_label}
+    beta_covered: dict[int, set[int]] = {i: set() for i in by_label}
+    for e in g.nodes - alpha - beta:
+        touched = {label[w] for w in g.neighbors(e) if w in label}
         if not touched:
             continue
         n_alpha = g.neighbors(e) & alpha
         n_beta = g.neighbors(e) & beta
         for i in touched:
-            if not (n_alpha <= comps[i] and n_beta <= comps[i]):
+            if not (n_alpha <= by_label[i] and n_beta <= by_label[i]):
                 isolated[i] = False
-        # e covers component j through alpha iff e has a beta-neighbor in j
-        # and an alpha-neighbor in a different component.
-        alpha_sides = {comp_index[w] for w in n_alpha if w in comp_index}
-        beta_sides = {comp_index[w] for w in n_beta if w in comp_index}
+        # e covers component j through alpha with every other component in
+        # which it has an alpha-neighbor, if it has a beta-neighbor in j.
+        alpha_sides = {label[w] for w in n_alpha if w in label}
+        beta_sides = {label[w] for w in n_beta if w in label}
         for j in beta_sides:
-            if alpha_sides - {j}:
-                alpha_covered[j] = True
+            alpha_covered[j] |= alpha_sides - {j}
         for j in alpha_sides:
-            if beta_sides - {j}:
-                beta_covered[j] = True
+            beta_covered[j] |= beta_sides - {j}
 
     out = []
-    for i, comp in enumerate(comps):
+    for i, comp in by_label.items():
         diam = diameter(g, comp, cap=5)
         if diam == math.inf:
             raise InternalError("component must be connected by construction")
@@ -296,8 +291,8 @@ def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> 
                 vertices=comp,
                 diameter=int(diam),
                 isolated=isolated[i],
-                alpha_covered=alpha_covered[i],
-                beta_covered=beta_covered[i],
+                alpha_covered=frozenset(alpha_covered[i]),
+                beta_covered=frozenset(beta_covered[i]),
             )
         )
     return out

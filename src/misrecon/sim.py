@@ -1,9 +1,9 @@
 """Deterministic round-synchronous message-passing engine plus the two
-distributed primitives the schedule constructions are parameterized by:
-a maximal-independent-set subroutine and a (3,2)-ruling-set subroutine.
-Only those two run on the engine.  A fixed-length phase, in which every
-node collects its r-hop ball, has a closed-form cost (``collect_cost``), so
-the pipelines derive it instead of simulating a flood.
+distributed primitives the schedule constructions are parameterized by: a
+maximal-independent-set subroutine and a (3,2)-ruling-set subroutine.  Only
+those two run on the engine, and a pipeline charges every run to its
+``Trace``.  A fixed-length phase, in which every node collects its r-hop
+ball, has a closed-form cost (``Trace.collect``), derived, not simulated.
 
 Within a round all node steps are logically simultaneous; the engine applies
 them in sorted node order, which is unobservable to the programs because
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
 
 from .errors import InputError, InternalError
@@ -156,19 +156,6 @@ def run(
     return SimReport(outputs, rounds_used, messages_sent)
 
 
-def collect_cost(g: Graph, radius: int) -> SimReport:
-    """Cost of every node collecting its ``radius``-hop ball of g, derived,
-    not executed.
-
-    Flooding does it: each node sends all it knows to every neighbor in each
-    of ``radius`` rounds, so the phase costs ``radius`` rounds and
-    ``radius`` · Σ deg(v) messages whatever the graph looks like.  Callers
-    never read the balls, so the flood is not run.  The count assumes g has
-    an edge; on an edgeless graph a flood ends at round 0.
-    """
-    return SimReport(outputs={}, rounds_used=radius, messages_sent=radius * sum(g.degree(v) for v in g.nodes))
-
-
 class MisIdProgram(NodeProgram):
     """MIS where a node joins once its id is minimal among undecided neighbors.
 
@@ -277,6 +264,53 @@ def dist_mis(
     return selected, report
 
 
+@dataclass
+class Trace:
+    """The cost of one pipeline run, and the MIS settings it runs with.
+
+    A phase is a named set of calls that run in parallel, so it costs the
+    rounds of its slowest call; ``phases`` keeps that per phase, in the
+    order the phases were first charged, and ``rounds_used`` is their sum.
+    ``messages_sent`` adds up the messages of every call.
+    """
+
+    mode: str = "deterministic-id"
+    seed: int = 0
+    round_cap: int | None = None
+    phases: dict[str, int] = field(default_factory=dict, init=False)
+    messages_sent: int = field(default=0, init=False)
+
+    def __post_init__(self) -> None:
+        if self.round_cap is not None and self.round_cap < 1:
+            raise InputError(f"round cap must be at least 1, got {self.round_cap}")
+
+    @property
+    def rounds_used(self) -> int:
+        return sum(self.phases.values())
+
+    def charge(self, phase: str, rounds: int, messages: int) -> None:
+        self.phases[phase] = max(self.phases.get(phase, 0), rounds)
+        self.messages_sent += messages
+
+    def mis(self, phase: str, g: Graph) -> VertexSet:
+        """An MIS of g from ``dist_mis``, its run charged to ``phase``."""
+        selected, report = dist_mis(g, self.mode, self.seed, self.round_cap)
+        self.charge(phase, report.rounds_used, report.messages_sent)
+        return selected
+
+    def collect(self, g: Graph, radius: int) -> None:
+        """Charge every node collecting its ``radius``-hop ball of g, derived,
+        not executed.
+
+        Flooding does it: each node sends all it knows to every neighbor in
+        each of ``radius`` rounds, so the phase costs ``radius`` rounds and
+        ``radius`` · Σ deg(v) messages whatever the graph looks like.  Callers
+        never read the balls, so the flood is not run.  The count assumes g
+        has an edge; on an edgeless graph a flood ends at round 0.
+        """
+        self.charge("collect", radius, radius * sum(g.degree(v) for v in g.nodes))
+
+
 # One hop of the squared virtual graph spans at most this many real hops:
 # two hops per virtual edge, two virtual edges per squared edge.
 VIRTUAL_HOP_OVERHEAD = 4
@@ -288,10 +322,8 @@ def ruling_set_32(
     comp: ComponentInfo,
     alpha: VertexSet,
     beta: VertexSet,
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
-) -> tuple[VertexSet, SimReport]:
+    trace: Trace,
+) -> VertexSet:
     """A (3,2)-ruling set of the virtual graph on the component's alpha-nodes
     (two joined when they share a beta-neighbor), computed as an MIS of the
     squared virtual graph.
@@ -301,8 +333,8 @@ def ruling_set_32(
     distance is exactly half their hop distance in G[y].  The squared
     virtual graph is therefore the graph on the alpha-nodes joining two at
     most 4 hops apart in G[y], and it is built that way.  In G[y] the
-    result is a (6,5)-ruling set.  The reported rounds account for
-    simulating each virtual hop in g.
+    result is a (6,5)-ruling set.  The rounds charged to the trace's
+    ``ruling-set`` phase account for simulating each virtual hop in g.
     """
     y = comp.vertices
     alpha_y, beta_y = frozenset(alpha) & y, frozenset(beta) & y
@@ -315,15 +347,10 @@ def ruling_set_32(
 
     edges = [(u, w) for u in sorted(alpha_y) for w in distances_from(g, u, y, 4) if w in alpha_y and u < w]
     squared = Graph(alpha_y, edges)
-    ruling, mis_report = dist_mis(squared, mode=mode, seed=seed, round_cap=round_cap)
-
+    ruling, report = dist_mis(squared, trace.mode, trace.seed, trace.round_cap)
     _check_ruling(g, y, alpha_y, ruling)
-    report = SimReport(
-        outputs=dict(mis_report.outputs),
-        rounds_used=VIRTUAL_SETUP_ROUNDS + VIRTUAL_HOP_OVERHEAD * mis_report.rounds_used,
-        messages_sent=mis_report.messages_sent,
-    )
-    return ruling, report
+    trace.charge("ruling-set", VIRTUAL_SETUP_ROUNDS + VIRTUAL_HOP_OVERHEAD * report.rounds_used, report.messages_sent)
+    return ruling
 
 
 def _check_ruling(g: Graph, y: VertexSet, alpha_y: VertexSet, ruling: VertexSet) -> None:
@@ -344,8 +371,5 @@ def _check_ruling(g: Graph, y: VertexSet, alpha_y: VertexSet, ruling: VertexSet)
         raise InternalError(f"node {min(uncovered)} not within 5 hops of the ruling set")
 
 
-def format_sim_report(report: SimReport) -> str:
-    lines = [f"rounds_used: {report.rounds_used}", f"messages_sent: {report.messages_sent}"]
-    if report.timed_out:
-        lines.append("timed_out: true")
-    return "\n".join(lines) + "\n"
+def format_trace(trace: Trace) -> str:
+    return f"rounds_used: {trace.rounds_used}\nmessages_sent: {trace.messages_sent}\n"

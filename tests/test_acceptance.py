@@ -30,6 +30,7 @@ from misrecon.constrounds import (
 )
 from misrecon.graph import Graph, components_of, diameter, is_mis
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
+from misrecon.sim import Trace
 
 D4 = PropertySpec(4)
 D3 = PropertySpec(3)
@@ -59,7 +60,7 @@ def test_criterion_2_fragment_budgets():
         g = Graph(range(n), [(i, i + 1) for i in range(n - 1)])
         inst = ReconfigInstance(g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
         comps = components_of(g, g.nodes, inst.alpha, inst.beta)
-        frag = schedule_big_component(g, comps[0], inst.alpha, inst.beta, [])
+        frag = schedule_big_component(g, comps[0], inst.alpha, inst.beta, Trace())
         assert len(frag) <= 8
         assert validate(inst, Schedule(inst.alpha, frag), D4).valid
 
@@ -67,7 +68,7 @@ def test_criterion_2_fragment_budgets():
     g = Graph(range(5), [(0, 1), (2, 3), (4, 0), (4, 3)])
     inst = ReconfigInstance(g, frozenset({0, 2}), frozenset({1, 3}))
     comps = components_of(g, inst.alpha | inst.beta, inst.alpha, inst.beta)
-    frag = schedule_non_isolated(g, comps, inst.alpha, inst.beta, [])
+    frag = schedule_non_isolated(g, comps, inst.alpha, inst.beta, Trace())
     assert len(frag) <= 18
     assert validate(inst, Schedule(inst.alpha, frag), D4).valid
 
@@ -75,14 +76,14 @@ def test_criterion_2_fragment_budgets():
     shallow = Graph(range(7), [(0, 1), (0, 2), (3, 0), (3, 1), (4, 5), (6, 4), (6, 5), (3, 6)])
     inst_s = ReconfigInstance(shallow, frozenset({0, 4}), frozenset({1, 2, 5}))
     comps_s = components_of(shallow, inst_s.alpha | inst_s.beta, inst_s.alpha, inst_s.beta)
-    frag_s = schedule_isolated(shallow, comps_s, inst_s.alpha, inst_s.beta, [])
+    frag_s = schedule_isolated(shallow, comps_s, inst_s.alpha, inst_s.beta, Trace())
     assert len(frag_s) <= 10
     assert validate(inst_s, Schedule(inst_s.alpha, frag_s), D4).valid
 
     deep = Graph(range(6), [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 2), (5, 1), (5, 3)])
     inst_d = ReconfigInstance(deep, frozenset({0, 1}), frozenset({2, 3}))
     comps_d = components_of(deep, inst_d.alpha | inst_d.beta, inst_d.alpha, inst_d.beta)
-    frag_d = schedule_isolated(deep, comps_d, inst_d.alpha, inst_d.beta, [])
+    frag_d = schedule_isolated(deep, comps_d, inst_d.alpha, inst_d.beta, Trace())
     assert len(frag_d) <= 10
     assert validate(inst_d, Schedule(inst_d.alpha, frag_d), D4).valid
     print("criterion 2: PASS (fragments within 8/18/10 budgets, validator-clean)")

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
+from misrecon import constlength
 from misrecon.analysis import gen_gadget, random_connected_instance, random_instance
 from misrecon.constlength import (
     constant_length_schedule_distributed,
@@ -17,7 +18,7 @@ from misrecon.constlength import (
 from misrecon.errors import InputError
 from misrecon.graph import Graph, components_of, diameter, distances_from
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
-from misrecon.sim import ruling_set_32
+from misrecon.sim import Trace, dist_mis, ruling_set_32
 
 
 def path(n):
@@ -84,7 +85,7 @@ def test_lift_preserves_validity_on_random_instances():
 def test_layers_on_alternating_c12():
     g = cycle(12)
     alpha, beta = frozenset(range(0, 12, 2)), frozenset(range(1, 12, 2))
-    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
+    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert lp[0] == frozenset({0, 6})
@@ -97,7 +98,7 @@ def test_layers_on_alternating_c12():
 def test_layers_on_alternating_path():
     g = path(13)
     alpha, beta = frozenset(range(0, 13, 2)), frozenset(range(1, 13, 2))
-    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
+    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     union = frozenset().union(*lp.values())
     assert union == g.nodes
@@ -110,7 +111,7 @@ def test_layers_catch_all_neighbors_in_ruling_clause():
     # in layer 1 even without a distance-2 route to layer 3.
     g = path(8)
     alpha, beta = frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))
-    ruling, _ = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta)
+    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert 7 in lp[1]
@@ -141,7 +142,7 @@ def sets_of(start, flips):
 def big_fragment(inst):
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     assert len(comps) == 1
-    return sets_of(inst.alpha, schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, []))
+    return sets_of(inst.alpha, schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace()))
 
 
 def test_p4_fragment_matches_hand_execution():
@@ -196,7 +197,7 @@ def test_big_component_rejects_small_diameter():
     inst = alt(3)  # single component of diameter 2
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
     with pytest.raises(InputError):
-        schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
+        schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace())
 
 
 # --- non-isolated regime -------------------------------------------------------
@@ -206,7 +207,7 @@ def test_two_components_covering_through_one_epsilon():
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, []))
+    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 19
     assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
@@ -214,8 +215,8 @@ def test_two_components_covering_through_one_epsilon():
 def test_single_big_component_equals_padded_fragment():
     inst = alt(8)
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
-    frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta, [])
-    frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, [])
+    frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta, Trace())
+    frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace())
     # parts 1-2 are no-ops (4 empty flips), then the 8-step cascade
     assert frag18[:4] == [frozenset()] * 4
     assert frag18[4:12] == frag8
@@ -231,7 +232,7 @@ def test_triangle_of_doubly_covered_components():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.alpha_covered and c.beta_covered for c in comps)
-    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, []))
+    frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 19
     assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
@@ -244,7 +245,7 @@ def test_isolated_shallow_pair_with_bridge():
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
     assert all(c.isolated for c in comps)
-    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 11
     assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
 
@@ -254,7 +255,7 @@ def test_isolated_deep_blob_six_step_gadget():
     alpha, beta = frozenset({0, 1}), frozenset({2, 3})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 11
     assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
     # the selected epsilon-node enters and leaves
@@ -271,7 +272,7 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
     alpha, beta = frozenset({0, 1, 6, 7}), frozenset({2, 3, 8, 9})
     inst = ReconfigInstance(g, alpha, beta)
     comps = components_of(g, alpha | beta, alpha, beta)
-    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, []))
+    frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
     assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
     # only one escape node is parked; the skipped blob's beta-part arrives in
     # the same step as the parked blob's anchor beta-node
@@ -344,7 +345,7 @@ REPRODUCERS = [
 )
 def test_random_reproducers_give_valid_28_steps(n, seed, mode):
     inst = gen_gadget("random", n=n, p=3 / n, seed=seed)
-    sched, _ = constant_length_schedule_distributed(inst, mode, seed=1)
+    sched, _ = constant_length_schedule_distributed(inst, Trace(mode, seed=1))
     assert sched.length == 28
     assert validate(inst, sched, PropertySpec(4)).valid
 
@@ -372,7 +373,7 @@ def deep_instances(draw):
 @given(deep_instances())
 def test_every_deep_instance_gets_a_valid_28_step_schedule(inst):
     for mode in ("deterministic-id", "luby"):
-        sched, _ = constant_length_schedule_distributed(inst, mode, seed=1)
+        sched, _ = constant_length_schedule_distributed(inst, Trace(mode, seed=1))
         assert sched.length == 28
         assert validate(inst, sched, PropertySpec(4)).valid
 
@@ -408,33 +409,33 @@ def test_distributed_matches_centralized_bit_for_bit():
     # Two calls with one seed give the same schedule bit for bit.
     for n in (32, 64, 128):
         inst = random_connected_instance(n, 4.0 / n, seed=n)
-        first, _ = constant_length_schedule_distributed(inst, seed=1)
-        again, report = constant_length_schedule_distributed(inst, seed=1)
+        first, _ = constant_length_schedule_distributed(inst, Trace(seed=1))
+        again, trace = constant_length_schedule_distributed(inst, Trace(seed=1))
         assert first == again
-        assert report.rounds_used >= 6  # broadcast + classification at least
+        assert trace.rounds_used >= 6  # broadcast + classification at least
 
 
 def test_distributed_round_accounting():
     inst = alt(8)
-    sched, report = constant_length_schedule_distributed(inst)
+    sched, trace = constant_length_schedule_distributed(inst)
     assert sched.length == 28
     # 2 broadcast + 4 collection + the single ruling-set call's simulated cost
-    assert report.rounds_used >= 6
-    assert report.messages_sent > 0
+    assert trace.rounds_used >= 6
+    assert trace.messages_sent > 0
 
 
 def test_distributed_alpha_equals_beta_stops_after_broadcast():
     g = path(8)
     a = frozenset(range(0, 8, 2))
-    _, report = constant_length_schedule_distributed(ReconfigInstance(g, a, a))
+    _, trace = constant_length_schedule_distributed(ReconfigInstance(g, a, a))
     # Every node is core or halo: one broadcast message per port, 2·7 in all.
-    assert report.rounds_used == 2 and report.messages_sent == 14
+    assert trace.phases == {"broadcast": 2} and trace.messages_sent == 14
 
 
 def test_distributed_identical_across_subroutines_given_seed():
     inst = random_connected_instance(40, 0.1, seed=77)
-    s1, _ = constant_length_schedule_distributed(inst, mode="luby", seed=5)
-    s2, _ = constant_length_schedule_distributed(inst, mode="luby", seed=5)
+    s1, _ = constant_length_schedule_distributed(inst, Trace("luby", seed=5))
+    s2, _ = constant_length_schedule_distributed(inst, Trace("luby", seed=5))
     assert s1 == s2
 
 
@@ -467,50 +468,53 @@ def test_distributed_on_bounded_degree_family():
     for n in (32, 64, 128):
         inst = gen_gadget("logstar", n=n, k=4)
         assert all(inst.graph.degree(v) == 4 for v in inst.graph.nodes)
-        first, _ = constant_length_schedule_distributed(inst, seed=2)
-        again, _ = constant_length_schedule_distributed(inst, seed=2)
+        first, _ = constant_length_schedule_distributed(inst, Trace(seed=2))
+        again, _ = constant_length_schedule_distributed(inst, Trace(seed=2))
         assert first == again
 
 
 def test_distributed_round_accounting_constants(monkeypatch):
     # rounds_used = broadcast(2) + collection(4) + one max per subroutine
-    # phase; bounded by 3 MIS phases plus 1 ruling-set phase.  Each dist_mis
-    # call of the pipeline is a phase of its own; the ruling-set calls of all
-    # big components form one phase.
-    import misrecon.constlength as constlength
+    # phase; bounded by 3 MIS phases plus 1 ruling-set phase.  Each MIS call
+    # of the pipeline is a phase of its own; the ruling-set calls of all big
+    # components form one phase.
+    mis_phases, ruling_calls = [], []
+    real_mis, real_ruling = Trace.mis, constlength.ruling_set_32
 
-    mis_rounds, ruling_rounds = [], []
+    def mis(self, phase, g):
+        mis_phases.append(phase)
+        return real_mis(self, phase, g)
 
-    def recording(fn, log):
-        def call(*args, **kwargs):
-            result = fn(*args, **kwargs)
-            log.append(result[1].rounds_used)
-            return result
-        return call
+    def ruling_set(*args):
+        ruling_calls.append(args[1])
+        return real_ruling(*args)
 
-    monkeypatch.setattr(constlength, "dist_mis", recording(constlength.dist_mis, mis_rounds))
-    monkeypatch.setattr(constlength, "ruling_set_32", recording(constlength.ruling_set_32, ruling_rounds))
+    monkeypatch.setattr(Trace, "mis", mis)
+    monkeypatch.setattr(constlength, "ruling_set_32", ruling_set)
     # A path whose shared core {14} splits it into two cascades, so the
     # ruling-set phase has two calls.
     two_cascades = ReconfigInstance(
         path(29), frozenset(range(0, 29, 2)), frozenset(range(1, 13, 2)) | {14} | frozenset(range(17, 29, 2))
     )
     for inst in (random_connected_instance(40, 0.1, seed=55), two_cascades):
-        mis_rounds.clear()
-        ruling_rounds.clear()
-        _, report = constant_length_schedule_distributed(inst, seed=0)
-        assert mis_rounds
-        r32_max = max(ruling_rounds, default=0)
-        assert report.rounds_used == 2 + 4 + sum(mis_rounds) + r32_max
-        assert report.rounds_used <= 3 * max(mis_rounds) + 1 * r32_max + 6
-    assert len(ruling_rounds) == 2
+        mis_phases.clear()
+        ruling_calls.clear()
+        _, trace = constant_length_schedule_distributed(inst, Trace(seed=0))
+        assert mis_phases and len(set(mis_phases)) == len(mis_phases)
+        phases = dict(trace.phases)
+        mis_rounds = [phases.pop(tag) for tag in mis_phases]
+        r32_max = phases.pop("ruling-set", 0)
+        assert phases == {"broadcast": 2, "collect": 4}
+        assert trace.rounds_used == 2 + 4 + sum(mis_rounds) + r32_max
+        assert trace.rounds_used <= 3 * max(mis_rounds) + 1 * r32_max + 6
+    assert len(ruling_calls) == 2
 
 
 def _report_tags(inst):
     comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
-    reports = []
-    schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, reports)
-    return [tag for tag, _ in reports]
+    trace = Trace()
+    schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, trace)
+    return list(trace.phases)
 
 
 def test_big_component_reports_only_its_ruling_set():
@@ -519,3 +523,79 @@ def test_big_component_reports_only_its_ruling_set():
     assert _report_tags(alt(5)) == []  # diameter 4
     assert _report_tags(alt(6)) == ["ruling-set"]  # diameter 5
     assert _report_tags(alt(14)) == ["ruling-set"]
+
+
+# The per-phase rounds and the messages of the 28-step pipeline, pinned from
+# the per-call report list that the trace replaced.
+LEDGER = {
+    ("random", "deterministic-id"): (
+        {"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 14, "blob-mis": 0, "escape-mis": 0}, 2667
+    ),
+    ("random", "luby"): (
+        {"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 26, "blob-mis": 0, "escape-mis": 0}, 3182
+    ),
+    ("logstar", "deterministic-id"): ({"broadcast": 2, "collect": 4, "blob-mis": 50, "escape-mis": 0}, 4212),
+    ("logstar", "luby"): ({"broadcast": 2, "collect": 4, "blob-mis": 4, "escape-mis": 0}, 4333),
+    ("alt-cycle", "deterministic-id"): ({"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 262}, 1834),
+    ("alt-cycle", "luby"): ({"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 18}, 2331),
+}
+LEDGER_INSTANCES = {
+    "random": lambda: gen_gadget("random", n=400, p=3 / 400, seed=1),
+    "logstar": lambda: gen_gadget("logstar", n=260, k=4),
+    "alt-cycle": lambda: gen_gadget("alt-cycle", n=200),
+}
+
+
+@pytest.mark.parametrize("family, mode", sorted(LEDGER))
+def test_trace_ledger_is_pinned(family, mode):
+    phases, messages = LEDGER[family, mode]
+    _, trace = constant_length_schedule_distributed(LEDGER_INSTANCES[family](), Trace(mode))
+    assert list(trace.phases.items()) == list(phases.items())
+    assert (trace.rounds_used, trace.messages_sent) == (sum(phases.values()), messages)
+
+
+def reference_part2(g, small, updated, m_comps, alpha, beta):
+    """Part 2 of the 18-step fragment by a scan of each component's fringe:
+    the small components not yet updated nor in the MIS with an
+    epsilon-neighbour of a beta-node that has an alpha-neighbour in an MIS
+    component other than itself."""
+    eps = g.nodes - alpha - beta
+    m_vertices = frozenset().union(*(c.vertices for c in m_comps))
+    part2 = []
+    for c in small:
+        if c.min_id in updated or c in m_comps:
+            continue
+        fringe = frozenset().union(*(g.neighbors(b) for b in beta & c.vertices)) & eps
+        if any(g.neighbors(e) & alpha & (m_vertices - c.vertices) for e in fringe):
+            part2.append(c.vertices)
+    return part2
+
+
+# Random instances (n, generator seed, mode) whose part 2 is not empty and
+# would differ if it were read off the beta-covered sets.
+PART2_CASES = [(60, 1, "luby"), (60, 27, "deterministic-id"), (80, 35, "luby"), (120, 19, "deterministic-id")]
+
+
+@pytest.mark.parametrize("n, gen_seed, mode", PART2_CASES)
+def test_part_2_matches_a_fringe_scan(monkeypatch, n, gen_seed, mode):
+    batches = []
+    real_batch = constlength._batch_update
+
+    def batch_update(flips, parts, alpha, beta):
+        batches.append(parts)
+        real_batch(flips, parts, alpha, beta)
+
+    monkeypatch.setattr(constlength, "_batch_update", batch_update)
+    inst = gen_gadget("random", n=n, p=3 / n, seed=gen_seed)
+    constant_length_schedule_distributed(inst, Trace(mode))
+
+    red = reduce_instance(inst).reduced_instance
+    g, alpha, beta = red.graph, red.alpha, red.beta
+    small = [c for c in components_of(g, alpha | beta, alpha, beta) if c.diameter <= 2 and not c.isolated]
+    c_ab = [c for c in small if c.alpha_covered and c.beta_covered]
+    mis_graph, by_label = constlength._component_graph(c_ab)
+    m_labels, _ = dist_mis(mis_graph, mode)
+    updated = {c.min_id for c in small if c.alpha_covered and not c.beta_covered}
+    expected = reference_part2(g, small, updated, [by_label[i] for i in sorted(m_labels)], alpha, beta)
+    # The non-isolated fragment's second batch, after part 1's, is part 2.
+    assert expected and batches[1] == expected

@@ -16,6 +16,7 @@ from misrecon.constlength import constant_length_schedule_distributed
 from misrecon.constrounds import coloring_schedule, constant_rounds_schedule, greedy_power_coloring
 from misrecon.graph import Graph, diameter
 from misrecon.schedule import ReconfigInstance, Schedule, format_schedule_file, parse_schedule_file
+from misrecon.sim import Trace
 
 
 def _sparse(inst: ReconfigInstance) -> ReconfigInstance:
@@ -56,8 +57,8 @@ def _coloring(inst):
 
 def _distributed(mode):
     def build(inst):
-        sched, report = constant_length_schedule_distributed(inst, mode=mode)
-        return sched, (report.rounds_used, report.messages_sent)
+        sched, trace = constant_length_schedule_distributed(inst, Trace(mode))
+        return sched, (trace.rounds_used, trace.messages_sent)
     return build
 
 

@@ -2,11 +2,12 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from misrecon import graph
-from misrecon.analysis import gen_gadget
+from misrecon.analysis import gen_gadget, random_instance
+from misrecon.constlength import _component_graph, reduce_instance
 from misrecon.errors import InputError
 from misrecon.graph import (
     Graph,
@@ -232,6 +233,57 @@ def test_covering_labels():
     assert by_min[0].beta_covered and not by_min[0].alpha_covered
     assert by_min[2].alpha_covered and not by_min[2].beta_covered
     assert not by_min[0].isolated and not by_min[2].isolated
+    assert (by_min[0].alpha_covered, by_min[0].beta_covered) == (frozenset(), frozenset({2}))
+    assert (by_min[2].alpha_covered, by_min[2].beta_covered) == (frozenset({0}), frozenset())
+
+
+def reference_covering(g, comps, alpha, beta):
+    """The covering relation from its definition: an epsilon-node with an
+    alpha-neighbour in component i and a beta-neighbour in component j != i
+    puts i in j's alpha-covered set and j in i's beta-covered set."""
+    of = {v: min(c.vertices) for c in comps for v in c.vertices}
+    alpha_cov = {i: set() for i in of.values()}
+    beta_cov = {i: set() for i in of.values()}
+    for e in g.nodes - alpha - beta:
+        for a in g.neighbors(e) & alpha:
+            for b in g.neighbors(e) & beta:
+                if a in of and b in of and of[a] != of[b]:
+                    alpha_cov[of[b]].add(of[a])
+                    beta_cov[of[a]].add(of[b])
+    return alpha_cov, beta_cov
+
+
+def reference_component_graph(g, comps, alpha, beta):
+    """The component graph by a scan of the epsilon-nodes: an edge where one
+    has an alpha-neighbour in one component and a beta-neighbour in another."""
+    label = {}
+    for comp in comps:
+        label.update(dict.fromkeys(comp.vertices, comp.min_id))
+    edges = set()
+    for e in sorted(g.nodes - alpha - beta):
+        alpha_sides = {label[w] for w in g.neighbors(e) & alpha if w in label}
+        beta_sides = {label[w] for w in g.neighbors(e) & beta if w in label}
+        edges.update((min(i, j), max(i, j)) for i in alpha_sides for j in beta_sides if i != j)
+    return Graph(sorted(comp.min_id for comp in comps), sorted(edges))
+
+
+@seed(20261103)
+@settings(max_examples=300, deadline=None)
+@given(st.integers(4, 40), st.sampled_from([0.05, 0.1, 0.2, 0.35]), st.integers(0, 10**6), st.booleans())
+def test_covering_sets_match_their_definition(n, p, rng_seed, reduced):
+    inst = random_instance(n, p, rng_seed)
+    if reduced:
+        inst = reduce_instance(inst).reduced_instance
+    g, alpha, beta = inst.graph, inst.alpha, inst.beta
+    comps = components_of(g, alpha | beta, alpha, beta)
+    alpha_cov, beta_cov = reference_covering(g, comps, alpha, beta)
+    for c in comps:
+        assert (c.alpha_covered, c.beta_covered) == (alpha_cov[c.min_id], beta_cov[c.min_id])
+    doubly = [c for c in comps if c.alpha_covered and c.beta_covered]
+    for subset in (comps, doubly):
+        mis_graph, by_label = _component_graph(subset)
+        assert mis_graph == reference_component_graph(g, subset, alpha, beta)
+        assert by_label == {c.min_id: c for c in subset}
 
 
 def test_is_independent():

@@ -14,10 +14,10 @@ from misrecon.sim import (
     MisLubyProgram,
     NodeProgram,
     SimReport,
-    collect_cost,
+    Trace,
     counter_rand,
     dist_mis,
-    format_sim_report,
+    format_trace,
     ruling_set_32,
     run,
 )
@@ -139,15 +139,16 @@ def test_ruling_set_on_alternating_cycle():
     g = cycle(10)
     y = frozenset(range(10))
     alpha, beta = frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2))
-    ruling, report = ruling_set_32(g, components_of(g, y, alpha, beta)[0], alpha, beta)
+    trace = Trace()
+    ruling = ruling_set_32(g, components_of(g, y, alpha, beta)[0], alpha, beta, trace)
     assert ruling == frozenset({0})
-    assert report.rounds_used >= 2
+    assert list(trace.phases) == ["ruling-set"] and trace.rounds_used >= 2
 
 
 def test_ruling_set_on_alternating_path():
     g = path(11)
     alpha, beta = frozenset(range(0, 11, 2)), frozenset(range(1, 11, 2))
-    ruling, _ = ruling_set_32(g, components_of(g, frozenset(range(11)), alpha, beta)[0], alpha, beta)
+    ruling = ruling_set_32(g, components_of(g, frozenset(range(11)), alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     # exhaustive (6,5) check in the induced subgraph
     for v in g.nodes:
@@ -161,7 +162,7 @@ def test_ruling_set_property_exhaustively():
         g = cycle(n)
         alpha = frozenset(range(0, n, 2))
         beta = frozenset(range(1, n, 2))
-        ruling, _ = ruling_set_32(g, components_of(g, frozenset(range(n)), alpha, beta)[0], alpha, beta)
+        ruling = ruling_set_32(g, components_of(g, frozenset(range(n)), alpha, beta)[0], alpha, beta, Trace())
         virtual_nodes = sorted(alpha)
         virtual = Graph(
             virtual_nodes,
@@ -187,7 +188,7 @@ def test_ruling_set_single_alpha_node_rejected_below_min_diameter():
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
     comp = components_of(g, frozenset(range(4)), alpha, beta)[0]
     with pytest.raises(InputError):
-        ruling_set_32(g, comp, alpha, beta)
+        ruling_set_32(g, comp, alpha, beta, Trace())
 
 
 def test_ruling_set_preconditions():
@@ -195,12 +196,29 @@ def test_ruling_set_preconditions():
     alpha, beta = frozenset(range(12)), frozenset()
     comp = components_of(g, frozenset(range(12)), alpha, beta)[0]
     with pytest.raises(InputError):
-        ruling_set_32(g, comp, alpha, beta)
+        ruling_set_32(g, comp, alpha, beta, Trace())
 
 
 def test_sim_report_text_block():
-    text = format_sim_report(SimReport({1: "in"}, 3, 7))
-    assert text == "rounds_used: 3\nmessages_sent: 7\n"
+    trace = Trace()
+    trace.charge("collect", 3, 7)
+    assert format_trace(trace) == "rounds_used: 3\nmessages_sent: 7\n"
+
+
+def test_trace_charges_each_phase_its_slowest_call():
+    trace = Trace("luby", seed=4)
+    trace.charge("ruling-set", 10, 5)
+    trace.charge("collect", 4, 20)
+    trace.charge("ruling-set", 6, 3)
+    assert trace.phases == {"ruling-set": 10, "collect": 4}
+    assert (trace.rounds_used, trace.messages_sent) == (14, 28)
+    g = random_graph(15, 0.25, 9)
+    selected, report = dist_mis(g, "luby", seed=4)
+    assert trace.mis("blob-mis", g) == selected
+    assert trace.phases["blob-mis"] == report.rounds_used
+    assert trace.messages_sent == 28 + report.messages_sent
+    with pytest.raises(InputError, match="round cap must be at least 1"):
+        Trace(round_cap=0)
 
 
 def test_mis_on_alternating_cycle_seed_7():
@@ -278,7 +296,7 @@ class _Echo(NodeProgram):
 
 
 class _Flood(NodeProgram):
-    """The flood whose cost ``collect_cost`` derives.  Each node sends the
+    """The flood whose cost ``Trace.collect`` derives.  Each node sends the
     edges it knows to every neighbor each round; at round ``radius`` it
     outputs them, every edge with an end within ``radius`` hops.  It polls."""
 
@@ -337,7 +355,9 @@ def test_event_engine_matches_every_node_loop(case):
 @given(sparse_id_graphs(min_edges=1), st.integers(1, 5))
 def test_collect_cost_matches_an_executed_flood(g, radius):
     flood = reference_run(g, lambda: _Flood(radius), dict.fromkeys(g.nodes))
-    assert collect_cost(g, radius) == SimReport({}, flood.rounds_used, flood.messages_sent)
+    trace = Trace()
+    trace.collect(g, radius)
+    assert (trace.phases, trace.messages_sent) == ({"collect": flood.rounds_used}, flood.messages_sent)
     for v, known in flood.outputs.items():
         near = distances_from(g, v, radius=radius)
         assert known == frozenset(e for e in g.edges() if e[0] in near or e[1] in near)
@@ -372,7 +392,8 @@ def test_engine_wakes_only_nodes_with_mail(monkeypatch):
 def reference_ruling_set(g, comp, alpha, mode, seed):
     """Reference construction: the virtual graph joins the component's
     alpha-nodes that share a beta-neighbour, and its square joins those at
-    most two virtual hops apart."""
+    most two virtual hops apart.  Returns the ruling set, the rounds of its
+    MIS scaled to real hops, and the MIS's messages."""
     y = comp.vertices
     alpha_y = sorted(alpha & y)
     edges = set()
@@ -383,7 +404,7 @@ def reference_ruling_set(g, comp, alpha, mode, seed):
     squared = Graph(alpha_y, [(u, w) for u in alpha_y for w in distances_from(virtual, u, radius=2) if u < w])
     ruling, report = dist_mis(squared, mode=mode, seed=seed)
     rounds = sim.VIRTUAL_SETUP_ROUNDS + sim.VIRTUAL_HOP_OVERHEAD * report.rounds_used
-    return ruling, SimReport(dict(report.outputs), rounds, report.messages_sent)
+    return ruling, rounds, report.messages_sent
 
 
 @st.composite
@@ -410,5 +431,7 @@ def big_components(draw):
 @given(big_components(), st.sampled_from(["deterministic-id", "luby"]), st.integers(0, 5))
 def test_ruling_set_matches_the_squared_virtual_graph(case, mode, rng_seed):
     red, comp = case
-    expected = reference_ruling_set(red.graph, comp, red.alpha, mode, rng_seed)
-    assert ruling_set_32(red.graph, comp, red.alpha, red.beta, mode=mode, seed=rng_seed) == expected
+    ruling, rounds, messages = reference_ruling_set(red.graph, comp, red.alpha, mode, rng_seed)
+    trace = Trace(mode, rng_seed)
+    assert ruling_set_32(red.graph, comp, red.alpha, red.beta, trace) == ruling
+    assert (trace.phases, trace.messages_sent) == ({"ruling-set": rounds}, messages)

@@ -32,3 +32,19 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(name for name in imported if name not in used)
     assert not unused, f"{path.name} imports unused names {[(n, imported[n]) for n in unused]}"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sim.py"], ids=lambda p: p.name)
+def test_only_sim_names_dist_mis(path):
+    # Pipelines run every MIS through a ``sim.Trace``, which charges the run
+    # to a phase; a direct ``dist_mis`` call would go uncharged.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    assert "dist_mis" not in names, f"{path.name} names dist_mis"
