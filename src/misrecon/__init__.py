@@ -31,7 +31,6 @@ from .graph import (
     ComponentInfo,
     Graph,
     VertexSet,
-    complement_restricted,
     components_of,
     diameter,
     distances_from,

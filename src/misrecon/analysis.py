@@ -12,14 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .errors import InputError, InternalError
-from .graph import (
-    Graph,
-    VertexSet,
-    complement_restricted,
-    connected_components,
-    diameter,
-    distances_from,
-)
+from .graph import Graph, VertexSet, capped_diameter, connected_components, diameter, distances_from
 from .schedule import PropertySpec, ReconfigInstance, Schedule, validate
 
 
@@ -41,13 +34,18 @@ class BlockerReport:
 
 
 def check_blocker(inst: ReconfigInstance) -> BlockerReport:
+    """The three-condition test, with the first failed condition's witness:
+    the smallest alpha-node a with a beta-node b off its neighbourhood (b = a
+    for a node of both) and the smallest such b; the smallest free
+    epsilon-node; or a shortest path between the epsilon sides whose steps
+    join non-neighbours, found by ``_complement_path``."""
     g, alpha, beta = inst.graph, inst.alpha, inst.beta
     if not g.nodes:
         raise InputError("cannot classify the empty graph")
 
-    witness1 = next((("non-adjacent-pair", a, b) for a in sorted(alpha) for b in sorted(beta)
-                     if not g.has_edge(a, b)), None)
-    cond1 = witness1 is None
+    a = next((a for a in sorted(alpha) if not beta <= g.neighbors(a)), None)
+    cond1 = a is None
+    witness1 = None if cond1 else ("non-adjacent-pair", a, min(beta - g.neighbors(a)))
 
     eps = g.nodes - alpha - beta
     eps_alpha = frozenset(e for e in eps if alpha <= g.neighbors(e))
@@ -56,10 +54,7 @@ def check_blocker(inst: ReconfigInstance) -> BlockerReport:
     cond2 = not uncovered
     witness2 = ("free-epsilon-node", uncovered[0]) if uncovered else None
 
-    complement = complement_restricted(g, eps_alpha | eps_beta)
-    sources = sorted(eps_beta - eps_alpha)
-    targets = eps_alpha - eps_beta
-    path = _shortest_path(complement, sources, targets)
+    path = _complement_path(g, eps_alpha | eps_beta, sorted(eps_beta - eps_alpha), eps_alpha - eps_beta)
     cond3 = path is None
     witness3 = ("complement-path", tuple(path)) if path else None
 
@@ -70,7 +65,9 @@ def check_blocker(inst: ReconfigInstance) -> BlockerReport:
     return BlockerReport(blocked, cond1, cond2, cond3, witness)
 
 
-def _shortest_path(g: Graph, sources: list[int], targets: VertexSet) -> list[int] | None:
+def _complement_path(g: Graph, keep: VertexSet, sources: list[int], targets: VertexSet) -> list[int] | None:
+    """A shortest path from ``sources`` to ``targets`` in the complement of g
+    on ``keep``: breadth-first, each node's non-neighbours in ascending order."""
     parent: dict[int, int | None] = {s: None for s in sources}
     queue = deque(sources)
     while queue:
@@ -80,7 +77,7 @@ def _shortest_path(g: Graph, sources: list[int], targets: VertexSet) -> list[int
             while parent[path[-1]] is not None:
                 path.append(parent[path[-1]])
             return list(reversed(path))
-        for w in sorted(g.neighbors(v)):
+        for w in sorted(keep - g.neighbors(v)):
             if w not in parent:
                 parent[w] = v
                 queue.append(w)
@@ -173,11 +170,12 @@ def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
     At this diameter any nonempty set 4-dominates the whole graph, so the
     three ways a blocking condition can fail each yield a direct template:
     insert a beta-node missing some alpha-node; route through a free
-    epsilon-node; or walk a complement path between the epsilon sides.
+    epsilon-node; or walk a complement path between the epsilon sides.  The
+    diameter guard is memoised per graph, so a pass over one graph's pairs
+    pays for it once.
     """
     g = inst.graph
-    diam = diameter(g, cap=4)
-    if diam == math.inf or diam > 3:
+    if capped_diameter(g) > 3:  # inf, a disconnected graph, is above 3 too
         raise InputError("fallback applies to connected graphs of diameter at most 3")
     alpha, beta = inst.alpha, inst.beta
     if alpha == beta:

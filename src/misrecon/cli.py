@@ -25,7 +25,7 @@ from .constrounds import (
     parse_coloring_file,
 )
 from .errors import InputError, InternalError
-from .graph import diameter, format_graph_file, parse_graph_file
+from .graph import capped_diameter, format_graph_file, parse_graph_file
 from .schedule import (
     PropertySpec,
     ReconfigInstance,
@@ -133,7 +133,7 @@ def dispatch(args: argparse.Namespace) -> int:
     if args.command == "const-length":
         trace = Trace(args.subroutine, seed, args.round_cap)
         inst = _load_instance(args)
-        if diameter(inst.graph, cap=4) <= 3:
+        if capped_diameter(inst.graph) <= 3:
             sched = small_diameter_fallback(inst)
             if sched is None:
                 print("blocked: no schedule exists for this small-diameter instance")

@@ -15,6 +15,7 @@ from .graph import (
     ComponentInfo,
     Graph,
     VertexSet,
+    capped_diameter,
     components_of,
     diameter,
     distances_from,
@@ -382,7 +383,7 @@ def constant_length_schedule_distributed(
     if trace is None:
         trace = Trace()
     g = inst.graph
-    diam = diameter(g, cap=4)
+    diam = capped_diameter(g)
     if diam == math.inf:
         raise InputError("graph must be connected")
     if diam <= 3:

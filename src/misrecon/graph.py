@@ -7,6 +7,7 @@ graph after construction, so graphs and vertex sets are safe to share.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -177,6 +178,15 @@ def diameter(g: Graph, within: VertexSet | None = None, cap: int | None = None) 
     return best
 
 
+@functools.lru_cache(maxsize=1)
+def capped_diameter(g: Graph) -> float:
+    """``diameter(g, cap=4)``: above 3 (or ``inf``, disconnected) sends an
+    instance to the 28-step pipeline, else to the small-diameter fallback.
+    Memoised for the last graph asked, since every caller asks about one
+    graph several times in a row; graphs are immutable, so it never goes stale."""
+    return diameter(g, cap=4)
+
+
 def edge_inside(g: Graph, s: VertexSet) -> tuple[int, int] | None:
     """The smallest edge of g with both endpoints in s, as (low, high) with
     the smallest low endpoint and then the smallest high one; None if s is
@@ -206,21 +216,6 @@ def is_mis(g: Graph, s: VertexSet) -> bool:
     if not is_independent(g, s):
         return False
     return all(v in s or (g.neighbors(v) & s) for v in g.nodes)
-
-
-def complement_restricted(g: Graph, keep: VertexSet) -> Graph:
-    """Graph on ``keep`` whose edges are exactly the non-edges of g within it."""
-    keep_list = sorted(frozenset(keep))
-    unknown = frozenset(keep) - g.nodes
-    if unknown:
-        raise InputError(f"unknown node ids {sorted(unknown)}")
-    edges = [
-        (u, v)
-        for i, u in enumerate(keep_list)
-        for v in keep_list[i + 1 :]
-        if not g.has_edge(u, v)
-    ]
-    return Graph(keep_list, edges)
 
 
 @dataclass(frozen=True)

@@ -183,7 +183,9 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
         if edge is not None:
             violation = Violation(last, "flip-independence", edge)
     if violation is None:
-        end = fold_flips(start, filter(None, flips))[-1]
+        end = set(start)
+        for flip in filter(None, flips):
+            end ^= flip
         if end != inst.beta:
             violation = Violation(last, "endpoints", min(end ^ inst.beta))
     return ValidationReport(violation is None, violation)

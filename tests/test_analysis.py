@@ -1,16 +1,20 @@
 import itertools
 import random
+from collections import deque
 
 import networkx as nx
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from misrecon import graph
 from misrecon.analysis import (
+    BlockerReport,
     _state_space,
     all_mis,
     brute_force_oracle,
     check_blocker,
+    enumerate_connected_graphs,
     enumerate_graphs,
     gen_gadget,
     greedy_mis,
@@ -75,6 +79,89 @@ def test_complement_path_unblocks():
     assert not report.cond3_no_complement_path
     assert report.witness[0] == "complement-path"
     assert brute_force_oracle(inst).exists
+
+
+def reference_blocker(inst):
+    """The blocker test as first written: condition 1 by a double loop over
+    sorted alpha and sorted beta, condition 3 by a breadth-first search on the
+    complement graph of the covered epsilon-nodes, built as a ``Graph``."""
+    g, alpha, beta = inst.graph, inst.alpha, inst.beta
+    witness1 = next((("non-adjacent-pair", a, b) for a in sorted(alpha) for b in sorted(beta)
+                     if not g.has_edge(a, b)), None)
+    eps = g.nodes - alpha - beta
+    eps_alpha = frozenset(e for e in eps if alpha <= g.neighbors(e))
+    eps_beta = frozenset(e for e in eps if beta <= g.neighbors(e))
+    uncovered = sorted(eps - eps_alpha - eps_beta)
+    witness2 = ("free-epsilon-node", uncovered[0]) if uncovered else None
+
+    keep = sorted(eps_alpha | eps_beta)
+    complement = Graph(keep, [(u, v) for i, u in enumerate(keep) for v in keep[i + 1:] if not g.has_edge(u, v)])
+    sources, targets = sorted(eps_beta - eps_alpha), eps_alpha - eps_beta
+    parent, queue, path = dict.fromkeys(sources), deque(sources), None
+    while queue:
+        v = queue.popleft()
+        if v in targets:
+            path = [v]
+            while parent[path[-1]] is not None:
+                path.append(parent[path[-1]])
+            path.reverse()
+            break
+        for w in sorted(complement.neighbors(v)):
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    witness3 = ("complement-path", tuple(path)) if path else None
+
+    cond1, cond2, cond3 = witness1 is None, not uncovered, path is None
+    blocked = cond1 and cond2 and cond3
+    witness = None
+    if not blocked:
+        witness = witness1 if not cond1 else (witness2 if not cond2 else witness3)
+    return BlockerReport(blocked, cond1, cond2, cond3, witness)
+
+
+def test_blocker_matches_the_complement_graph_search_on_small_graphs():
+    pairs = 0
+    for g in enumerate_connected_graphs(6):
+        mises = all_mis(g)
+        for a, b in itertools.product(mises, repeat=2):
+            inst = ReconfigInstance(g, a, b)
+            assert check_blocker(inst) == reference_blocker(inst), (g.edges(), sorted(a), sorted(b))
+            pairs += 1
+    assert pairs > 1000
+
+
+@st.composite
+def blocker_instances(draw):
+    """Two MIS of a graph on at most 12 nodes with ids up to 200, so that a
+    set's order is not its sorted order.  Half the draws join alpha and beta
+    completely and join every other node to all of one side (the first to
+    alpha's, the second to beta's) and some of the other: conditions 1 and 2
+    hold, and the complement path decides."""
+    n = draw(st.integers(1, 12))
+    ids = draw(st.lists(st.integers(0, 200), min_size=n, max_size=n, unique=True))
+    if n < 5 or draw(st.booleans()):
+        pairs = list(itertools.combinations(ids, 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=3 * n)) if pairs else []
+        g = Graph(ids, edges)
+        return ReconfigInstance(g, greedy_mis(g, draw(st.permutations(ids))), greedy_mis(g, draw(st.permutations(ids))))
+    k = draw(st.integers(2, min(3, n - 3)))
+    j = draw(st.integers(2, min(3, n - 1 - k)))
+    alpha, beta, eps = ids[:k], ids[k:k + j], ids[k + j:]
+    edges = list(itertools.product(alpha, beta))
+    for i, e in enumerate(eps):
+        full, part = (alpha, beta) if i == 0 or (i > 1 and draw(st.booleans())) else (beta, alpha)
+        edges += [(e, v) for v in full + draw(st.lists(st.sampled_from(part), min_size=1, unique=True))]
+    if len(eps) > 1:
+        edges += draw(st.lists(st.sampled_from(list(itertools.combinations(eps, 2))), unique=True, max_size=len(eps)))
+    return ReconfigInstance(Graph(ids, edges), alpha, beta)
+
+
+@seed(20261019)
+@settings(max_examples=400, deadline=None)
+@given(blocker_instances())
+def test_blocker_matches_the_complement_graph_search(inst):
+    assert check_blocker(inst) == reference_blocker(inst)
 
 
 # --- oracle -------------------------------------------------------------------
@@ -263,6 +350,27 @@ def test_fallback_identity():
 def test_fallback_rejects_large_diameter():
     with pytest.raises(InputError):
         small_diameter_fallback(ReconfigInstance(path(8), frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))))
+
+
+def test_fallback_guard_holds_right_after_a_small_graph():
+    # The memoised guard answers for the graph asked, not the one before it.
+    assert small_diameter_fallback(p4_instance()) is not None
+    with pytest.raises(InputError):
+        small_diameter_fallback(ReconfigInstance(path(5), frozenset({0, 2, 4}), frozenset({1, 3})))
+    assert small_diameter_fallback(p4_instance()) is not None
+    with pytest.raises(InputError):
+        small_diameter_fallback(ReconfigInstance(Graph(range(2)), frozenset({0, 1}), frozenset({0, 1})))
+
+
+def test_fallback_pass_computes_the_diameter_once(monkeypatch):
+    calls = []
+    monkeypatch.setattr(graph, "diameter", lambda *args, **kw: calls.append(args) or diameter(*args, **kw))
+    graph.capped_diameter.cache_clear()
+    g = Graph(range(6), [(i, (i + 1) % 6) for i in range(6)])
+    mises = all_mis(g)
+    for a, b in itertools.product(mises, repeat=2):
+        small_diameter_fallback(ReconfigInstance(g, a, b))
+    assert len(mises) == 5 and calls == [(g,)]
 
 
 # --- gadget families -------------------------------------------------------------

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from misrecon import graph
 from misrecon.cli import EXIT_NEGATIVE, EXIT_OK, EXIT_USAGE, main
 from misrecon.constrounds import parse_coloring_file
 from misrecon.errors import InputError
-from misrecon.graph import Graph, format_graph_file, parse_graph_file
+from misrecon.graph import Graph, diameter, format_graph_file, parse_graph_file
 from misrecon.schedule import (
     Schedule,
     format_schedule_file,
@@ -157,6 +158,26 @@ def test_const_length_small_diameter_falls_back(tmp_path, capsys):
     assert "fallback" in capsys.readouterr().out
     code = main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(out)])
     assert code == EXIT_OK
+
+
+def test_const_length_disconnected_graph_exits_2(tmp_path, capsys):
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    gp, ap, bp = write_instance(tmp_path, g, frozenset({0, 2}), frozenset({1, 3}))
+    code = main(["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")])
+    assert code == EXIT_USAGE
+    assert "graph must be connected" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [4, 8], ids=["fallback", "28-step"])
+def test_const_length_computes_the_whole_graph_diameter_once(tmp_path, monkeypatch, n):
+    # The 28-step pipeline also measures each component, inside a vertex set.
+    calls = []
+    monkeypatch.setattr(graph, "diameter", lambda *args, **kw: calls.append(args) or diameter(*args, **kw))
+    graph.capped_diameter.cache_clear()
+    g = Graph(range(n), [(i, i + 1) for i in range(n - 1)])
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(range(0, n, 2)), frozenset(range(1, n, 2)))
+    assert main(["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")]) == EXIT_OK
+    assert [args for args in calls if len(args) == 1] == [(g,)]
 
 
 def test_const_length_blocked_small_instance(tmp_path, capsys):

@@ -12,7 +12,6 @@ from misrecon.errors import InputError
 from misrecon.graph import (
     Graph,
     ball,
-    complement_restricted,
     components_of,
     connected_components,
     diameter,
@@ -318,23 +317,6 @@ def test_is_mis_equivalent_to_independent_plus_dominating():
             s = frozenset(v for v in g.nodes if rng.random() < 0.4)
             expected = is_independent(g, s) and is_d_dominating(g, s, 1) if s else not g.nodes
             assert is_mis(g, s) == expected
-
-
-def test_complement_restricted():
-    tri = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
-    assert complement_restricted(tri, frozenset(range(3))).edges() == []
-    empty = Graph(range(2))
-    assert complement_restricted(empty, frozenset({0, 1})).edges() == [(0, 1)]
-    p3 = path(3)
-    assert complement_restricted(p3, frozenset(range(3))).edges() == [(0, 2)]
-
-
-def test_complement_twice_is_induced_subgraph():
-    for seed in range(5):
-        g = random_graph(8, 0.4, 200 + seed)
-        keep = frozenset(range(0, 8, 2))
-        twice = complement_restricted(complement_restricted(g, keep), keep)
-        assert twice == g.induced(keep)
 
 
 def test_diameter_and_ball():

@@ -48,3 +48,19 @@ def test_only_sim_names_dist_mis(path):
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
     assert "dist_mis" not in names, f"{path.name} names dist_mis"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_every_lru_cache_has_an_integer_maxsize(path):
+    # The caches are keyed on graphs; one without a bound would keep every
+    # graph a long-running caller has seen.
+    tree = ast.parse(path.read_text(), filename=str(path))
+    bounded = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            size = next((k.value for k in node.keywords if k.arg == "maxsize"), node.args[0] if node.args else None)
+            if isinstance(size, ast.Constant) and type(size.value) is int:
+                bounded.add(id(node.func))
+    named = [node for node in ast.walk(tree) if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None))]
+    lines = [node.lineno for node in named if id(node) not in bounded]
+    assert not lines, f"{path.name} has an lru_cache without an integer maxsize on lines {lines}"
