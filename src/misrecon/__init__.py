@@ -20,7 +20,6 @@ from .constlength import (
 )
 from .constrounds import (
     InsertionPlan,
-    coloring_schedule,
     constant_rounds_schedule,
     greedy_complete,
     greedy_power_coloring,

@@ -8,7 +8,6 @@ input error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -19,11 +18,7 @@ from .analysis import (
     small_diameter_fallback,
 )
 from .constlength import constant_length_schedule_distributed
-from .constrounds import (
-    coloring_schedule,
-    constant_rounds_schedule,
-    parse_coloring_file,
-)
+from .constrounds import constant_rounds_schedule, parse_coloring_file
 from .errors import InputError, InternalError
 from .graph import capped_diameter, format_graph_file, parse_graph_file
 from .schedule import (
@@ -41,14 +36,6 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INTERNAL = 3
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("MISRECON_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise InputError(f"MISRECON_SEED must be an integer, got {raw!r}") from None
 
 
 def _read(path: str) -> str:
@@ -91,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
     instance_flags(p)
     p.add_argument("--distributed", action="store_true")
     p.add_argument("--subroutine", choices=["deterministic-id", "luby"], default="deterministic-id")
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--round-cap", type=int, default=None,
                    help="round cap of each MIS run; default max(16, 8n+8) on an n-node MIS graph")
     p.add_argument("--out", required=True)
@@ -115,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--k", type=int)
     p.add_argument("--p", type=float)
-    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-prefix", required=True)
 
     p = sub.add_parser("validate", help="check a schedule file against an instance")
@@ -126,12 +113,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(args: argparse.Namespace) -> int:
-    seed = getattr(args, "seed", None)
-    if seed is None:
-        seed = _default_seed()
-
     if args.command == "const-length":
-        trace = Trace(args.subroutine, seed, args.round_cap)
+        trace = Trace(args.subroutine, args.seed, args.round_cap)
         inst = _load_instance(args)
         if capped_diameter(inst.graph) <= 3:
             sched = small_diameter_fallback(inst)
@@ -149,12 +132,9 @@ def dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "const-rounds":
         inst = _load_instance(args)
-        if args.coloring:
-            coloring = parse_coloring_file(_read(args.coloring))
-            sched = coloring_schedule(inst, coloring)
-        else:
-            sched, trace = constant_rounds_schedule(inst)
-            sys.stdout.write(format_trace(trace))
+        coloring = parse_coloring_file(_read(args.coloring)) if args.coloring else None
+        sched, trace = constant_rounds_schedule(inst, coloring)
+        sys.stdout.write(format_trace(trace))
         _write(args.out, format_schedule_file(sched))
         print(f"schedule_length: {sched.length}")
         return EXIT_OK
@@ -182,7 +162,7 @@ def dispatch(args: argparse.Namespace) -> int:
         return EXIT_NEGATIVE if report.blocked else EXIT_OK
 
     if args.command == "gen":
-        inst = gen_gadget(args.family, n=args.n, k=args.k, p=args.p, seed=seed)
+        inst = gen_gadget(args.family, n=args.n, k=args.k, p=args.p, seed=args.seed)
         prefix = Path(args.out_prefix)
         if not prefix.name:
             raise InputError(f"--out-prefix needs a file name, got {args.out_prefix!r}")

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
@@ -201,62 +201,54 @@ def _checked_plan(g, current, v, tag, flips, gamma, blockers) -> InsertionPlan:
     return InsertionPlan(v, tag, tuple(flips), gamma)
 
 
-def _require_deep_diameter(g: Graph) -> None:
+def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | None = None) -> tuple[Schedule, Trace]:
+    """Constant-round schedule: one six-step window per group of nodes, in
+    which every beta-node of the group not yet in the set is inserted, the
+    plans side by side.
+
+    With no ``coloring``, node k owns the window of steps 6k+1..6(k+1), so the
+    length is 6·(max id + 1) however sparse the ids are, and ids must stay
+    below ``ID_LIMIT``.  With a coloring, proper on the ``COLOR_POWER``-th
+    power, each color class shares one window: its nodes are more than 10
+    hops apart, so their gadgets touch disjoint 4-balls.
+
+    Every plan depends only on a 9-hop ball (the changed region spans 4
+    hops, the nodes it can endanger 5, their covers 9), whichever way it is
+    slotted, so the communication cost is the 9-round collection,
+    independent of the graph size.  That cost is derived by
+    ``Trace.collect``, not executed: a flood's cost is a closed form, and the
+    plans are computed from the graph directly.
+    """
+    g = inst.graph
     diam = diameter(g, cap=6)
     if diam == math.inf:
         raise InputError("graph must be connected")
     if diam <= 5:
         raise InputError("diameter must exceed 5; use the constant-length pipeline")
-
-
-def constant_rounds_schedule(inst: ReconfigInstance) -> tuple[Schedule, Trace]:
-    """Identifier-driven schedule: node k owns steps 6k+1..6(k+1); total
-    length 6·(max id + 1) regardless of how sparse the ids are, so ids must
-    stay below ``ID_LIMIT``.
-
-    Every plan depends only on a 9-hop ball (the changed region spans 4
-    hops, the nodes it can endanger 5, their covers 9), so the communication
-    cost is the 9-round collection, independent of the graph size.  That
-    cost is derived by ``Trace.collect``, not executed: a flood's cost is a
-    closed form, and the plans are computed from the graph directly.
-    """
-    g = inst.graph
-    _require_deep_diameter(g)
-    top = max(g.nodes)
-    if top >= ID_LIMIT:
-        raise InputError(
-            f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
-            f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
-        )
+    if coloring is None:
+        top = max(g.nodes)
+        if top >= ID_LIMIT:
+            raise InputError(
+                f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
+                f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
+            )
+        windows = ([k] for k in range(top + 1))
+    else:
+        if frozenset(coloring) != g.nodes:
+            raise InputError("coloring must assign a color to every node")
+        for v in sorted(g.nodes):
+            for w in sorted(ball(g, v, COLOR_POWER) - {v}):
+                if coloring[v] == coloring[w]:
+                    raise InputError(
+                        f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {w} share color {coloring[v]}"
+                    )
+        classes: dict[int, list[int]] = {}
+        for v in sorted(g.nodes):
+            classes.setdefault(coloring[v], []).append(v)
+        windows = (classes[c] for c in sorted(classes))
     trace = Trace()
     trace.collect(g, 9)
-    return _windowed_schedule(inst, ([k] for k in range(top + 1))), trace
 
-
-def coloring_schedule(inst: ReconfigInstance, coloring: dict[int, int]) -> Schedule:
-    """Coloring-driven schedule: each color class runs its insertion gadgets
-    in one shared six-step window; classes are separated by distance > 10, so
-    the gadgets touch disjoint 4-balls and run side by side."""
-    g = inst.graph
-    _require_deep_diameter(g)
-    if frozenset(coloring) != g.nodes:
-        raise InputError("coloring must assign a color to every node")
-    for v in sorted(g.nodes):
-        for w in sorted(ball(g, v, COLOR_POWER) - {v}):
-            if coloring[v] == coloring[w]:
-                raise InputError(
-                    f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {w} share color {coloring[v]}"
-                )
-    classes: dict[int, list[int]] = {}
-    for v in sorted(g.nodes):
-        classes.setdefault(coloring[v], []).append(v)
-    return _windowed_schedule(inst, (classes[c] for c in sorted(classes)))
-
-
-def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> Schedule:
-    """One six-step window per group of nodes, in order: every beta-node of
-    the group not yet in the set is inserted, the plans side by side."""
-    g = inst.graph
     current = inst.alpha
     flips: list[VertexSet] = []
     for window in windows:
@@ -277,7 +269,7 @@ def _windowed_schedule(inst: ReconfigInstance, windows: Iterable[list[int]]) -> 
     verdict = validate(inst, sched, PropertySpec(4))
     if not verdict.valid:
         raise InternalError(f"constructed schedule invalid: {verdict.first_violation.describe()}")
-    return sched
+    return sched, trace
 
 
 def greedy_power_coloring(g: Graph) -> dict[int, int]:

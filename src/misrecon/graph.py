@@ -25,7 +25,7 @@ class Graph:
     Self-loops and edges naming unknown nodes are rejected.
     """
 
-    __slots__ = ("_adj", "_nodes")
+    __slots__ = ("_adj", "_nodes", "_hash")
 
     def __init__(
         self,
@@ -49,6 +49,7 @@ class Graph:
             adj[v].add(u)
         self._adj: dict[int, VertexSet] = {v: frozenset(ns) for v, ns in adj.items()}
         self._nodes: VertexSet = frozenset(self._adj)
+        self._hash: int | None = None
 
     @property
     def nodes(self) -> VertexSet:
@@ -89,7 +90,10 @@ class Graph:
         return isinstance(other, Graph) and self._adj == other._adj
 
     def __hash__(self) -> int:
-        return hash((self._nodes, frozenset(self._adj.items())))
+        # Computed once: the graph-keyed caches hash a graph on every lookup.
+        if self._hash is None:
+            self._hash = hash((self._nodes, frozenset(self._adj.items())))
+        return self._hash
 
     def __repr__(self) -> str:
         return f"Graph({len(self._nodes)} nodes, {len(self.edges())} edges)"

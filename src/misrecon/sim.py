@@ -292,10 +292,12 @@ class Trace:
         self.phases[phase] = max(self.phases.get(phase, 0), rounds)
         self.messages_sent += messages
 
-    def mis(self, phase: str, g: Graph) -> VertexSet:
-        """An MIS of g from ``dist_mis``, its run charged to ``phase``."""
+    def mis(self, phase: str, g: Graph, hop: int = 1, setup: int = 0) -> VertexSet:
+        """An MIS of g from ``dist_mis``, its run charged to ``phase`` as
+        ``setup + hop · rounds``: on a virtual graph one round spans ``hop``
+        rounds of the real one, after ``setup`` rounds to build it."""
         selected, report = dist_mis(g, self.mode, self.seed, self.round_cap)
-        self.charge(phase, report.rounds_used, report.messages_sent)
+        self.charge(phase, setup + hop * report.rounds_used, report.messages_sent)
         return selected
 
     def collect(self, g: Graph, radius: int) -> None:
@@ -347,9 +349,8 @@ def ruling_set_32(
 
     edges = [(u, w) for u in sorted(alpha_y) for w in distances_from(g, u, y, 4) if w in alpha_y and u < w]
     squared = Graph(alpha_y, edges)
-    ruling, report = dist_mis(squared, trace.mode, trace.seed, trace.round_cap)
+    ruling = trace.mis("ruling-set", squared, VIRTUAL_HOP_OVERHEAD, VIRTUAL_SETUP_ROUNDS)
     _check_ruling(g, y, alpha_y, ruling)
-    trace.charge("ruling-set", VIRTUAL_SETUP_ROUNDS + VIRTUAL_HOP_OVERHEAD * report.rounds_used, report.messages_sent)
     return ruling
 
 

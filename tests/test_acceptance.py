@@ -23,7 +23,6 @@ from misrecon.constlength import (
     schedule_non_isolated,
 )
 from misrecon.constrounds import (
-    coloring_schedule,
     constant_rounds_schedule,
     greedy_power_coloring,
     plan_insertion,
@@ -169,7 +168,7 @@ def test_criterion_7_coloring_driven_schedule():
     inst = gen_gadget("alt-cycle", n=60)
     coloring = greedy_power_coloring(inst.graph)
     c = len(set(coloring.values()))
-    sched = coloring_schedule(inst, coloring)
+    sched = constant_rounds_schedule(inst, coloring)[0]
     assert sched.length <= 6 * c + 6
     assert validate(inst, sched, D4).valid
     print(f"criterion 7: PASS ({c} colors, length {sched.length} <= {6 * c + 6})")
@@ -224,7 +223,7 @@ def test_criterion_9_oracle_confirms_constructive_schedules():
 
     # coloring-driven schedule on a small cycle
     ring = gen_gadget("alt-cycle", n=12)
-    confirm(ring, coloring_schedule(ring, greedy_power_coloring(ring.graph)))
+    confirm(ring, constant_rounds_schedule(ring, greedy_power_coloring(ring.graph))[0])
 
     # small-diameter constructions
     p4 = ReconfigInstance(Graph(range(4), [(0, 1), (1, 2), (2, 3)]), frozenset({0, 2}), frozenset({1, 3}))

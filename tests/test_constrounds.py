@@ -3,7 +3,6 @@ import pytest
 from misrecon import constrounds, graph, schedule
 from misrecon.analysis import gen_gadget, random_connected_instance
 from misrecon.constrounds import (
-    coloring_schedule,
     constant_rounds_schedule,
     greedy_complete,
     greedy_power_coloring,
@@ -222,7 +221,7 @@ def test_rejects_shallow_diameter():
 def test_identity_coloring_reproduces_id_slots():
     inst = alt(12)
     by_id, _ = constant_rounds_schedule(inst)
-    by_color = coloring_schedule(inst, {v: v + 1 for v in inst.graph.nodes})
+    by_color, _ = constant_rounds_schedule(inst, {v: v + 1 for v in inst.graph.nodes})
     assert by_id == by_color
 
 
@@ -230,7 +229,7 @@ def test_cycle_coloring_schedule_length():
     inst = gen_gadget("alt-cycle", n=30)
     coloring = greedy_power_coloring(inst.graph)
     k = len(set(coloring.values()))
-    sched = coloring_schedule(inst, coloring)
+    sched = constant_rounds_schedule(inst, coloring)[0]
     assert sched.length <= 6 * k + 6
     assert validate(inst, sched, PropertySpec(4)).valid
 
@@ -238,7 +237,7 @@ def test_cycle_coloring_schedule_length():
 def test_improper_coloring_rejected_with_witness():
     inst = alt(12)
     with pytest.raises(InputError, match="share color"):
-        coloring_schedule(inst, {v: 1 + (v % 2) for v in inst.graph.nodes})
+        constant_rounds_schedule(inst, {v: 1 + (v % 2) for v in inst.graph.nodes})
 
 
 def test_power_coloring_is_proper_on_power():
@@ -279,6 +278,6 @@ def test_coloring_windows_round_trip_parked_helpers():
                     saw_round_trip = True
                 current = plan.resulting_mis
         assert saw_round_trip
-        sched = coloring_schedule(inst, coloring)
+        sched = constant_rounds_schedule(inst, coloring)[0]
         assert sched.steps[-1] == inst.beta
         assert _validate(inst, sched, PropertySpec(4)).valid

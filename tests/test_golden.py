@@ -13,7 +13,7 @@ import pytest
 from misrecon import constlength, constrounds
 from misrecon.analysis import gen_gadget
 from misrecon.constlength import constant_length_schedule_distributed
-from misrecon.constrounds import coloring_schedule, constant_rounds_schedule, greedy_power_coloring
+from misrecon.constrounds import constant_rounds_schedule, greedy_power_coloring
 from misrecon.graph import Graph, diameter
 from misrecon.schedule import ReconfigInstance, Schedule, format_schedule_file, parse_schedule_file
 from misrecon.sim import Trace
@@ -52,7 +52,8 @@ def _idslot(inst):
 
 
 def _coloring(inst):
-    return coloring_schedule(inst, greedy_power_coloring(inst.graph)), None
+    sched, report = constant_rounds_schedule(inst, greedy_power_coloring(inst.graph))
+    return sched, (report.rounds_used, report.messages_sent)
 
 
 def _distributed(mode):
@@ -87,7 +88,7 @@ GOLDEN = {
     "28step-random-60-2-luby": ("071ac68326b4331e39d61bab93ea3c658eb49750b341984e4fa8ea14870fa841", (16, 349)),
     "28step-random-80-8-deterministic-id": ("afc9476ade9d3e79e799916b08c9090b8df4a84518987eaac24b7ca4c2fe89b6", (20, 592)),
     "28step-random-80-8-luby": ("4bef50078493ed602c3a071f441220fb41a4d4b6945e9eb593b892531396796a", (16, 663)),
-    "coloring-alt-cycle-40": ("7fa207c1a1b673186d4747c5286d03cd9dc65101cebc84be7ad4c7fa7814b70f", None),
+    "coloring-alt-cycle-40": ("7fa207c1a1b673186d4747c5286d03cd9dc65101cebc84be7ad4c7fa7814b70f", (9, 720)),
     "idslot-alt-path-40": ("0b600ec7b0c1e45c8986546389d042442cf9f72212508ee7435f91d2e35b6a27", (9, 702)),
     "idslot-alt-path-40-sparse": ("b51f13e89145f9bd86cccdf32ea6832351636a99d575073833ec4eea68dc1581", (9, 702)),
 }

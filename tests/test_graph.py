@@ -196,6 +196,27 @@ def test_capped_diameter_is_local(monkeypatch):
     assert len(visits) == 1
 
 
+def test_hash_ignores_build_order_and_is_computed_once(monkeypatch):
+    edges = [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3)]
+    g = Graph(range(5), edges)
+    h = Graph([4, 3, 2, 1, 0], [(v, u) for u, v in reversed(edges)])
+    assert g == h and hash(g) == hash(h)
+    # The graph-keyed caches hash on every lookup, so only the first hash
+    # may build the frozenset of the adjacency.
+    fresh = Graph(range(5), edges)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return frozenset(*args)
+
+    monkeypatch.setattr(graph, "frozenset", counting, raising=False)
+    first = hash(fresh)
+    assert len(built) == 1
+    assert hash(fresh) == first == hash(g)
+    assert len(built) == 1
+
+
 def test_components_partition_and_are_maximal():
     g = Graph(range(6), [(0, 1), (2, 3)])
     comps = connected_components(g)

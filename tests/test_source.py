@@ -64,3 +64,21 @@ def test_every_lru_cache_has_an_integer_maxsize(path):
     named = [node for node in ast.walk(tree) if "lru_cache" in (getattr(node, "id", None), getattr(node, "attr", None))]
     lines = [node.lineno for node in named if id(node) not in bounded]
     assert not lines, f"{path.name} has an lru_cache without an integer maxsize on lines {lines}"
+
+
+def test_sim_calls_dist_mis_only_in_trace_mis():
+    # Inside sim.py too, every engine MIS is charged by one formula.
+    path = next(p for p in SOURCES if p.name == "sim.py")
+    callers = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + [child.name])
+                continue
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) == "dist_mis":
+                callers.append(".".join(scope))
+            visit(child, scope)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), [])
+    assert callers == ["Trace.mis"]
