@@ -33,12 +33,14 @@ class BlockerReport:
     witness: tuple | None = None
 
 
+@functools.lru_cache(maxsize=1)
 def check_blocker(inst: ReconfigInstance) -> BlockerReport:
     """The three-condition test, with the first failed condition's witness:
     the smallest alpha-node a with a beta-node b off its neighbourhood (b = a
     for a node of both) and the smallest such b; the smallest free
     epsilon-node; or a shortest path between the epsilon sides whose steps
-    join non-neighbours, found by ``_complement_path``."""
+    join non-neighbours, found by ``_complement_path``.  Memoised for the
+    last instance, which ``small_diameter_fallback`` asks about again."""
     g, alpha, beta = inst.graph, inst.alpha, inst.beta
     if not g.nodes:
         raise InputError("cannot classify the empty graph")

@@ -47,6 +47,8 @@ def reduce_instance(inst: ReconfigInstance) -> ReductionResult:
     on the remaining nodes (whose alpha' and beta' are again MIS there)."""
     g = inst.graph
     core = inst.alpha & inst.beta
+    if not core:
+        return ReductionResult(core, frozenset(), inst)
     halo = frozenset(w for v in core for w in g.neighbors(v))
     kept = g.nodes - core - halo
     reduced = ReconfigInstance(
@@ -333,9 +335,7 @@ def schedule_isolated(
         else:
             raise InternalError(f"no escape triple in a diameter-3 isolated component {sorted(blob['core'])}")
 
-    u_nodes = sorted(gad["u"] for gad in gadgets)
-    u_graph = Graph(u_nodes, [(x, y) for i, x in enumerate(u_nodes) for y in u_nodes[i + 1 :] if g.has_edge(x, y)])
-    mprime = trace.mis("escape-mis", u_graph)
+    mprime = trace.mis("escape-mis", g.induced(gad["u"] for gad in gadgets))
 
     # A selected blob parks u, swaps its core through the anchor b, then
     # drops u; a skipped blob swaps its core in the same removal and addition.

@@ -60,7 +60,7 @@ def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, b
     unchecked."""
     current = set(partial)
     added = []
-    ordered = sorted(pool & beta) + sorted(pool & alpha - beta) + sorted(pool - alpha - beta)
+    ordered = sorted(pool & beta) + sorted((pool & alpha) - beta) + sorted(pool - alpha - beta)
     for v in ordered:
         if v not in current and not (g.neighbors(v) & current):
             current.add(v)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections import deque
+from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -27,11 +27,8 @@ class Graph:
 
     __slots__ = ("_adj", "_nodes", "_hash")
 
-    def __init__(
-        self,
-        nodes: Iterable[int] = (),
-        edges: Iterable[tuple[int, int]] = (),
-    ) -> None:
+    # ``__new__``, so that checked and unchecked graphs alike come from ``_from_adj``.
+    def __new__(cls, nodes: Iterable[int] = (), edges: Iterable[tuple[int, int]] = ()) -> Graph:
         adj: dict[int, set[int]] = {}
         for v in nodes:
             v = int(v)
@@ -47,9 +44,17 @@ class Graph:
                 raise InputError(f"edge {u}-{v} names undeclared node {missing}")
             adj[u].add(v)
             adj[v].add(u)
-        self._adj: dict[int, VertexSet] = {v: frozenset(ns) for v, ns in adj.items()}
-        self._nodes: VertexSet = frozenset(self._adj)
-        self._hash: int | None = None
+        return cls._from_adj({v: frozenset(ns) for v, ns in adj.items()})
+
+    @classmethod
+    def _from_adj(cls, adj: dict[int, VertexSet]) -> Graph:
+        """The graph with adjacency map ``adj``, unchecked: ``adj`` must be
+        symmetric, with non-negative ids and no self-loops."""
+        g = object.__new__(cls)
+        g._adj = adj
+        g._nodes = frozenset(adj)
+        g._hash = None
+        return g
 
     @property
     def nodes(self) -> VertexSet:
@@ -75,7 +80,9 @@ class Graph:
         unknown = keep_set - self._nodes
         if unknown:
             raise InputError(f"unknown node ids {sorted(unknown)}")
-        return Graph(keep_set, [(u, v) for u, v in self.edges() if u in keep_set and v in keep_set])
+        if len(keep_set) == len(self._nodes):
+            return self  # graphs are immutable
+        return Graph._from_adj({v: self._adj[v] & keep_set for v in keep_set})
 
     def __contains__(self, v: int) -> bool:
         return v in self._nodes
@@ -219,7 +226,7 @@ def is_mis(g: Graph, s: VertexSet) -> bool:
     s = frozenset(s)
     if not is_independent(g, s):
         return False
-    return all(v in s or (g.neighbors(v) & s) for v in g.nodes)
+    return all(v in s or not g.neighbors(v).isdisjoint(s) for v in g.nodes)
 
 
 @dataclass(frozen=True)
@@ -300,37 +307,42 @@ def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> 
 def parse_graph_file(text: str) -> Graph:
     """Parse the ``node <id>`` / ``edge <id> <id>`` text format.
 
-    Blank lines and ``#`` comments are ignored; duplicate edges are ignored;
-    an edge naming an undeclared node is an error (with its line number).
+    Blank lines, ``#`` comments and duplicate edges are ignored.  A malformed
+    record, a negative id, a self-loop or an edge naming an undeclared node
+    (nodes may be declared after their edges) is an error naming its line.
     """
-    nodes: list[int] = []
-    edges: list[tuple[int, int, int]] = []
     declared: set[int] = set()
+    adj: defaultdict[int, set[int]] = defaultdict(set)
+    edges: list[tuple[int, int, int]] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         try:
             if parts[0] == "node" and len(parts) == 2:
                 v = int(parts[1])
-                if v not in declared:
+                if v >= 0:
                     declared.add(v)
-                    nodes.append(v)
-                continue
-            if parts[0] == "edge" and len(parts) == 3:
+                    continue
+                problem = f"negative node id {v}"
+            elif parts[0] == "edge" and len(parts) == 3:
                 u, v = int(parts[1]), int(parts[2])
-                edges.append((u, v, lineno))
-                continue
+                if u != v:
+                    adj[u].add(v)
+                    adj[v].add(u)
+                    edges.append((lineno, u, v))
+                    continue
+                problem = f"self-loop on node {u}"
+            else:
+                problem = f"malformed record {raw!r}"
         except ValueError:
-            raise InputError(f"line {lineno}: malformed record {raw!r}") from None
-        raise InputError(f"line {lineno}: malformed record {raw!r}")
-    for u, v, lineno in edges:
-        if u not in declared or v not in declared:
-            missing = u if u not in declared else v
-            raise InputError(f"line {lineno}: edge {u}-{v} names undeclared node {missing}")
-    dedup = sorted({(min(u, v), max(u, v)) for u, v, _ in edges})
-    return Graph(sorted(nodes), dedup)
+            problem = f"malformed record {raw!r}"
+        raise InputError(f"line {lineno}: {problem}")
+    if not adj.keys() <= declared:
+        lineno, u, v = next(e for e in edges if not declared.issuperset(e[1:]))
+        missing = u if u not in declared else v
+        raise InputError(f"line {lineno}: edge {u}-{v} names undeclared node {missing}")
+    return Graph._from_adj({v: frozenset(adj[v]) for v in sorted(declared)})
 
 
 def format_graph_file(g: Graph) -> str:

@@ -321,6 +321,16 @@ def test_fallback_absent_for_star():
     assert small_diameter_fallback(star_instance()) is None
 
 
+def test_fallback_reuses_the_report_its_caller_just_made():
+    inst = p4_instance()
+    check_blocker.cache_clear()
+    report = check_blocker(inst)
+    assert small_diameter_fallback(inst) is not None
+    info = check_blocker.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert check_blocker(inst) is report
+
+
 def test_fallback_templates_validate():
     # condition 1 fails
     sched = small_diameter_fallback(p4_instance())

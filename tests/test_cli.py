@@ -240,12 +240,14 @@ def test_usage_errors_exit_2(tmp_path, capsys):
 
 def test_graph_parse_error_names_line(tmp_path, capsys):
     bad = tmp_path / "bad.graph"
-    bad.write_text("node 0\nedge 0 9\n")
     ap = tmp_path / "a"
     ap.write_text("0\n")
-    code = main(["check", "--graph", str(bad), "--alpha", str(ap), "--beta", str(ap)])
-    assert code == EXIT_USAGE
-    assert "line 2" in capsys.readouterr().err
+    for text in ("node 0\nedge 0 9\n", "node 0\nedge 0 0\n", "node 0\nnode -1\n"):
+        bad.write_text(text)
+        code = main(["check", "--graph", str(bad), "--alpha", str(ap), "--beta", str(ap)])
+        assert code == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "line 2" in err and "Traceback" not in err
 
 
 def test_round_cap_flag_reaches_subroutines(tmp_path):

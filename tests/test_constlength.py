@@ -42,6 +42,8 @@ def test_reduce_identity_when_disjoint():
     assert red.stripped_always_in == frozenset()
     assert red.reduced_instance.graph.nodes == inst.graph.nodes
     assert red.reduced_instance.alpha == inst.alpha
+    # With no shared core nothing is copied or checked again.
+    assert red.reduced_instance is inst and red.stripped_never_in == frozenset()
 
 
 def test_reduce_alpha_equals_beta_strips_everything():

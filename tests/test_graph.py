@@ -357,5 +357,51 @@ def test_graph_file_errors():
         parse_graph_file("node 0\nedge 0 1\n")
     with pytest.raises(InputError, match="line 1"):
         parse_graph_file("nodes 0\n")
+    with pytest.raises(InputError, match="^line 3: self-loop on node 1$"):
+        parse_graph_file("node 0\nnode 1\nedge 1 1\n")
+    with pytest.raises(InputError, match="^line 2: negative node id -4$"):
+        parse_graph_file("node 0\nnode -4\n")
+    # The first edge in file order naming an undeclared node is reported,
+    # after the whole file was read, since nodes may follow their edges.
+    with pytest.raises(InputError, match="^line 2: edge 3-7 names undeclared node 7$"):
+        parse_graph_file("edge 0 3\nedge 3 7\nedge 9 0\nnode 0\nnode 3\n")
     parsed = parse_graph_file("# comment\nnode 0\nnode 1\n\nedge 0 1\nedge 1 0\n")
     assert parsed.edges() == [(0, 1)]
+
+
+@st.composite
+def graph_files(draw):
+    """A graph on sparse ids and a file for it with its lines shuffled, so
+    that edges may come before their nodes, with every edge written once or
+    twice in either direction and with comments and blank lines between."""
+    ids = draw(st.lists(st.integers(0, 10**6), unique=True, max_size=12))
+    pairs = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    g = Graph(ids, edges)
+    lines = [f"node {v}" for v in ids] + ["# a comment", "", "   "]
+    for u, v in edges:
+        for _ in range(draw(st.integers(1, 2))):
+            lines.append(f"edge {u} {v}" if draw(st.booleans()) else f"edge {v} {u}  # either way")
+    return g, "\n".join(draw(st.permutations(lines))), draw(st.sets(st.sampled_from(ids)) if ids else st.just(set()))
+
+
+def assert_symmetric(g):
+    for v in g.nodes:
+        assert v not in g.neighbors(v)
+        assert all(v in g.neighbors(w) for w in g.neighbors(v))
+
+
+@seed(20261019)
+@settings(max_examples=200, deadline=None)
+@given(graph_files())
+def test_parsed_and_induced_graphs_match_the_checked_constructor(case):
+    g, text, keep = case
+    parsed = parse_graph_file(text)
+    assert parsed == g and parse_graph_file(format_graph_file(g)) == g
+    assert_symmetric(parsed)
+    sub = parsed.induced(keep)
+    assert sub == Graph(keep, [(u, v) for u, v in g.edges() if u in keep and v in keep])
+    assert_symmetric(sub)
+    assert parsed.induced(parsed.nodes) is parsed
+    with pytest.raises(InputError):
+        parsed.induced(keep | {10**6 + 1})

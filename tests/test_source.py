@@ -34,20 +34,32 @@ def test_every_import_is_used(path):
     assert not unused, f"{path.name} imports unused names {[(n, imported[n]) for n in unused]}"
 
 
-@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sim.py"], ids=lambda p: p.name)
-def test_only_sim_names_dist_mis(path):
-    # Pipelines run every MIS through a ``sim.Trace``, which charges the run
-    # to a phase; a direct ``dist_mis`` call would go uncharged.
-    tree = ast.parse(path.read_text(), filename=str(path))
+def names_in(path):
+    """Every variable, attribute and imported name the module mentions."""
     names = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.name for alias in node.names)
-    assert "dist_mis" not in names, f"{path.name} names dist_mis"
+    return names
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "sim.py"], ids=lambda p: p.name)
+def test_only_sim_names_dist_mis(path):
+    # Pipelines run every MIS through a ``sim.Trace``, which charges the run
+    # to a phase; a direct ``dist_mis`` call would go uncharged.
+    assert "dist_mis" not in names_in(path), f"{path.name} names dist_mis"
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.name != "graph.py"], ids=lambda p: p.name)
+def test_only_graph_names_the_adjacency_map(path):
+    # ``Graph._from_adj`` trusts its map unchecked; only graph.py builds or
+    # reads one, so every other module holds graphs that passed the checks.
+    private = names_in(path) & {"_adj", "_nodes", "_hash", "_from_adj"}
+    assert not private, f"{path.name} names {sorted(private)}"
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
