@@ -11,7 +11,7 @@ from typing import Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
-from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
+from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
 from .schedule import first_violation, lost_cover, step_defect
 from .sim import Trace
 
@@ -232,7 +232,7 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
                 f"largest node id {top} is not below {ID_LIMIT}: the id-slotted schedule "
                 f"would have {SLOT * (top + 1)} steps; relabel the nodes or pass a coloring"
             )
-        windows = ([k] for k in range(top + 1))
+        windows, n_windows = {v: [v] for v in inst.beta}, top + 1
     else:
         if frozenset(coloring) != g.nodes:
             raise InputError("coloring must assign a color to every node")
@@ -242,23 +242,21 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
                     raise InputError(
                         f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {w} share color {coloring[v]}"
                     )
-        classes: dict[int, list[int]] = {}
-        for v in sorted(g.nodes):
-            classes.setdefault(coloring[v], []).append(v)
-        windows = (classes[c] for c in sorted(classes))
+        # A colour's window is its rank, so a class with no beta-node keeps one.
+        rank = {c: k for k, c in enumerate(sorted(set(coloring.values())))}
+        windows, n_windows = {}, len(rank)
+        for v in sorted(inst.beta):
+            windows.setdefault(rank[coloring[v]], []).append(v)
     trace = Trace()
     trace.collect(g, 9)
 
+    # Every window starts empty; only those holding a beta-node are visited.
     current = inst.alpha
-    flips: list[VertexSet] = []
-    for window in windows:
-        plans = [
-            plan_insertion(g, current, inst.alpha, inst.beta, v)
-            for v in window
-            if v in inst.beta and v not in current
-        ]
+    flips = [NO_FLIP] * (SLOT * n_windows)
+    for k in sorted(windows):
+        plans = [plan_insertion(g, current, inst.alpha, inst.beta, v) for v in windows[k] if v not in current]
         window_flips = run_side_by_side([p.six_flips for p in plans], SLOT)
-        flips += window_flips
+        flips[SLOT * k:SLOT * (k + 1)] = window_flips
         if len(plans) == 1:
             current = plans[0].resulting_mis  # checked by _checked_plan
         elif plans:

@@ -10,6 +10,7 @@ membership in the same step.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress, groupby
 from typing import Iterable, Sequence
 
 from .errors import InputError
@@ -144,13 +145,11 @@ def first_violation(g: Graph, start: VertexSet, flips: Sequence[VertexSet], d: i
 
     Each flip must be independent and each step must pass ``step_defect``,
     whose precondition holds: ``start`` is an MIS in every caller and earlier
-    steps have passed.  One running set takes each flip in place, so an
-    empty flip costs nothing.
+    steps have passed.  One running set takes each non-empty flip in place;
+    ``compress`` skips the empty ones without a Python-level iteration.
     """
     step = set(start)
-    for i, flip in enumerate(flips, 1):
-        if not flip:
-            continue
+    for i, flip in compress(enumerate(flips, 1), flips):
         edge = edge_inside(g, flip)
         if edge is not None:
             return Violation(i, "flip-independence", edge)
@@ -223,31 +222,33 @@ def parse_schedule_file(text: str) -> Schedule:
     """Parse the schedule format: one line per step, sorted ids, single spaces.
 
     Every line is a step; an empty line is the empty set.  A trailing newline
-    terminates the last step and is required on write.
+    terminates the last step and is required on write.  Each run of identical
+    lines is parsed once, and an error names the run's first line.
     """
     lines = text.splitlines()
     if not lines:
         raise InputError("empty schedule file")
     # The first line is a flip from the empty set; a repeated line flips nothing.
-    flips, step, prev = [], NO_FLIP, None
-    for lineno, line in enumerate(lines, start=1):
-        if line == prev:
-            flips.append(NO_FLIP)
-            continue
+    flips, step, lineno = [], NO_FLIP, 1
+    for line, run in groupby(lines):
         try:
             new = frozenset(int(tok) for tok in line.split())
         except ValueError:
             raise InputError(f"line {lineno}: bad node id in {line!r}") from None
-        flips.append(new ^ step)
-        step, prev = new, line
+        run_length = len(list(run))
+        flips += [new ^ step] + [NO_FLIP] * (run_length - 1)
+        step, lineno = new, lineno + run_length
     return Schedule(flips[0], tuple(flips[1:]))
 
 
 def format_schedule_file(sched: Schedule) -> str:
-    """One line per step; after an empty flip the line repeats."""
-    lines = []
-    for step, flip in zip(sched.steps, (True, *sched.flips)):
-        if flip:
-            line = " ".join(str(v) for v in sorted(step)) + "\n"
-        lines.append(line)
-    return "".join(lines)
+    """One line per step; after an empty flip the line repeats.  Only the
+    non-empty flips are visited: each run of equal lines is written at once."""
+    step, parts, last = set(sched.start), [], 0
+    line = format_vertex_set_file(step)
+    for i, flip in compress(enumerate(sched.flips, 1), sched.flips):
+        parts.append(line * (i - last))
+        step ^= flip
+        line, last = format_vertex_set_file(step), i
+    parts.append(line * (len(sched.flips) + 1 - last))
+    return "".join(parts)

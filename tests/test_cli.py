@@ -232,6 +232,57 @@ def test_const_rounds_with_coloring(tmp_path, capsys):
     assert by_color[:2] == by_id[:2] and by_color[1].startswith("messages_sent: ")
 
 
+def test_in_process_calls_leak_no_state(tmp_path, capsys, monkeypatch):
+    import misrecon.cli as cli
+    from misrecon.analysis import gen_gadget
+    from misrecon.cli import EXIT_INTERNAL
+    from misrecon.constrounds import constant_rounds_schedule, format_coloring_file, greedy_power_coloring
+    from misrecon.sim import format_trace
+
+    # One parser serves every call in the process.
+    assert cli.build_parser() is cli.build_parser()
+
+    # A usage error leaves nothing behind for the next, good call.
+    gp, ap, bp = p4_files(tmp_path)
+    sched = tmp_path / "p4.sched"
+    sched.write_text("0 2\n0\n0 3\n3\n1 3\n")
+    assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp]) == EXIT_USAGE
+    assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(sched)]) == EXIT_OK
+    assert capsys.readouterr().out == "valid\n"
+
+    # A --round-cap does not outlive its call.
+    caps = []
+    pipeline = cli.constant_length_schedule_distributed
+
+    def spy(inst, trace):
+        caps.append(trace.round_cap)
+        return pipeline(inst, trace)
+
+    monkeypatch.setattr(cli, "constant_length_schedule_distributed", spy)
+    g = Graph(range(14), [(i, i + 1) for i in range(13)])
+    gp, ap, bp = write_instance(tmp_path, g, frozenset(range(0, 14, 2)), frozenset(range(1, 14, 2)), "path14")
+    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "cl.sched")]
+    assert main([*base, "--round-cap", "1"]) == EXIT_INTERNAL
+    assert main(base) == EXIT_OK
+    assert caps == [1, None]
+
+    # A --coloring does not outlive its call: the id-slotted call after it
+    # prints and writes exactly the id-slotted schedule.
+    inst = gen_gadget("alt-cycle", n=24)
+    gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta, "cycle")
+    cp = tmp_path / "cycle.coloring"
+    cp.write_text(format_coloring_file(greedy_power_coloring(inst.graph)))
+    out = tmp_path / "cr.sched"
+    base = ["const-rounds", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
+    assert main([*base, "--coloring", str(cp)]) == EXIT_OK
+    by_colour = out.read_text()
+    capsys.readouterr()
+    assert main(base) == EXIT_OK
+    expected, trace = constant_rounds_schedule(inst)
+    assert capsys.readouterr().out == format_trace(trace) + f"schedule_length: {expected.length}\n"
+    assert out.read_text() == format_schedule_file(expected) != by_colour
+
+
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["oracle", "--graph", "missing.graph", "--alpha", "x", "--beta", "y"]) == EXIT_USAGE
     assert main(["gen", "--family", "nope", "--out-prefix", str(tmp_path / "x")]) == EXIT_USAGE

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from misrecon import constrounds, graph, schedule
@@ -281,3 +283,74 @@ def test_coloring_windows_round_trip_parked_helpers():
         sched = constant_rounds_schedule(inst, coloring)[0]
         assert sched.steps[-1] == inst.beta
         assert _validate(inst, sched, PropertySpec(4)).valid
+
+
+# --- window loop ---------------------------------------------------------------
+
+def every_window_schedule(inst, coloring=None):
+    """The schedule built the earlier way: every window in turn, the empty
+    ones too, each window's flips appended to a growing list."""
+    g = inst.graph
+    if coloring is None:
+        windows = ([k] for k in range(max(g.nodes) + 1))
+    else:
+        classes = {}
+        for v in sorted(g.nodes):
+            classes.setdefault(coloring[v], []).append(v)
+        windows = (classes[c] for c in sorted(classes))
+    current, flips = inst.alpha, []
+    for window in windows:
+        plans = [
+            plan_insertion(g, current, inst.alpha, inst.beta, v)
+            for v in window
+            if v in inst.beta and v not in current
+        ]
+        window_flips = schedule.run_side_by_side([p.six_flips for p in plans], constrounds.SLOT)
+        flips += window_flips
+        if plans:
+            current = schedule.fold_flips(current, window_flips)[-1]
+    return Schedule(inst.alpha, tuple(flips))
+
+
+def relabelled(inst, seed, spread=30):
+    """``inst`` on random ids below ``spread`` times its size, the top one included."""
+    rng = random.Random(seed)
+    n = len(inst.graph.nodes)
+    ids = rng.sample(range(spread * n - 1), n - 1) + [spread * n - 1]
+    rng.shuffle(ids)
+    new = dict(zip(sorted(inst.graph.nodes), ids))
+    g = Graph(new.values(), [(new[u], new[v]) for u, v in inst.graph.edges()])
+    return ReconfigInstance(g, frozenset(new[v] for v in inst.alpha), frozenset(new[v] for v in inst.beta))
+
+
+@pytest.mark.parametrize("inst", [
+    relabelled(alt(20), 1),
+    relabelled(gen_gadget("alt-cycle", n=24), 2),
+    relabelled(random_connected_instance(25, 0.08, seed=3, min_diameter=6), 4),
+], ids=["alt-path", "alt-cycle", "random"])
+def test_sparse_id_windows_match_every_window_loop(inst):
+    sched = constant_rounds_schedule(inst)[0]
+    assert sched == every_window_schedule(inst)
+    assert sched.length == 6 * (max(inst.graph.nodes) + 1)
+
+
+@pytest.mark.parametrize("inst", [
+    gen_gadget("alt-cycle", n=30),
+    random_connected_instance(18, 0.11, seed=10, min_diameter=6),
+    relabelled(alt(24), 5),
+], ids=["alt-cycle", "random", "sparse-path"])
+def test_colour_windows_match_every_window_loop(inst):
+    greedy = greedy_power_coloring(inst.graph)
+    # Colour values 7, 14, ...: not contiguous, so a window is a colour's rank.
+    spread = {v: 7 * c for v, c in greedy.items()}
+    # One alpha-only node alone in colour 10: a class with no beta-node,
+    # whose window stays empty but keeps its place.
+    lone = min(inst.graph.nodes - inst.beta)
+    hollow = {**spread, lone: 10}
+    for coloring in (spread, hollow):
+        sched = constant_rounds_schedule(inst, coloring)[0]
+        assert sched == every_window_schedule(inst, coloring)
+        assert sched.length == 6 * len(set(coloring.values()))
+    ranks = sorted(set(hollow.values()))
+    k = ranks.index(10)
+    assert not any(constant_rounds_schedule(inst, hollow)[0].flips[6 * k:6 * (k + 1)])

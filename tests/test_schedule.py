@@ -11,6 +11,7 @@ from misrecon.schedule import (
     PropertySpec,
     ReconfigInstance,
     Schedule,
+    Violation,
     fold_flips,
     format_schedule_file,
     format_vertex_set_file,
@@ -330,6 +331,11 @@ def test_parse_schedule_reports_a_repeated_bad_id_at_its_first_line():
         parse_schedule_file("0 2\n1 x\n1 x\n1 x\n")
     with pytest.raises(InputError, match="line 1:"):
         parse_schedule_file("0 x\n0 x\n")
+    # Runs of good lines before the bad one count every line, not one per run.
+    with pytest.raises(InputError, match="line 4:"):
+        parse_schedule_file("0\n0\n0\n1 x\n")
+    with pytest.raises(InputError, match="line 7:"):
+        parse_schedule_file("0\n0\n\n\n1\n1\nx\n")
 
 
 def test_validate_reports_unknown_ids_in_a_shared_step():
@@ -369,3 +375,34 @@ def test_schedule_file_round_trips_with_and_without_sharing(case):
         assert format_schedule_file(s) == text
         assert parse_schedule_file(format_schedule_file(s)) == s
     assert format_schedule_file(parse_schedule_file(text)) == text
+
+
+def with_empty_runs(flips, runs):
+    """``flips`` with ``runs[i]`` empty flips before the i-th, and ``runs[-1]``
+    after the last."""
+    padded = []
+    for run, flip in zip(runs, flips):
+        padded += [frozenset()] * run + [frozenset(flip)]
+    return tuple(padded + [frozenset()] * runs[-1])
+
+
+def test_long_empty_runs_keep_every_step_in_place():
+    inst = p4_instance()  # alpha {0, 2}, beta {1, 3}
+    flips = with_empty_runs(({2}, {3}, {0}, {1}), (3000, 5000, 1, 0, 2500))
+    sched = Schedule(inst.alpha, flips)
+    text = format_schedule_file(sched)
+    assert text == written_line_by_line(sched)
+    assert text.count("\n") == sched.length + 1 == 10506
+    assert parse_schedule_file(text) == sched
+    assert validate(inst, sched, PropertySpec(4)).valid
+
+    # {0, 2} -> {0} -> {0, 3}, then a third flip after 5,000 more empty flips:
+    # {0, 1} flips an edge; {0, 3} empties the set, so node 0 is uncovered.
+    for third, condition, witness in (({0, 1}, "flip-independence", (0, 1)), ({0, 3}, "domination", 0)):
+        bad = Schedule(inst.alpha, with_empty_runs(({2}, {3}, third), (3000, 5000, 5000, 7)))
+        assert validate(inst, bad, PropertySpec(4)).first_violation == Violation(13003, condition, witness)
+        assert parse_schedule_file(format_schedule_file(bad)) == bad
+
+    # Every step is fine but the last set is {0, 3}, not beta.
+    short = Schedule(inst.alpha, with_empty_runs(({2}, {3}), (3000, 5000, 4000)))
+    assert validate(inst, short, PropertySpec(4)).first_violation == Violation(12002, "endpoints", 0)
