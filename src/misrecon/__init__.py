@@ -42,7 +42,7 @@ from .schedule import (
     ReconfigInstance,
     Schedule,
     ValidationReport,
-    fold_flips,
+    net_flip,
     run_side_by_side,
     validate,
 )

@@ -20,7 +20,7 @@ from .graph import (
     diameter,
     distances_from,
 )
-from .schedule import PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
+from .schedule import PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
 from .sim import Trace, ruling_set_32
 
 NON_ISOLATED_STEPS = 18
@@ -121,8 +121,9 @@ def _check_layers(g, y, alpha, beta, layers) -> None:
         raise InternalError("layers do not cover the component")
     # Load-bearing for the cascade: everything next to layer 1 is removed
     # before layer 1 is added.
+    around = layers[0] | layers[2]
     for v in layers[1]:
-        if not (g.neighbors(v) & y) <= (layers[0] | layers[2]):
+        if not (g.neighbors(v) & y) <= around:
             raise InternalError("layer-1 node has a neighbor outside layers 0 and 2")
 
 
@@ -169,7 +170,7 @@ def schedule_big_component(
     # _check_layers proved the layers disjoint, even ones alpha-nodes and odd
     # ones beta-nodes, so removing or adding a layer toggles it.
     flips = [layers[k] for k in (4, 5, 2, 3, 0, 1, -2, -1)]
-    if fold_flips(alpha_c, flips)[-1] != beta_c:
+    if net_flip(flips) != alpha_c ^ beta_c:
         raise InternalError("big-component fragment does not end at the beta-part")
     return flips
 
@@ -248,7 +249,7 @@ def schedule_non_isolated(
 
     if len(flips) != NON_ISOLATED_STEPS:
         raise InternalError("non-isolated fragment has the wrong length")
-    if fold_flips(alpha & universe, flips)[-1] != beta & universe:
+    if net_flip(flips) != (alpha ^ beta) & universe:
         raise InternalError("non-isolated fragment does not end at beta")
     return flips
 
@@ -352,7 +353,7 @@ def schedule_isolated(
 
     if len(flips) != ISOLATED_STEPS:
         raise InternalError("isolated fragment has the wrong length")
-    if fold_flips(alpha & universe, flips)[-1] != beta & universe:
+    if net_flip(flips) != (alpha ^ beta) & universe:
         raise InternalError("isolated fragment does not end at beta")
     return flips
 

@@ -7,11 +7,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
-from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, fold_flips, run_side_by_side, validate
+from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
 from .schedule import first_violation, lost_cover, step_defect
 from .sim import Trace
 
@@ -36,7 +36,6 @@ class InsertionPlan:
     target: int
     case_tag: str
     six_flips: tuple[VertexSet, ...]
-    resulting_mis: VertexSet
 
 
 def greedy_complete(g: Graph, partial: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
@@ -55,9 +54,9 @@ def greedy_complete(g: Graph, partial: VertexSet, alpha: VertexSet, beta: Vertex
 def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
     """The nodes ``greedy_complete`` adds to ``partial`` from ``pool``, without
     its O(n) input check: the planner's ``(current - blockers) | {v}`` is
-    independent by construction, and ``_checked_plan``'s ``step_defect`` at
-    d = 1 still rejects an end set that is not an MIS, so no property goes
-    unchecked."""
+    independent by construction, and the window check of
+    ``constant_rounds_schedule`` (``step_defect`` at d = 1) still rejects an
+    end set that is not an MIS, so no property goes unchecked."""
     current = set(partial)
     added = []
     ordered = sorted(pool & beta) + sorted((pool & alpha) - beta) + sorted(pool - alpha - beta)
@@ -70,7 +69,7 @@ def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, b
 
 def plan_insertion(
     g: Graph,
-    current: VertexSet,
+    current: AbstractSet[int],
     alpha: VertexSet,
     beta: VertexSet,
     v: int,
@@ -86,6 +85,8 @@ def plan_insertion(
     rung.  All witnesses are id-smallest, making plans deterministic and
     recomputable from the 9-hop ball of v alone (changes stay within 4 hops;
     any node a change can endanger lies within 5, its covers within 9).
+    Whether the plan's end set is an MIS is checked by the caller that runs
+    it, as ``constant_rounds_schedule`` does window by window.
     """
     if v not in g:
         raise InputError(f"unknown node id {v}")
@@ -93,13 +94,11 @@ def plan_insertion(
         raise InputError(f"target {v} is not a beta-node")
     if v in current:
         raise InputError(f"target {v} is already in the set")
-    current = frozenset(current)
     blockers = g.neighbors(v) & current
     dist = distances_from(g, v, radius=4)
     target = frozenset({v})
     base = (current - blockers) | target
     added = _complete(g, base, frozenset(dist), alpha, beta)
-    gamma = base | added
 
     sphere2 = sorted(u for u, d in dist.items() if d == 2)
     sphere3 = frozenset(u for u, d in dist.items() if d == 3)
@@ -139,9 +138,16 @@ def plan_insertion(
             if c not in current:
                 yield "helper", parked_flips([c])
 
+    # No node of ``added`` is in the set, so a fragment with this net change
+    # ends at the completion, removes only v's set-neighbors and keeps v.
+    change = blockers | target | added
     for tag, flips in attempts():
         if first_violation(g, current, flips, 4) is None:
-            return _checked_plan(g, current, v, tag, flips, gamma, blockers)
+            if len(flips) != SLOT:
+                raise InternalError("insertion fragment must have exactly six steps")
+            if net_flip(flips) != change:
+                raise InternalError("insertion fragment must end at its completion")
+            return InsertionPlan(v, tag, tuple(flips))
 
     raise InternalError(
         f"no insertion fragment validates for node {v}; 2-sphere {sphere2}, "
@@ -184,21 +190,6 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3) -> list[int] | None:
             return None
         chosen.append(pick)
     return chosen
-
-
-def _checked_plan(g, current, v, tag, flips, gamma, blockers) -> InsertionPlan:
-    if len(flips) != SLOT:
-        raise InternalError("insertion fragment must have exactly six steps")
-    if fold_flips(current, flips)[-1] != gamma:
-        raise InternalError("insertion fragment must end at its completion")
-    net_removed = current - gamma
-    if not net_removed <= blockers:
-        raise InternalError(f"insertion fragment removed non-neighbors {sorted(net_removed - blockers)}")
-    if v not in gamma:
-        raise InternalError("insertion fragment lost its target")
-    if step_defect(g, gamma, current ^ gamma, 1) is not None:
-        raise InternalError("insertion fragment did not end at a maximal independent set")
-    return InsertionPlan(v, tag, tuple(flips), gamma)
 
 
 def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | None = None) -> tuple[Schedule, Trace]:
@@ -251,18 +242,19 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
     trace.collect(g, 9)
 
     # Every window starts empty; only those holding a beta-node are visited.
-    current = inst.alpha
+    # A merged window's plans are over 10 hops apart and change 4-balls, and
+    # step_defect at d = 1 reads 2 hops around a change, so one check per
+    # window says each plan ends at an MIS.
+    current = set(inst.alpha)
     flips = [NO_FLIP] * (SLOT * n_windows)
     for k in sorted(windows):
         plans = [plan_insertion(g, current, inst.alpha, inst.beta, v) for v in windows[k] if v not in current]
         window_flips = run_side_by_side([p.six_flips for p in plans], SLOT)
         flips[SLOT * k:SLOT * (k + 1)] = window_flips
-        if len(plans) == 1:
-            current = plans[0].resulting_mis  # checked by _checked_plan
-        elif plans:
-            start, current = current, fold_flips(current, window_flips)[-1]
-            if step_defect(g, current, start ^ current, 1) is not None:
-                raise InternalError("merged window did not end at a maximal independent set")
+        change = net_flip(window_flips)
+        current ^= change
+        if step_defect(g, current, change, 1) is not None:
+            raise InternalError("window did not end at a maximal independent set")
     sched = Schedule(inst.alpha, tuple(flips))
     verdict = validate(inst, sched, PropertySpec(4))
     if not verdict.valid:

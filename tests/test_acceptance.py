@@ -28,7 +28,7 @@ from misrecon.constrounds import (
     plan_insertion,
 )
 from misrecon.graph import Graph, components_of, diameter, is_mis
-from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
+from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, net_flip, validate
 from misrecon.sim import Trace
 
 D4 = PropertySpec(4)
@@ -188,10 +188,11 @@ def test_criterion_8_insertion_net_removal_property():
         for k in sorted(inst.graph.nodes):
             if k in inst.beta and k not in current:
                 plan = plan_insertion(inst.graph, current, inst.alpha, inst.beta, k)
-                net_removed = current - plan.resulting_mis
+                end = current ^ net_flip(plan.six_flips)
+                net_removed = current - end
                 assert net_removed <= (inst.graph.neighbors(k) & current)
-                assert shared <= plan.resulting_mis and k in plan.resulting_mis
-                current = plan.resulting_mis
+                assert shared <= end and k in end
+                current = end
                 fragments += 1
         assert current == inst.beta
     assert fragments >= 100

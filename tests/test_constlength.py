@@ -15,7 +15,7 @@ from misrecon.constlength import (
     schedule_isolated,
     schedule_non_isolated,
 )
-from misrecon.errors import InputError
+from misrecon.errors import InputError, InternalError
 from misrecon.graph import Graph, components_of, diameter, distances_from
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 from misrecon.sim import Trace, dist_mis, ruling_set_32
@@ -132,6 +132,19 @@ def test_layers_overlap_candidate_resolves_to_layer_2():
     assert 2 in lp[2] and 2 not in lp[-2]
     inst = ReconfigInstance(g, alpha, beta)
     assert validate(inst, constant_length_schedule_distributed(inst)[0], PropertySpec(4)).valid
+
+
+def test_layer_check_rejects_a_layer_1_node_next_to_layer_3():
+    # 1 sits in layer 1 but touches 3 in layer 3, so adding layer 1 while
+    # layer 3 is in the set would break independence.
+    g = Graph(range(4), [(0, 1), (1, 3), (2, 3)])
+    alpha, beta = frozenset({0, 2}), frozenset({1, 3})
+    layers = {k: frozenset() for k in range(-2, 6)}
+    layers.update({0: frozenset({0}), 1: frozenset({1}), 2: frozenset({2}), 3: frozenset({3})})
+    with pytest.raises(InternalError, match="layer-1 node has a neighbor outside layers 0 and 2"):
+        constlength._check_layers(g, g.nodes, alpha, beta, layers)
+    # The same layers pass once 1 touches layers 0 and 2 only.
+    constlength._check_layers(path(4), g.nodes, alpha, beta, layers)
 
 
 # --- big components ----------------------------------------------------------

@@ -12,9 +12,9 @@ from misrecon.constrounds import (
     parse_coloring_file,
     plan_insertion,
 )
-from misrecon.errors import InputError
-from misrecon.graph import Graph, ball
-from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
+from misrecon.errors import InputError, InternalError
+from misrecon.graph import Graph, ball, is_mis
+from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, net_flip, validate
 
 
 def path(n):
@@ -57,7 +57,7 @@ def test_p8_first_beta_node_uses_distance3_partners():
     inst = alt(8)
     plan = plan_insertion(inst.graph, inst.alpha, inst.alpha, inst.beta, 1)
     assert plan.case_tag == "case4"
-    assert 1 in plan.resulting_mis
+    assert 1 in inst.alpha ^ net_flip(plan.six_flips)
     steps = Schedule(inst.alpha, plan.six_flips).steps
     assert steps[3] == frozenset({4, 6})  # both blockers of 1 gone, partner 4 kept
 
@@ -71,7 +71,7 @@ def test_alpha_at_distance_2_branch():
     plan = plan_insertion(g, alpha, alpha, beta, 1)
     assert plan.case_tag == "alpha-at-2"
     assert plan.six_flips[0] == {0}
-    assert 1 in plan.resulting_mis
+    assert 1 in alpha ^ net_flip(plan.six_flips)
 
 
 def test_case1_private_helper_enters_and_leaves():
@@ -85,7 +85,7 @@ def test_case1_private_helper_enters_and_leaves():
     assert plan.case_tag == "case1"
     steps = Schedule(alpha, plan.six_flips).steps
     assert len(set(steps[1:])) == 6
-    assert any(3 in s for s in steps) and 3 not in plan.resulting_mis
+    assert any(3 in s for s in steps) and 3 not in alpha ^ net_flip(plan.six_flips)
 
 
 def test_case_dispatch_covers_random_instances():
@@ -98,7 +98,7 @@ def test_case_dispatch_covers_random_instances():
             if k in inst.beta and k not in current:
                 plan = plan_insertion(inst.graph, current, inst.alpha, inst.beta, k)
                 tags.add(plan.case_tag)
-                current = plan.resulting_mis
+                current = current ^ net_flip(plan.six_flips)
     assert {"alpha-at-2", "case1", "case2", "case3", "case4"} <= tags
 
 
@@ -109,11 +109,13 @@ def test_net_removal_confined_to_target_neighbors():
         for k in sorted(inst.graph.nodes):
             if k in inst.beta and k not in current:
                 plan = plan_insertion(inst.graph, current, inst.alpha, inst.beta, k)
-                removed = current - plan.resulting_mis
+                end = current ^ net_flip(plan.six_flips)
+                assert is_mis(inst.graph, end)
+                removed = current - end
                 assert removed <= (inst.graph.neighbors(k) & current)
-                assert (inst.alpha & inst.beta) <= plan.resulting_mis
-                assert k in plan.resulting_mis
-                current = plan.resulting_mis
+                assert (inst.alpha & inst.beta) <= end
+                assert k in end
+                current = end
 
 
 def test_plan_is_9_hop_local():
@@ -133,8 +135,9 @@ def test_plan_is_9_hop_local():
             assert [s & hood for s in plan.six_flips] == [
                 s & hood for s in local_plan.six_flips
             ]
-            assert plan.resulting_mis & hood == local_plan.resulting_mis & hood
-            current = plan.resulting_mis
+            end = current ^ net_flip(plan.six_flips)
+            assert end & hood == (current & hood) ^ net_flip(local_plan.six_flips)
+            current = end
             checked += 1
     assert checked >= 3
 
@@ -278,7 +281,7 @@ def test_coloring_windows_round_trip_parked_helpers():
                 plan = plan_insertion(inst.graph, current, inst.alpha, inst.beta, v)
                 if plan.six_flips[0] & plan.six_flips[-1]:
                     saw_round_trip = True
-                current = plan.resulting_mis
+                current = current ^ net_flip(plan.six_flips)
         assert saw_round_trip
         sched = constant_rounds_schedule(inst, coloring)[0]
         assert sched.steps[-1] == inst.beta
@@ -308,7 +311,7 @@ def every_window_schedule(inst, coloring=None):
         window_flips = schedule.run_side_by_side([p.six_flips for p in plans], constrounds.SLOT)
         flips += window_flips
         if plans:
-            current = schedule.fold_flips(current, window_flips)[-1]
+            current = current ^ schedule.net_flip(window_flips)
     return Schedule(inst.alpha, tuple(flips))
 
 
@@ -354,3 +357,49 @@ def test_colour_windows_match_every_window_loop(inst):
     ranks = sorted(set(hollow.values()))
     k = ranks.index(10)
     assert not any(constant_rounds_schedule(inst, hollow)[0].flips[6 * k:6 * (k + 1)])
+
+
+# --- the window check ------------------------------------------------------------
+
+@pytest.mark.parametrize("coloured", [False, True], ids=["id-slotted", "colour-slotted"])
+def test_window_check_rejects_a_window_that_ends_short_of_an_mis(monkeypatch, coloured):
+    """With every completion empty, a plan ends at ``(current - blockers) |
+    {v}``, which its own checks accept but which leaves nodes uncovered: the
+    window check must say so.  In the colour-slotted run the failing window
+    holds two plans side by side."""
+    inst = random_connected_instance(60, 2 / 60, 2, min_diameter=6)
+    coloring = greedy_power_coloring(inst.graph) if coloured else None
+    window_sizes = []
+    real_side_by_side = constrounds.run_side_by_side
+
+    def side_by_side(fragments, length):
+        window_sizes.append(len(fragments))
+        return real_side_by_side(fragments, length)
+
+    monkeypatch.setattr(constrounds, "run_side_by_side", side_by_side)
+    monkeypatch.setattr(constrounds, "_complete", lambda *args: frozenset())
+    with pytest.raises(InternalError, match="window did not end at a maximal independent set"):
+        constant_rounds_schedule(inst, coloring)
+    assert window_sizes[-1] >= (2 if coloured else 1)
+
+
+def test_window_check_failure_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    from misrecon.cli import EXIT_INTERNAL, main
+
+    inst = random_connected_instance(40, 2 / 40, 0, min_diameter=6)
+    paths = []
+    for name, text in (
+        ("graph", graph.format_graph_file(inst.graph)),
+        ("alpha", schedule.format_vertex_set_file(inst.alpha)),
+        ("beta", schedule.format_vertex_set_file(inst.beta)),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        paths += [f"--{name}", str(path)]
+    monkeypatch.setattr(constrounds, "_complete", lambda *args: frozenset())
+    out = tmp_path / "sched.txt"
+    assert main(["const-rounds", *paths, "--out", str(out)]) == EXIT_INTERNAL
+    err = capsys.readouterr().err
+    assert "window did not end at a maximal independent set" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -12,10 +12,10 @@ from misrecon.schedule import (
     ReconfigInstance,
     Schedule,
     Violation,
-    fold_flips,
     format_schedule_file,
     format_vertex_set_file,
     lost_cover,
+    net_flip,
     parse_schedule_file,
     parse_vertex_set_file,
     run_side_by_side,
@@ -247,9 +247,30 @@ def test_schedule_is_its_start_and_one_flip_per_step():
     assert steps == tuple(map(frozenset, ({0, 2}, {0}, {0}, {0, 3})))
     assert steps[2] is steps[1]  # an empty flip costs no new set
     assert Schedule.from_steps(steps) == sched
-    assert fold_flips(sched.start, sched.flips) == list(sched.steps)
     with pytest.raises(InputError, match="empty schedule"):
         Schedule.from_steps([])
+
+
+def test_net_flip_of_no_change_is_empty():
+    assert net_flip([]) == frozenset()
+    assert net_flip([frozenset()] * 4) == frozenset()
+
+
+def test_net_flip_cancels_a_node_flipped_twice():
+    assert net_flip([{1, 2}, frozenset(), {2, 3}]) == frozenset({1, 3})
+    assert net_flip([{5}, {5}]) == frozenset()
+
+
+def test_net_flip_of_disjoint_flips_is_their_union():
+    assert net_flip([{0}, {2, 4}, frozenset(), {7}]) == frozenset({0, 2, 4, 7})
+
+
+@seed(20261019)
+@settings(max_examples=300, deadline=None)
+@given(schedules())
+def test_net_flip_takes_the_start_to_the_last_step(case):
+    _, sched, _ = case
+    assert sched.start ^ net_flip(sched.flips) == sched.steps[-1]
 
 
 def test_run_side_by_side_without_fragments_repeats_start():
