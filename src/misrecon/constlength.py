@@ -180,8 +180,8 @@ def _component_graph(comps: list[ComponentInfo]) -> tuple[Graph, dict[int, Compo
     edge where one alpha-covers the other: some epsilon-node has an
     alpha-neighbor in one and a beta-neighbor in the other."""
     by_label = {comp.min_id: comp for comp in comps}
-    edges = {(min(i, j), max(i, j)) for j, comp in by_label.items() for i in comp.alpha_covered if i in by_label}
-    return Graph(sorted(by_label), sorted(edges)), by_label
+    edges = [(i, j) for j, comp in by_label.items() for i in comp.alpha_covered if i in by_label]
+    return Graph(by_label, edges), by_label
 
 
 def _batch_update(flips: list[VertexSet], parts: list[VertexSet], alpha, beta) -> None:
@@ -257,19 +257,16 @@ def schedule_non_isolated(
 def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[dict]:
     """Isolated components absorbed together with their epsilon-neighbors.
 
-    Each epsilon-neighbor of an isolated component belongs to exactly one
-    component (its alpha- and beta-neighbors pin it down), so blobs are
-    disjoint.  The absorbed diameter is at most the core's plus one.
+    Blobs are disjoint with no check here: ``components_of`` marks a
+    component isolated only if each adjacent epsilon-node has all of its
+    alpha- and beta-neighbors inside it, so no epsilon-node touches two
+    isolated components.  The absorbed diameter is at most the core's plus
+    one, which the ``diameter`` check below confirms.
     """
     eps = g.nodes - alpha - beta
     blobs = []
-    claimed: dict[int, int] = {}
     for comp in comps:
         fringe = frozenset().union(*(g.neighbors(v) for v in comp.vertices)) & eps
-        for e in sorted(fringe):
-            if e in claimed:
-                raise InternalError(f"epsilon-node {e} adjacent to two isolated components")
-            claimed[e] = comp.min_id
         aug = diameter(g, comp.vertices | fringe, cap=4)
         if aug == math.inf or aug > 3:
             raise InternalError("augmented isolated component has diameter above 3")
@@ -306,19 +303,9 @@ def schedule_isolated(
 
     # Part 1: contact graph over shallow blobs (edges where their fringes
     # touch), MIS first, then the rest.
-    contact_edges = set()
-    fringe_owner = {}
-    for b in shallow:
-        for e in b["fringe"]:
-            fringe_owner[e] = b["label"]
-    for b in shallow:
-        for e in sorted(b["fringe"]):
-            for w in sorted(g.neighbors(e)):
-                other = fringe_owner.get(w)
-                if other is not None and other != b["label"]:
-                    contact_edges.add((min(b["label"], other), max(b["label"], other)))
-    contact = Graph(sorted(b["label"] for b in shallow), sorted(contact_edges))
-    m_labels = trace.mis("blob-mis", contact)
+    owner = {e: b["label"] for b in shallow for e in b["fringe"]}
+    edges = {(i, owner[w]) for e, i in owner.items() for w in g.neighbors(e) if owner.get(w, i) != i}
+    m_labels = trace.mis("blob-mis", Graph([b["label"] for b in shallow], edges))
 
     first_wave = [b for b in shallow if b["label"] in m_labels]
     second_wave = [b for b in shallow if b["label"] not in m_labels]

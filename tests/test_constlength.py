@@ -16,7 +16,7 @@ from misrecon.constlength import (
     schedule_non_isolated,
 )
 from misrecon.errors import InputError, InternalError
-from misrecon.graph import Graph, components_of, diameter, distances_from
+from misrecon.graph import Graph, capped_diameter, components_of, diameter, distances_from
 from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 from misrecon.sim import Trace, dist_mis, ruling_set_32
 
@@ -145,6 +145,18 @@ def test_layer_check_rejects_a_layer_1_node_next_to_layer_3():
         constlength._check_layers(g, g.nodes, alpha, beta, layers)
     # The same layers pass once 1 touches layers 0 and 2 only.
     constlength._check_layers(path(4), g.nodes, alpha, beta, layers)
+
+
+def test_layers_reject_a_ruling_set_that_leaves_a_node_6_hops_away():
+    # The (6,5) bound is checked here, not in the ruling set: {0} leaves node
+    # 6 of alt-path n=7 exactly 6 hops away, and reaches all of n=6.
+    inst = gen_gadget("alt-path", n=7)
+    with pytest.raises(InternalError, match=r"not a \(6,5\)-ruling set of the component"):
+        layer_component(inst.graph, inst.graph.nodes, inst.alpha, inst.beta, frozenset({0}))
+    with pytest.raises(InternalError, match="ruling set does not reach the whole component"):
+        layer_component(inst.graph, inst.graph.nodes, inst.alpha, inst.beta, frozenset())
+    inst = gen_gadget("alt-path", n=6)
+    assert layer_component(inst.graph, inst.graph.nodes, inst.alpha, inst.beta, frozenset({0}))[5] == {5}
 
 
 # --- big components ----------------------------------------------------------
@@ -617,3 +629,87 @@ def test_part_2_matches_a_fringe_scan(monkeypatch, n, gen_seed, mode):
     expected = reference_part2(g, small, updated, [by_label[i] for i in sorted(m_labels)], alpha, beta)
     # The non-isolated fragment's second batch, after part 1's, is part 2.
     assert expected and batches[1] == expected
+
+
+# --- the virtual graphs the MIS runs on ------------------------------------------
+
+def mis_graphs(inst, mode="deterministic-id"):
+    """The graph of each ``Trace.mis`` call of the 28-step pipeline on inst,
+    keyed by phase."""
+    graphs = {}
+    real_mis = Trace.mis
+
+    def mis(self, phase, g, *cost):
+        graphs.setdefault(phase, []).append(g)
+        return real_mis(self, phase, g, *cost)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Trace, "mis", mis)
+        constant_length_schedule_distributed(inst, Trace(mode))
+    return graphs
+
+
+def reference_virtual_graphs(inst):
+    """The contact graph and the component graph of inst's reduced instance,
+    from their definitions.  Contact graph: the isolated components of
+    diameter at most 2 whose blob (the component with its epsilon-neighbours)
+    also has diameter at most 2, two joined when a fringe node of one is
+    adjacent to a fringe node of the other.  Component graph: the
+    non-isolated components of diameter at most 2 that are both alpha- and
+    beta-covered, two joined when an epsilon-node has an alpha-neighbour in
+    one and a beta-neighbour in the other."""
+    red = reduce_instance(inst).reduced_instance
+    g, alpha, beta = red.graph, red.alpha, red.beta
+    eps = g.nodes - alpha - beta
+    comps = components_of(g, alpha | beta, alpha, beta)
+    label = {v: c.min_id for c in comps for v in c.vertices}
+
+    isolated = {c.min_id: c.vertices for c in comps if c.isolated and c.diameter <= 2}
+    fringes = {i: frozenset(e for e in eps if g.neighbors(e) & core) for i, core in isolated.items()}
+    # No epsilon-node touches two isolated components, so blobs are disjoint.
+    assert sum(map(len, fringes.values())) == len(frozenset().union(*fringes.values()))
+    fringes = {i: f for i, f in fringes.items() if diameter(g, isolated[i] | f) <= 2}
+    contact = Graph(fringes, [
+        (i, j) for i in fringes for j in fringes
+        if i < j and any(g.neighbors(e) & fringes[j] for e in fringes[i])
+    ])
+
+    # (i, j): an epsilon-node has an alpha-neighbour in i and a beta-neighbour in j.
+    covers = {
+        (label[a], label[b]) for e in eps for a in g.neighbors(e) & alpha for b in g.neighbors(e) & beta
+        if label[a] != label[b]
+    }
+    small = {c.min_id for c in comps if c.diameter <= 2 and not c.isolated}
+    doubly = small & {j for _, j in covers} & {i for i, _ in covers}
+    component = Graph(doubly, [(i, j) for i, j in covers if i in doubly and j in doubly])
+    return contact, component
+
+
+@pytest.mark.parametrize("k, n", [(3, 40), (3, 100), (4, 60), (4, 260)])
+def test_logstar_contact_graph_is_the_ring_of_blobs(k, n):
+    inst = gen_gadget("logstar", n=n, k=k)
+    contact, _ = reference_virtual_graphs(inst)
+    blobs = n // (k + 1)
+    assert len(contact) == blobs and all(contact.degree(v) == 2 for v in contact.nodes)
+    assert mis_graphs(inst)["blob-mis"] == [contact]
+
+
+@st.composite
+def instances_with_virtual_graphs(draw):
+    n = draw(st.integers(30, 90))
+    inst = gen_gadget("random", n=n, p=3 / n, seed=draw(st.integers(0, 10**6)))
+    assume(3 < capped_diameter(inst.graph) < math.inf)
+    contact, component = reference_virtual_graphs(inst)
+    assume(len(contact) >= 2 or len(component) >= 2)
+    return inst, contact, component
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(instances_with_virtual_graphs(), st.sampled_from(["deterministic-id", "luby"]))
+def test_virtual_graphs_match_their_definitions(case, mode):
+    inst, contact, component = case
+    graphs = mis_graphs(inst, mode)
+    # A phase with nothing to run on is skipped or runs on the empty graph.
+    assert graphs.get("blob-mis", [Graph()]) == [contact]
+    assert graphs.get("component-mis", [Graph()]) == [component]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -7,8 +8,9 @@ from hypothesis import strategies as st
 import misrecon.sim as sim
 from misrecon import gen_gadget
 from misrecon.constlength import reduce_instance
-from misrecon.errors import InputError
-from misrecon.graph import Graph, components_of, distances_from, is_mis
+from misrecon.errors import InputError, InternalError
+from misrecon.graph import Graph, components_of, distances_from, format_graph_file, is_mis
+from misrecon.schedule import format_vertex_set_file
 from misrecon.sim import (
     MisIdProgram,
     MisLubyProgram,
@@ -435,3 +437,62 @@ def test_ruling_set_matches_the_squared_virtual_graph(case, mode, rng_seed):
     trace = Trace(mode, rng_seed)
     assert ruling_set_32(red.graph, comp, red.alpha, red.beta, trace) == ruling
     assert (trace.phases, trace.messages_sent) == ({"ruling-set": rounds}, messages)
+
+
+# --- the checks that hold the ruling-set property -----------------------------
+
+def corrupt_ruling_run(monkeypatch, alpha_nodes, corrupt):
+    """Patch the engine so that the run on a graph over exactly
+    ``alpha_nodes`` (the ruling set's squared graph) selects
+    ``corrupt(selected)`` instead; every other run is left as it is."""
+    real_run = sim.run
+
+    def corrupted_run(g, *args, **kwargs):
+        report = real_run(g, *args, **kwargs)
+        if g.nodes != alpha_nodes:
+            return report
+        selected = corrupt(frozenset(v for v, out in report.outputs.items() if out == "in"))
+        return dataclasses.replace(report, outputs={v: "in" if v in selected else "out" for v in report.outputs})
+
+    monkeypatch.setattr(sim, "run", corrupted_run)
+
+
+# On alt-path n=13 the ruling set is {0, 6, 12}: adding 4 puts two ruling
+# nodes 4 hops apart, and dropping 12 leaves alpha-node 12 six hops from the
+# nearest ruling node.
+RULING_CORRUPTIONS = {
+    "ruling-nodes-4-hops-apart": lambda ruling: ruling | {4},
+    "alpha-node-uncovered": lambda ruling: ruling - {12},
+}
+
+
+@pytest.mark.parametrize("corrupt", RULING_CORRUPTIONS.values(), ids=RULING_CORRUPTIONS)
+def test_ruling_set_rejects_a_corrupted_mis_run(monkeypatch, corrupt):
+    inst = gen_gadget("alt-path", n=13)
+    comp = components_of(inst.graph, inst.graph.nodes, inst.alpha, inst.beta)[0]
+    assert ruling_set_32(inst.graph, comp, inst.alpha, inst.beta, Trace()) == {0, 6, 12}
+    corrupt_ruling_run(monkeypatch, inst.alpha, corrupt)
+    with pytest.raises(InternalError, match="MIS subroutine produced a non-MIS output"):
+        ruling_set_32(inst.graph, comp, inst.alpha, inst.beta, Trace())
+
+
+@pytest.mark.parametrize("corrupt", RULING_CORRUPTIONS.values(), ids=RULING_CORRUPTIONS)
+def test_corrupted_ruling_run_exits_3_without_traceback(monkeypatch, tmp_path, capsys, corrupt):
+    from misrecon.cli import EXIT_INTERNAL, main
+
+    inst = gen_gadget("alt-path", n=13)
+    paths = []
+    for name, text in (
+        ("graph", format_graph_file(inst.graph)),
+        ("alpha", format_vertex_set_file(inst.alpha)),
+        ("beta", format_vertex_set_file(inst.beta)),
+    ):
+        (tmp_path / name).write_text(text)
+        paths += [f"--{name}", str(tmp_path / name)]
+    corrupt_ruling_run(monkeypatch, inst.alpha, corrupt)
+    out = tmp_path / "sched.txt"
+    assert main(["const-length", *paths, "--out", str(out)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == ["internal error: MIS subroutine produced a non-MIS output"]
+    assert captured.out == ""
+    assert not out.exists()
