@@ -289,7 +289,8 @@ def schedule_isolated(
     Components of absorbed diameter at most 2 are updated in two waves around
     an MIS of their contact graph (4 steps).  Components of absorbed diameter
     3 run the six-step gadget through a selected epsilon-node that misses both
-    an alpha- and a beta-node of its component.
+    an alpha- and a beta-node of its component.  ``comps`` must come from
+    ``components_of(g, alpha | beta, alpha, beta)``.
     """
     for c in comps:
         if not c.isolated or c.diameter > 2:

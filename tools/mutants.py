@@ -1,20 +1,19 @@
 """Mutation checks: apply each mutant to a temporary copy of the source, run
 the tests named for it there, and report whether they kill it.
 
-    python tools/mutants.py [name ...]
+    python tools/mutants.py
 
-With no names every mutant runs.  The tests named by the selected mutants
-must first pass on an unmutated copy; a mutant is then *killed* when its
+Every mutant in ``MUTANTS`` runs.  The tests named by the mutants must
+first pass on an unmutated copy; a mutant is then *killed* when its
 tests fail on the mutated copy and *survives* when they pass.  Each mutant
 removes or weakens one check or construction that a test is meant to hold
 in place, so a survivor names a fact that no test reaches.  The exit status
-is 0 when every selected mutant is killed, else 1.  The repository is found
+is 0 when every mutant is killed, else 1.  The repository is found
 from this file's location, and only the temporary copy is modified.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -90,23 +89,14 @@ def run_tests(copy: Path, tests: list[str]) -> int:
     return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    args = parser.parse_args(argv)
-    by_name = {m.name: m for m in MUTANTS}
-    unknown = [n for n in args.names if n not in by_name]
-    if unknown:
-        parser.error(f"unknown mutants {unknown}; known: {sorted(by_name)}")
-    mutants = [by_name[n] for n in args.names] if args.names else MUTANTS
-
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="misrecon-mutants-") as tmp:
         copy = Path(tmp)
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, copy / part, ignore=ignore)
 
-        tests = sorted({t for m in mutants for t in m.tests})
+        tests = sorted({t for m in MUTANTS for t in m.tests})
         status = run_tests(copy, tests)
         if status != 0:
             print(f"baseline: the mutants' tests fail on the unmutated copy (pytest exit {status})")
@@ -114,7 +104,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"baseline: the {len(tests)} named tests pass on the unmutated copy")
 
         killed = 0
-        for m in mutants:
+        for m in MUTANTS:
             target = copy / m.path
             original = target.read_text()
             if original.count(m.old) != 1:
@@ -126,8 +116,8 @@ def main(argv: list[str] | None = None) -> int:
                 verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
             killed += verdict == "killed"
             print(f"{verdict:<9} {m.name} ({m.path})")
-    print(f"{killed} of {len(mutants)} mutants killed")
-    return 0 if killed == len(mutants) else 1
+    print(f"{killed} of {len(MUTANTS)} mutants killed")
+    return 0 if killed == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
