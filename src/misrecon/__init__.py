@@ -41,7 +41,6 @@ from .schedule import (
     PropertySpec,
     ReconfigInstance,
     Schedule,
-    ValidationReport,
     net_flip,
     run_side_by_side,
     validate,

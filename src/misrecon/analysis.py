@@ -209,9 +209,9 @@ def small_diameter_fallback(inst: ReconfigInstance) -> Schedule | None:
             steps.append(frozenset({prev, nxt}))
         steps = steps + [{path[-1]}, {path[-1], b}, {b}, beta]
     sched = Schedule.from_steps(steps)
-    outcome = validate(inst, sched, PropertySpec(4))
-    if not outcome.valid:
-        raise InternalError(f"fallback schedule invalid: {outcome.first_violation.describe()}")
+    violation = validate(inst, sched, PropertySpec(4))
+    if violation is not None:
+        raise InternalError(f"fallback schedule invalid: {violation.describe()}")
     return sched
 
 
@@ -347,16 +347,15 @@ def random_connected_instance(
     p: float,
     seed: int,
     min_diameter: int = 4,
-    tries: int = 400,
 ) -> ReconfigInstance:
     """Seeded random connected instance whose diameter is at least
-    ``min_diameter``; retries derived seeds until one qualifies."""
-    for t in range(tries):
+    ``min_diameter``; tries up to 400 derived seeds until one qualifies."""
+    for t in range(400):
         inst = random_instance(n, p, seed * 100_003 + t)
         diam = diameter(inst.graph, cap=max(min_diameter, 1))
         if diam != math.inf and diam >= min_diameter:
             return inst
-    raise InputError(f"no connected instance of diameter >= {min_diameter} after {tries} tries")
+    raise InputError(f"no connected instance of diameter >= {min_diameter} after 400 tries")
 
 
 # ---------------------------------------------------------------------------

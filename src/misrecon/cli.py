@@ -81,8 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distributed", action="store_true")
     p.add_argument("--subroutine", choices=["deterministic-id", "luby"], default="deterministic-id")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--round-cap", type=int, default=None,
-                   help="round cap of each MIS run; default max(16, 8n+8) on an n-node MIS graph")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("const-rounds", help="identifier- or coloring-slotted schedule (diameter > 5)")
@@ -116,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def dispatch(args: argparse.Namespace) -> int:
     if args.command == "const-length":
-        trace = Trace(args.subroutine, args.seed, args.round_cap)
+        trace = Trace(args.subroutine, args.seed)
         inst = _load_instance(args)
         if capped_diameter(inst.graph) <= 3:
             sched = small_diameter_fallback(inst)
@@ -182,12 +180,9 @@ def dispatch(args: argparse.Namespace) -> int:
     if args.command == "validate":
         inst = _load_instance(args)
         sched = parse_schedule_file(_read(args.schedule))
-        report = validate(inst, sched, PropertySpec(args.d))
-        if report.valid:
-            print("valid")
-            return EXIT_OK
-        print(report.first_violation.describe())
-        return EXIT_NEGATIVE
+        violation = validate(inst, sched, PropertySpec(args.d))
+        print("valid" if violation is None else violation.describe())
+        return EXIT_OK if violation is None else EXIT_NEGATIVE
 
     raise InputError(f"unknown command {args.command!r}")
 

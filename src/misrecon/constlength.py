@@ -175,13 +175,12 @@ def schedule_big_component(
     return flips
 
 
-def _component_graph(comps: list[ComponentInfo]) -> tuple[Graph, dict[int, ComponentInfo]]:
+def _component_graph(comps: list[ComponentInfo]) -> Graph:
     """Graph on the given components (labeled by minimum vertex id) with an
     edge where one alpha-covers the other: some epsilon-node has an
     alpha-neighbor in one and a beta-neighbor in the other."""
-    by_label = {comp.min_id: comp for comp in comps}
-    edges = [(i, j) for j, comp in by_label.items() for i in comp.alpha_covered if i in by_label]
-    return Graph(by_label, edges), by_label
+    labels = {comp.min_id for comp in comps}
+    return Graph(labels, [(i, comp.min_id) for comp in comps for i in comp.alpha_covered if i in labels])
 
 
 def _batch_update(flips: list[VertexSet], parts: list[VertexSet], alpha, beta) -> None:
@@ -206,46 +205,32 @@ def schedule_non_isolated(
     parallel; the MIS components; remaining doubly-covered; beta-covered-only.
     """
     small = [c for c in comps if c.diameter <= 2]
-    big = [c for c in comps if c.diameter >= 3]
     for c in small:
         if c.isolated:
             raise InputError("small isolated component routed to the wrong schedule")
-    c_ab = [c for c in small if c.alpha_covered and c.beta_covered]
-    c_a = [c for c in small if c.alpha_covered and not c.beta_covered]
-    c_b = [c for c in small if c.beta_covered and not c.alpha_covered]
-    if len(c_ab) + len(c_a) + len(c_b) != len(small):
-        raise InternalError("non-isolated small component with no covering label")
+        if not (c.alpha_covered or c.beta_covered):
+            raise InternalError("non-isolated small component with no covering label")
+    m_labels = trace.mis("component-mis", _component_graph([c for c in small if c.alpha_covered and c.beta_covered]))
 
-    mis_graph, by_label = _component_graph(c_ab)
-    m_labels = trace.mis("component-mis", mis_graph)
-    m_comps = [by_label[l] for l in sorted(m_labels)]
+    def part(c: ComponentInfo) -> int:
+        """The part updating small component c, read off its covering labels:
+        1 if only alpha-covered, 6 if only beta-covered; if doubly covered,
+        4 in the MIS, else 2 if alpha-covered by an MIS component, else 5."""
+        if not (c.alpha_covered and c.beta_covered):
+            return 1 if c.alpha_covered else 6
+        if c.min_id in m_labels:
+            return 4
+        return 2 if c.alpha_covered & m_labels else 5
 
     universe = frozenset().union(*(c.vertices for c in comps))
     flips: list[VertexSet] = []
-    updated: set[int] = set()
-
-    def mark(batch: list[ComponentInfo]) -> list[VertexSet]:
-        fresh = [c for c in batch if c.min_id not in updated]
-        updated.update(c.min_id for c in fresh)
-        return [c.vertices for c in fresh]
-
-    # Part 1: alpha-covered-only components.
-    _batch_update(flips, mark(c_a), alpha, beta)
-
-    # Part 2: small components alpha-covered through an MIS component.
-    part2 = [c for c in small if c.min_id not in m_labels and c.alpha_covered & m_labels]
-    _batch_update(flips, mark(part2), alpha, beta)
-
+    for k in (1, 2):
+        _batch_update(flips, [c.vertices for c in small if part(c) == k], alpha, beta)
     # Part 3: all big components cascade in parallel over eight steps.
-    fragments = [schedule_big_component(g, c, alpha, beta, trace) for c in big]
+    fragments = [schedule_big_component(g, c, alpha, beta, trace) for c in comps if c.diameter >= 3]
     flips += run_side_by_side(fragments, 8)
-
-    # Part 4: the MIS components themselves.
-    _batch_update(flips, mark(m_comps), alpha, beta)
-    # Part 5: remaining doubly-covered components.
-    _batch_update(flips, mark(c_ab), alpha, beta)
-    # Part 6: remaining beta-covered components.
-    _batch_update(flips, mark(c_b), alpha, beta)
+    for k in (4, 5, 6):
+        _batch_update(flips, [c.vertices for c in small if part(c) == k], alpha, beta)
 
     if len(flips) != NON_ISOLATED_STEPS:
         raise InternalError("non-isolated fragment has the wrong length")
@@ -290,7 +275,7 @@ def schedule_isolated(
     an MIS of their contact graph (4 steps).  Components of absorbed diameter
     3 run the six-step gadget through a selected epsilon-node that misses both
     an alpha- and a beta-node of its component.  ``comps`` must come from
-    ``components_of(g, alpha | beta, alpha, beta)``.
+    ``components_of(g, alpha, beta)`` with the same alpha and beta.
     """
     for c in comps:
         if not c.isolated or c.diameter > 2:
@@ -357,7 +342,7 @@ def constant_length_schedule_distributed(
 ) -> tuple[Schedule, Trace]:
     """A valid 28-step schedule for any connected instance of diameter > 3,
     with the trace its cost was charged to (a fresh default one if none is
-    given); the trace's mode, seed and round cap set every MIS run.
+    given); the trace's mode and seed set every MIS run.
 
     Every MIS and ruling-set call runs on the round engine; calls of one
     phase run in parallel, so a phase costs its slowest call's rounds.  The
@@ -385,7 +370,7 @@ def constant_length_schedule_distributed(
         return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), trace
 
     trace.collect(red.graph, 4)
-    comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
+    comps = components_of(red.graph, red.alpha, red.beta)
     covered, isolated_small = _split_components(comps)
     if covered:
         frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, trace)
@@ -400,7 +385,7 @@ def constant_length_schedule_distributed(
     sched = Schedule(inst.alpha, tuple(frag_a + frag_b))
     if sched.length != TOTAL_STEPS:
         raise InternalError("assembled schedule is not 28 steps long")
-    verdict = validate(inst, sched, PropertySpec(4))
-    if not verdict.valid:
-        raise InternalError(f"assembled schedule invalid: {verdict.first_violation.describe()}")
+    violation = validate(inst, sched, PropertySpec(4))
+    if violation is not None:
+        raise InternalError(f"assembled schedule invalid: {violation.describe()}")
     return sched, trace

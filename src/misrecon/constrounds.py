@@ -256,9 +256,9 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
         if step_defect(g, current, change, 1) is not None:
             raise InternalError("window did not end at a maximal independent set")
     sched = Schedule(inst.alpha, tuple(flips))
-    verdict = validate(inst, sched, PropertySpec(4))
-    if not verdict.valid:
-        raise InternalError(f"constructed schedule invalid: {verdict.first_violation.describe()}")
+    violation = validate(inst, sched, PropertySpec(4))
+    if violation is not None:
+        raise InternalError(f"constructed schedule invalid: {violation.describe()}")
     return sched, trace
 
 

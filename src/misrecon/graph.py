@@ -256,20 +256,21 @@ class ComponentInfo:
         return min(self.vertices)
 
 
-def components_of(g: Graph, u: VertexSet, alpha: VertexSet, beta: VertexSet) -> list[ComponentInfo]:
-    """Partition ``u`` into connected components of the induced subgraph and
-    annotate each with diameter, isolation and covering labels."""
-    u = frozenset(u)
-    if not u <= g.nodes:
-        raise InputError(f"component universe contains unknown ids {sorted(u - g.nodes)}")
+def components_of(g: Graph, alpha: VertexSet, beta: VertexSet) -> list[ComponentInfo]:
+    """Partition alpha ∪ beta into connected components of the induced
+    subgraph and annotate each with diameter, isolation and covering labels;
+    the other nodes of g are the epsilon-nodes."""
     alpha, beta = frozenset(alpha), frozenset(beta)
+    u = alpha | beta
+    if not u <= g.nodes:
+        raise InputError(f"alpha and beta contain unknown ids {sorted(u - g.nodes)}")
     by_label = {min(comp): comp for comp in connected_components(g, u)}
     label = {v: i for i, comp in by_label.items() for v in comp}
 
     isolated = dict.fromkeys(by_label, True)
     alpha_covered: dict[int, set[int]] = {i: set() for i in by_label}
     beta_covered: dict[int, set[int]] = {i: set() for i in by_label}
-    for e in g.nodes - alpha - beta:
+    for e in g.nodes - u:
         touched = {label[w] for w in g.neighbors(e) if w in label}
         if not touched:
             continue

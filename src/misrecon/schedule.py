@@ -112,12 +112,6 @@ class Violation:
         return f"{self.condition} violated at step {self.step}: {what}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    valid: bool
-    first_violation: Violation | None = None
-
-
 def lost_cover(g: Graph, removed: VertexSet, step: VertexSet, d: int) -> list[int]:
     """The nodes, ascending, within d hops of ``removed`` but not of ``step``.
 
@@ -165,8 +159,9 @@ def first_violation(g: Graph, start: VertexSet, flips: Sequence[VertexSet], d: i
     return None
 
 
-def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = PropertySpec()) -> ValidationReport:
-    """Check all three schedule conditions, reporting the earliest violation.
+def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = PropertySpec()) -> Violation | None:
+    """Check all three schedule conditions: the earliest violation, or None
+    if the schedule is valid.
 
     Endpoints must equal alpha and beta; every strictly intermediate set must
     be independent and d-dominating; every flip must be independent.  Sets
@@ -190,7 +185,7 @@ def validate(inst: ReconfigInstance, sched: Schedule, prop: PropertySpec = Prope
         end = start ^ net_flip(flips)
         if end != inst.beta:
             violation = Violation(last, "endpoints", min(end ^ inst.beta))
-    return ValidationReport(violation is None, violation)
+    return violation
 
 
 def run_side_by_side(fragments: Sequence[Sequence[VertexSet]], length: int) -> list[VertexSet]:

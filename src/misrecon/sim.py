@@ -241,20 +241,16 @@ class MisLubyProgram(NodeProgram):
         return self._vals()
 
 
-def dist_mis(
-    g: Graph,
-    mode: str = "deterministic-id",
-    seed: int = 0,
-    round_cap: int | None = None,
-) -> tuple[VertexSet, SimReport]:
-    """Run the pluggable MIS subroutine on g; the result always passes is_mis."""
+def dist_mis(g: Graph, mode: str = "deterministic-id", seed: int = 0) -> tuple[VertexSet, SimReport]:
+    """Run the pluggable MIS subroutine on g, capped at max(16, 8n + 8)
+    rounds on n nodes; the result always passes is_mis."""
     if mode == "deterministic-id":
         factory: Callable[[], NodeProgram] = MisIdProgram
     elif mode == "luby":
         factory = MisLubyProgram
     else:
         raise InputError(f"unknown MIS mode {mode!r}")
-    cap = round_cap if round_cap is not None else max(16, 8 * len(g) + 8)
+    cap = max(16, 8 * len(g) + 8)
     report = run(g, factory, {v: None for v in g.nodes}, round_cap=cap, seed=seed)
     if report.timed_out:
         raise InternalError(f"MIS subroutine hit the round cap {cap}")
@@ -276,13 +272,8 @@ class Trace:
 
     mode: str = "deterministic-id"
     seed: int = 0
-    round_cap: int | None = None
     phases: dict[str, int] = field(default_factory=dict, init=False)
     messages_sent: int = field(default=0, init=False)
-
-    def __post_init__(self) -> None:
-        if self.round_cap is not None and self.round_cap < 1:
-            raise InputError(f"round cap must be at least 1, got {self.round_cap}")
 
     @property
     def rounds_used(self) -> int:
@@ -296,7 +287,7 @@ class Trace:
         """An MIS of g from ``dist_mis``, its run charged to ``phase`` as
         ``setup + hop · rounds``: on a virtual graph one round spans ``hop``
         rounds of the real one, after ``setup`` rounds to build it."""
-        selected, report = dist_mis(g, self.mode, self.seed, self.round_cap)
+        selected, report = dist_mis(g, self.mode, self.seed)
         self.charge(phase, setup + hop * report.rounds_used, report.messages_sent)
         return selected
 

@@ -175,7 +175,7 @@ def test_oracle_p4_minimum_matches_hand_enumeration():
     res = brute_force_oracle(p4_instance())
     assert res.exists is True
     assert res.min_length == 3
-    assert validate(p4_instance(), res.witness, PropertySpec(4)).valid
+    assert validate(p4_instance(), res.witness, PropertySpec(4)) is None
 
 
 def test_oracle_star_has_no_path():
@@ -211,7 +211,7 @@ def test_oracle_witnesses_validate_on_random_instances():
         inst = gen_gadget("random", n=n, p=0.4, seed=900 + i)
         res = brute_force_oracle(inst)
         if res.exists:
-            assert validate(inst, res.witness, PropertySpec(4)).valid
+            assert validate(inst, res.witness, PropertySpec(4)) is None
             confirmed += 1
     assert confirmed > 10
 
@@ -268,7 +268,7 @@ def test_oracle_and_all_mis_match_a_frozenset_search(case):
     assert (res.exists, res.min_length, res.states_explored) == naive_oracle(inst, d)
     if res.exists:
         assert res.witness.length == res.min_length
-        assert validate(inst, res.witness, PropertySpec(d)).valid
+        assert validate(inst, res.witness, PropertySpec(d)) is None
     assert all_mis(inst.graph) == [s for s in subsets(inst.graph) if is_mis(inst.graph, s)]
 
 

@@ -235,7 +235,6 @@ def test_const_rounds_with_coloring(tmp_path, capsys):
 def test_in_process_calls_leak_no_state(tmp_path, capsys, monkeypatch):
     import misrecon.cli as cli
     from misrecon.analysis import gen_gadget
-    from misrecon.cli import EXIT_INTERNAL
     from misrecon.constrounds import constant_rounds_schedule, format_coloring_file, greedy_power_coloring
     from misrecon.sim import format_trace
 
@@ -249,22 +248,6 @@ def test_in_process_calls_leak_no_state(tmp_path, capsys, monkeypatch):
     assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp]) == EXIT_USAGE
     assert main(["validate", "--graph", gp, "--alpha", ap, "--beta", bp, "--schedule", str(sched)]) == EXIT_OK
     assert capsys.readouterr().out == "valid\n"
-
-    # A --round-cap does not outlive its call.
-    caps = []
-    pipeline = cli.constant_length_schedule_distributed
-
-    def spy(inst, trace):
-        caps.append(trace.round_cap)
-        return pipeline(inst, trace)
-
-    monkeypatch.setattr(cli, "constant_length_schedule_distributed", spy)
-    g = Graph(range(14), [(i, i + 1) for i in range(13)])
-    gp, ap, bp = write_instance(tmp_path, g, frozenset(range(0, 14, 2)), frozenset(range(1, 14, 2)), "path14")
-    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "cl.sched")]
-    assert main([*base, "--round-cap", "1"]) == EXIT_INTERNAL
-    assert main(base) == EXIT_OK
-    assert caps == [1, None]
 
     # A --coloring does not outlive its call: the id-slotted call after it
     # prints and writes exactly the id-slotted schedule.
@@ -301,40 +284,18 @@ def test_graph_parse_error_names_line(tmp_path, capsys):
         assert "line 2" in err and "Traceback" not in err
 
 
-def test_round_cap_flag_reaches_subroutines(tmp_path):
-    from misrecon.cli import EXIT_INTERNAL
-
-    g = Graph(range(14), [(i, i + 1) for i in range(13)])
+def test_round_cap_is_not_an_option(tmp_path, capsys):
+    # Each MIS run's cap is max(16, 8n + 8), derived from its graph.
     gp, ap, bp = write_instance(
-        tmp_path, g, frozenset(range(0, 14, 2)), frozenset(range(1, 14, 2))
-    )
-    out = tmp_path / "s.txt"
-    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
-    assert main([*base, "--round-cap", "64"]) == EXIT_OK
-    # a one-round cap starves the MIS subroutine, surfacing as an internal stop
-    assert main([*base, "--round-cap", "1"]) == EXIT_INTERNAL
-
-
-def test_round_cap_below_one_is_refused(tmp_path, capsys, monkeypatch):
-    import misrecon.sim as sim
-
-    def no_engine(*args, **kwargs):
-        raise AssertionError("the engine ran before the cap was checked")
-
-    monkeypatch.setattr(sim, "run", no_engine)
-    path10 = write_instance(
         tmp_path, Graph(range(10), [(i, i + 1) for i in range(9)]),
         frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2)),
     )
-    # p4 has diameter 3, so the CLI would take the small-diameter fallback.
-    for gp, ap, bp in (path10, p4_files(tmp_path)):
-        out = tmp_path / "s.txt"
-        base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
-        for cap in ("-5", "0"):
-            assert main([*base, "--round-cap", cap]) == EXIT_USAGE
-            err = capsys.readouterr().err
-            assert err.startswith("error: ") and cap in err and "Traceback" not in err
-        assert not out.exists()
+    out = tmp_path / "s.txt"
+    base = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(out)]
+    assert main([*base, "--round-cap", "5"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --round-cap 5" in captured.err and "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_seed_environment_variable_is_ignored(tmp_path, monkeypatch):

@@ -87,7 +87,7 @@ def test_lift_preserves_validity_on_random_instances():
 def test_layers_on_alternating_c12():
     g = cycle(12)
     alpha, beta = frozenset(range(0, 12, 2)), frozenset(range(1, 12, 2))
-    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
+    ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert lp[0] == frozenset({0, 6})
@@ -100,7 +100,7 @@ def test_layers_on_alternating_c12():
 def test_layers_on_alternating_path():
     g = path(13)
     alpha, beta = frozenset(range(0, 13, 2)), frozenset(range(1, 13, 2))
-    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
+    ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, Trace())
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     union = frozenset().union(*lp.values())
     assert union == g.nodes
@@ -113,7 +113,7 @@ def test_layers_catch_all_neighbors_in_ruling_clause():
     # in layer 1 even without a distance-2 route to layer 3.
     g = path(8)
     alpha, beta = frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2))
-    ruling = ruling_set_32(g, components_of(g, g.nodes, alpha, beta)[0], alpha, beta, Trace())
+    ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     lp = layer_component(g, g.nodes, alpha, beta, ruling)
     assert 7 in lp[1]
@@ -131,7 +131,7 @@ def test_layers_overlap_candidate_resolves_to_layer_2():
     assert lp[-1] == frozenset({1})
     assert 2 in lp[2] and 2 not in lp[-2]
     inst = ReconfigInstance(g, alpha, beta)
-    assert validate(inst, constant_length_schedule_distributed(inst)[0], PropertySpec(4)).valid
+    assert validate(inst, constant_length_schedule_distributed(inst)[0], PropertySpec(4)) is None
 
 
 def test_layer_check_rejects_a_layer_1_node_next_to_layer_3():
@@ -167,7 +167,7 @@ def sets_of(start, flips):
 
 
 def big_fragment(inst):
-    comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    comps = components_of(inst.graph, inst.alpha, inst.beta)
     assert len(comps) == 1
     return sets_of(inst.alpha, schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace()))
 
@@ -194,13 +194,13 @@ def test_p4_fragment_matches_hand_execution():
         frozenset({1, 3}),
         frozenset({1, 3}),
     ]
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
 
 
 def test_c6_diameter_3_fragment():
     inst = alt(6, cycle(6))
     frag = big_fragment(inst)
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
     assert len(frag) == 9
 
 
@@ -209,7 +209,7 @@ def test_long_path_cascade_fragment():
     frag = big_fragment(inst)
     assert len(frag) == 9
     sched = Schedule.from_steps(frag)
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
     # odd steps only remove alpha-nodes, even steps only add beta-nodes
     for i in range(1, 9):
         removed = frag[i - 1] - frag[i]
@@ -222,7 +222,7 @@ def test_long_path_cascade_fragment():
 
 def test_big_component_rejects_small_diameter():
     inst = alt(3)  # single component of diameter 2
-    comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    comps = components_of(inst.graph, inst.alpha, inst.beta)
     with pytest.raises(InputError):
         schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace())
 
@@ -233,15 +233,15 @@ def test_two_components_covering_through_one_epsilon():
     g = Graph(range(5), [(0, 1), (2, 3), (4, 0), (4, 3)])
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
     inst = ReconfigInstance(g, alpha, beta)
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 19
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
 
 
 def test_single_big_component_equals_padded_fragment():
     inst = alt(8)
-    comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    comps = components_of(inst.graph, inst.alpha, inst.beta)
     frag18 = schedule_non_isolated(inst.graph, comps, inst.alpha, inst.beta, Trace())
     frag8 = schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, Trace())
     # parts 1-2 are no-ops (4 empty flips), then the 8-step cascade
@@ -257,11 +257,11 @@ def test_triangle_of_doubly_covered_components():
     )
     alpha, beta = frozenset({0, 2, 4}), frozenset({1, 3, 5})
     inst = ReconfigInstance(g, alpha, beta)
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     assert all(c.alpha_covered and c.beta_covered for c in comps)
     frag = sets_of(alpha, schedule_non_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 19
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
 
 
 # --- isolated regime -----------------------------------------------------------
@@ -270,21 +270,21 @@ def test_isolated_shallow_pair_with_bridge():
     g = Graph(range(7), [(0, 1), (0, 2), (3, 0), (3, 1), (4, 5), (6, 4), (6, 5), (3, 6)])
     alpha, beta = frozenset({0, 4}), frozenset({1, 2, 5})
     inst = ReconfigInstance(g, alpha, beta)
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     assert all(c.isolated for c in comps)
     frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 11
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
 
 
 def test_isolated_deep_blob_six_step_gadget():
     g = Graph(range(6), [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 2), (5, 1), (5, 3)])
     alpha, beta = frozenset({0, 1}), frozenset({2, 3})
     inst = ReconfigInstance(g, alpha, beta)
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
     assert len(frag) == 11
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
     # the selected epsilon-node enters and leaves
     assert any(4 in s for s in frag) and 4 not in frag[-1]
 
@@ -298,9 +298,9 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
     g = Graph(range(12), edges)
     alpha, beta = frozenset({0, 1, 6, 7}), frozenset({2, 3, 8, 9})
     inst = ReconfigInstance(g, alpha, beta)
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     frag = sets_of(alpha, schedule_isolated(g, comps, alpha, beta, Trace()))
-    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)).valid
+    assert validate(inst, Schedule.from_steps(frag), PropertySpec(4)) is None
     # only one escape node is parked; the skipped blob's beta-part arrives in
     # the same step as the parked blob's anchor beta-node
     assert frozenset({4, 10}) & frag[6] == frozenset({4})
@@ -313,7 +313,7 @@ def test_alt_p8_gives_valid_28_steps():
     inst = alt(8)
     sched = constant_length_schedule_distributed(inst)[0]
     assert sched.length == 28
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_alpha_equals_beta_gives_constant_padding():
@@ -328,7 +328,7 @@ def test_random_100_node_instance():
     inst = random_connected_instance(100, 0.03, seed=12)
     sched = constant_length_schedule_distributed(inst)[0]
     assert sched.length == 28
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_random_582_node_instance_keeps_epsilon_node_covered():
@@ -341,7 +341,7 @@ def test_random_582_node_instance_keeps_epsilon_node_covered():
     inst = gen_gadget("random", n=582, p=3 / 582, seed=186725930014)
     sched, _ = constant_length_schedule_distributed(inst)
     assert sched.length == 28
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
     # Step 7 is step 3 of part 3: beta-node 140 is within 3 hops of the set.
     assert not sched.steps[7].isdisjoint(distances_from(inst.graph, 140, radius=3))
 
@@ -374,7 +374,7 @@ def test_random_reproducers_give_valid_28_steps(n, seed, mode):
     inst = gen_gadget("random", n=n, p=3 / n, seed=seed)
     sched, _ = constant_length_schedule_distributed(inst, Trace(mode, seed=1))
     assert sched.length == 28
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 @st.composite
@@ -402,7 +402,7 @@ def test_every_deep_instance_gets_a_valid_28_step_schedule(inst):
     for mode in ("deterministic-id", "luby"):
         sched, _ = constant_length_schedule_distributed(inst, Trace(mode, seed=1))
         assert sched.length == 28
-        assert validate(inst, sched, PropertySpec(4)).valid
+        assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_rejects_small_diameter_and_disconnected():
@@ -482,11 +482,11 @@ def test_reduced_oracle_witness_lifts_to_valid_schedule():
         res = brute_force_oracle(red.reduced_instance, PropertySpec(4))
         if not res.exists:
             continue
-        assert validate(red.reduced_instance, res.witness, PropertySpec(4)).valid
+        assert validate(red.reduced_instance, res.witness, PropertySpec(4)) is None
         # Lifting adds the shared core to the start; the flips stay.
         whole = Schedule(res.witness.start | red.stripped_always_in, res.witness.flips)
-        report = validate(inst, whole, PropertySpec(4))
-        assert report.valid, report.first_violation
+        violation = validate(inst, whole, PropertySpec(4))
+        assert violation is None, violation
         lifted += 1
     assert lifted >= 5
 
@@ -541,7 +541,7 @@ def test_distributed_round_accounting_constants(monkeypatch):
 
 
 def _report_tags(inst):
-    comps = components_of(inst.graph, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    comps = components_of(inst.graph, inst.alpha, inst.beta)
     trace = Trace()
     schedule_big_component(inst.graph, comps[0], inst.alpha, inst.beta, trace)
     return list(trace.phases)
@@ -621,14 +621,80 @@ def test_part_2_matches_a_fringe_scan(monkeypatch, n, gen_seed, mode):
 
     red = reduce_instance(inst).reduced_instance
     g, alpha, beta = red.graph, red.alpha, red.beta
-    small = [c for c in components_of(g, alpha | beta, alpha, beta) if c.diameter <= 2 and not c.isolated]
+    small = [c for c in components_of(g, alpha, beta) if c.diameter <= 2 and not c.isolated]
     c_ab = [c for c in small if c.alpha_covered and c.beta_covered]
-    mis_graph, by_label = constlength._component_graph(c_ab)
-    m_labels, _ = dist_mis(mis_graph, mode)
+    by_label = {c.min_id: c for c in c_ab}
+    m_labels, _ = dist_mis(constlength._component_graph(c_ab), mode)
     updated = {c.min_id for c in small if c.alpha_covered and not c.beta_covered}
     expected = reference_part2(g, small, updated, [by_label[i] for i in sorted(m_labels)], alpha, beta)
     # The non-isolated fragment's second batch, after part 1's, is part 2.
     assert expected and batches[1] == expected
+
+
+def reference_non_isolated(g, comps, alpha, beta, mode):
+    """The 18 flips of the non-isolated fragment, and the components each of
+    its five small batches updates, by filter and mark: the small
+    components are listed as alpha-covered only; not in the MIS of the
+    component graph but alpha-covered by one in it; in the MIS; doubly
+    covered; beta-covered only.  Each is updated by the first list that
+    holds it, and the big components cascade between the second and the
+    third batch."""
+    small = [c for c in comps if c.diameter <= 2]
+    c_ab = [c for c in small if c.alpha_covered and c.beta_covered]
+    labels = {c.min_id for c in c_ab}
+    # An edge where an epsilon-node has an alpha-neighbour in one and a
+    # beta-neighbour in the other: the other's alpha_covered holds the one.
+    mis_graph = Graph(labels, [(i, c.min_id) for c in c_ab for i in c.alpha_covered if i in labels])
+    m_labels, _ = dist_mis(mis_graph, mode)
+    lists = [
+        [c for c in small if c.alpha_covered and not c.beta_covered],
+        [c for c in small if c.min_id not in m_labels and c.alpha_covered & m_labels],
+        [c for c in c_ab if c.min_id in m_labels],
+        c_ab,
+        [c for c in small if c.beta_covered and not c.alpha_covered],
+    ]
+    updated, batches = set(), []
+    for listed in lists:
+        batches.append([c for c in listed if c.min_id not in updated])
+        updated |= {c.min_id for c in batches[-1]}
+    steps = []
+    for batch in batches:
+        vertices = frozenset().union(*(c.vertices for c in batch))
+        steps.append([alpha & vertices, beta & vertices])
+    big = [schedule_big_component(g, c, alpha, beta, Trace(mode)) for c in comps if c.diameter >= 3]
+    cascade = [frozenset().union(*(f[j] for f in big)) for j in range(8)]
+    return steps[0] + steps[1] + cascade + steps[2] + steps[3] + steps[4], batches
+
+
+@st.composite
+def instances_of_small_pieces(draw):
+    """Alternating paths of 2 to 4 nodes (diameter 1 to 3) joined by
+    epsilon-nodes, each with one or two alpha- and beta-neighbours anywhere:
+    small components land in every part."""
+    rng = draw(st.randoms(use_true_random=False))
+    edges, alpha, beta, n = [], set(), set(), 0
+    for _ in range(12):
+        length, flip = rng.choice((2, 2, 3, 4)), rng.random() < 0.5
+        edges += [(v, v + 1) for v in range(n, n + length - 1)]
+        for v in range(n, n + length):
+            (alpha if (v - n) % 2 == flip else beta).add(v)
+        n += length
+    for e in range(n, n + 14):
+        edges += [(e, a) for a in rng.sample(sorted(alpha), rng.choice((1, 1, 2)))]
+        edges += [(e, b) for b in rng.sample(sorted(beta), rng.choice((1, 1, 2)))]
+    return ReconfigInstance(Graph(range(n + 14), edges), alpha, beta)
+
+
+@seed(20261019)
+@settings(max_examples=40, deadline=None)
+@given(instances_of_small_pieces(), st.sampled_from(["deterministic-id", "luby"]))
+def test_parts_match_filter_and_mark(inst, mode):
+    g, alpha, beta = inst.graph, inst.alpha, inst.beta
+    covered = [c for c in components_of(g, alpha, beta) if not c.isolated or c.diameter >= 3]
+    expected, batches = reference_non_isolated(g, covered, alpha, beta, mode)
+    # Parts 1, 2, 4, 5 and 6 each update at least one small component.
+    assume(all(batches))
+    assert schedule_non_isolated(g, covered, alpha, beta, Trace(mode)) == expected
 
 
 # --- the virtual graphs the MIS runs on ------------------------------------------
@@ -661,7 +727,7 @@ def reference_virtual_graphs(inst):
     red = reduce_instance(inst).reduced_instance
     g, alpha, beta = red.graph, red.alpha, red.beta
     eps = g.nodes - alpha - beta
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     label = {v: c.min_id for c in comps for v in c.vertices}
 
     isolated = {c.min_id: c.vertices for c in comps if c.isolated and c.diameter <= 2}

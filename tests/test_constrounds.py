@@ -180,7 +180,7 @@ def test_p8_schedule_valid_and_constant_rounds():
     assert sched.length == 6 * 8
     assert sched.steps[-1] == inst.beta
     assert report.rounds_used == 9
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_schedule_length_tracks_largest_identifier():
@@ -236,7 +236,7 @@ def test_cycle_coloring_schedule_length():
     k = len(set(coloring.values()))
     sched = constant_rounds_schedule(inst, coloring)[0]
     assert sched.length <= 6 * k + 6
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_improper_coloring_rejected_with_witness():
@@ -285,7 +285,7 @@ def test_coloring_windows_round_trip_parked_helpers():
         assert saw_round_trip
         sched = constant_rounds_schedule(inst, coloring)[0]
         assert sched.steps[-1] == inst.beta
-        assert _validate(inst, sched, PropertySpec(4)).valid
+        assert _validate(inst, sched, PropertySpec(4)) is None
 
 
 # --- window loop ---------------------------------------------------------------

@@ -170,7 +170,7 @@ def test_capped_diameter_is_min_of_exact_and_cap(query):
     # components_of stores min(exact, 5), which keeps every band it is
     # sorted by: at most 2, 3, 4, and 5 or more.
     universe = g.nodes if within is None else within
-    for comp in components_of(g, universe, universe, frozenset()):
+    for comp in components_of(g, universe, frozenset()):
         assert comp.diameter == min(diameter(g, comp.vertices), 5)
 
 
@@ -189,7 +189,7 @@ def test_capped_diameter_is_local(monkeypatch):
         return dist
 
     monkeypatch.setattr(graph, "distances_from", counting)
-    components_of(g, inst.alpha | inst.beta, inst.alpha, inst.beta)
+    components_of(g, inst.alpha, inst.beta)
     assert sum(visits) <= 2 * len(g)
     visits.clear()
     assert diameter(g, cap=4) == 4
@@ -233,22 +233,30 @@ def test_components_partition_and_are_maximal():
 def test_components_of_annotations():
     g = path(4)
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     assert len(comps) == 1 and comps[0].diameter == 3
 
     g2 = Graph(range(5), [(0, 1), (2, 3)])
-    comps2 = components_of(g2, frozenset({0, 1, 2, 3}), frozenset({0, 2}), frozenset({1, 3}))
+    comps2 = components_of(g2, frozenset({0, 2}), frozenset({1, 3}))
     assert [c.diameter for c in comps2] == [1, 1]
 
     star = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    comps3 = components_of(star, star.nodes, frozenset({0}), frozenset({1, 2, 3}))
+    comps3 = components_of(star, frozenset({0}), frozenset({1, 2, 3}))
     assert comps3[0].diameter == 2 and comps3[0].isolated
+
+
+def test_components_of_names_unknown_ids_in_alpha_or_beta():
+    g = path(4)
+    with pytest.raises(InputError, match=r"unknown ids \[7\]"):
+        components_of(g, frozenset({0, 2, 7}), frozenset({1, 3}))
+    with pytest.raises(InputError, match=r"unknown ids \[5, 9\]"):
+        components_of(g, frozenset({0, 2}), frozenset({1, 3, 9, 5}))
 
 
 def test_covering_labels():
     # u=4 has an alpha-neighbor in {0,1} and a beta-neighbor in {2,3}.
     g = Graph(range(5), [(0, 1), (2, 3), (4, 0), (4, 3)])
-    comps = components_of(g, frozenset(range(4)), frozenset({0, 2}), frozenset({1, 3}))
+    comps = components_of(g, frozenset({0, 2}), frozenset({1, 3}))
     by_min = {c.min_id: c for c in comps}
     assert by_min[0].beta_covered and not by_min[0].alpha_covered
     assert by_min[2].alpha_covered and not by_min[2].beta_covered
@@ -295,15 +303,13 @@ def test_covering_sets_match_their_definition(n, p, rng_seed, reduced):
     if reduced:
         inst = reduce_instance(inst).reduced_instance
     g, alpha, beta = inst.graph, inst.alpha, inst.beta
-    comps = components_of(g, alpha | beta, alpha, beta)
+    comps = components_of(g, alpha, beta)
     alpha_cov, beta_cov = reference_covering(g, comps, alpha, beta)
     for c in comps:
         assert (c.alpha_covered, c.beta_covered) == (alpha_cov[c.min_id], beta_cov[c.min_id])
     doubly = [c for c in comps if c.alpha_covered and c.beta_covered]
     for subset in (comps, doubly):
-        mis_graph, by_label = _component_graph(subset)
-        assert mis_graph == reference_component_graph(g, subset, alpha, beta)
-        assert by_label == {c.min_id: c for c in subset}
+        assert _component_graph(subset) == reference_component_graph(g, subset, alpha, beta)
 
 
 def test_is_independent():

@@ -40,28 +40,24 @@ def test_instance_requires_mis():
 def test_validate_accepts_hand_built_schedule():
     inst = p4_instance()
     sched = Schedule.from_steps(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_validate_flip_independence_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule.from_steps(({0, 2}, {1, 3})), PropertySpec(4))
-    assert not report.valid
-    v = report.first_violation
+    v = validate(inst, Schedule.from_steps(({0, 2}, {1, 3})), PropertySpec(4))
     assert v.step == 1 and v.condition == "flip-independence" and v.witness == (0, 1)
 
 
 def test_validate_domination_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule.from_steps(({0, 2}, frozenset(), {1, 3})), PropertySpec(4))
-    v = report.first_violation
+    v = validate(inst, Schedule.from_steps(({0, 2}, frozenset(), {1, 3})), PropertySpec(4))
     assert v.step == 1 and v.condition == "domination"
 
 
 def test_validate_endpoint_violation():
     inst = p4_instance()
-    report = validate(inst, Schedule.from_steps(({0, 2}, {0}, {0, 3})), PropertySpec(4))
-    v = report.first_violation
+    v = validate(inst, Schedule.from_steps(({0, 2}, {0}, {0, 3})), PropertySpec(4))
     assert v.condition == "endpoints" and v.step == 2
 
 
@@ -76,9 +72,9 @@ def test_validate_rejects_empty_and_unknown():
 def test_length_zero_schedule_iff_alpha_equals_beta():
     g = Graph(range(4), [(0, 1), (1, 2), (2, 3)])
     same = ReconfigInstance(g, frozenset({0, 2}), frozenset({0, 2}))
-    assert validate(same, Schedule.from_steps(({0, 2},)), PropertySpec(4)).valid
+    assert validate(same, Schedule.from_steps(({0, 2},)), PropertySpec(4)) is None
     diff = p4_instance()
-    assert not validate(diff, Schedule.from_steps(({0, 2},)), PropertySpec(4)).valid
+    assert validate(diff, Schedule.from_steps(({0, 2},)), PropertySpec(4)) is not None
 
 
 def smallest_edge(g, s):
@@ -129,9 +125,7 @@ def naive_check(inst, sched, d):
     return None
 
 
-def reported(report):
-    assert report.valid == (report.first_violation is None)
-    v = report.first_violation
+def reported(v):
     return None if v is None else (v.step, v.condition, v.witness)
 
 
@@ -415,15 +409,15 @@ def test_long_empty_runs_keep_every_step_in_place():
     assert text == written_line_by_line(sched)
     assert text.count("\n") == sched.length + 1 == 10506
     assert parse_schedule_file(text) == sched
-    assert validate(inst, sched, PropertySpec(4)).valid
+    assert validate(inst, sched, PropertySpec(4)) is None
 
     # {0, 2} -> {0} -> {0, 3}, then a third flip after 5,000 more empty flips:
     # {0, 1} flips an edge; {0, 3} empties the set, so node 0 is uncovered.
     for third, condition, witness in (({0, 1}, "flip-independence", (0, 1)), ({0, 3}, "domination", 0)):
         bad = Schedule(inst.alpha, with_empty_runs(({2}, {3}, third), (3000, 5000, 5000, 7)))
-        assert validate(inst, bad, PropertySpec(4)).first_violation == Violation(13003, condition, witness)
+        assert validate(inst, bad, PropertySpec(4)) == Violation(13003, condition, witness)
         assert parse_schedule_file(format_schedule_file(bad)) == bad
 
     # Every step is fine but the last set is {0, 3}, not beta.
     short = Schedule(inst.alpha, with_empty_runs(({2}, {3}), (3000, 5000, 4000)))
-    assert validate(inst, short, PropertySpec(4)).first_violation == Violation(12002, "endpoints", 0)
+    assert validate(inst, short, PropertySpec(4)) == Violation(12002, "endpoints", 0)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import misrecon.sim as sim
 from misrecon import gen_gadget
-from misrecon.constlength import reduce_instance
+from misrecon.constlength import constant_length_schedule_distributed, reduce_instance
 from misrecon.errors import InputError, InternalError
 from misrecon.graph import Graph, components_of, distances_from, format_graph_file, is_mis
 from misrecon.schedule import format_vertex_set_file
@@ -142,7 +142,7 @@ def test_ruling_set_on_alternating_cycle():
     y = frozenset(range(10))
     alpha, beta = frozenset(range(0, 10, 2)), frozenset(range(1, 10, 2))
     trace = Trace()
-    ruling = ruling_set_32(g, components_of(g, y, alpha, beta)[0], alpha, beta, trace)
+    ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, trace)
     assert ruling == frozenset({0})
     assert list(trace.phases) == ["ruling-set"] and trace.rounds_used >= 2
 
@@ -150,7 +150,7 @@ def test_ruling_set_on_alternating_cycle():
 def test_ruling_set_on_alternating_path():
     g = path(11)
     alpha, beta = frozenset(range(0, 11, 2)), frozenset(range(1, 11, 2))
-    ruling = ruling_set_32(g, components_of(g, frozenset(range(11)), alpha, beta)[0], alpha, beta, Trace())
+    ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, Trace())
     assert ruling == frozenset({0, 6})
     # exhaustive (6,5) check in the induced subgraph
     for v in g.nodes:
@@ -164,7 +164,7 @@ def test_ruling_set_property_exhaustively():
         g = cycle(n)
         alpha = frozenset(range(0, n, 2))
         beta = frozenset(range(1, n, 2))
-        ruling = ruling_set_32(g, components_of(g, frozenset(range(n)), alpha, beta)[0], alpha, beta, Trace())
+        ruling = ruling_set_32(g, components_of(g, alpha, beta)[0], alpha, beta, Trace())
         virtual_nodes = sorted(alpha)
         virtual = Graph(
             virtual_nodes,
@@ -188,7 +188,7 @@ def test_ruling_set_single_alpha_node_rejected_below_min_diameter():
     # Diameter < 5 components are the callers' responsibility.
     g = path(4)
     alpha, beta = frozenset({0, 2}), frozenset({1, 3})
-    comp = components_of(g, frozenset(range(4)), alpha, beta)[0]
+    comp = components_of(g, alpha, beta)[0]
     with pytest.raises(InputError):
         ruling_set_32(g, comp, alpha, beta, Trace())
 
@@ -196,7 +196,7 @@ def test_ruling_set_single_alpha_node_rejected_below_min_diameter():
 def test_ruling_set_preconditions():
     g = path(12)
     alpha, beta = frozenset(range(12)), frozenset()
-    comp = components_of(g, frozenset(range(12)), alpha, beta)[0]
+    comp = components_of(g, alpha, beta)[0]
     with pytest.raises(InputError):
         ruling_set_32(g, comp, alpha, beta, Trace())
 
@@ -219,8 +219,6 @@ def test_trace_charges_each_phase_its_slowest_call():
     assert trace.mis("blob-mis", g) == selected
     assert trace.phases["blob-mis"] == report.rounds_used
     assert trace.messages_sent == 28 + report.messages_sent
-    with pytest.raises(InputError, match="round cap must be at least 1"):
-        Trace(round_cap=0)
 
 
 def test_mis_on_alternating_cycle_seed_7():
@@ -422,7 +420,7 @@ def big_components(draw):
     else:
         inst = gen_gadget(family, n=2 * draw(st.integers(5, 30)))
     red = reduce_instance(inst).reduced_instance
-    comps = components_of(red.graph, red.alpha | red.beta, red.alpha, red.beta)
+    comps = components_of(red.graph, red.alpha, red.beta)
     big = [c for c in comps if c.diameter >= 5]
     assume(big)
     return red, draw(st.sampled_from(big))
@@ -469,7 +467,7 @@ RULING_CORRUPTIONS = {
 @pytest.mark.parametrize("corrupt", RULING_CORRUPTIONS.values(), ids=RULING_CORRUPTIONS)
 def test_ruling_set_rejects_a_corrupted_mis_run(monkeypatch, corrupt):
     inst = gen_gadget("alt-path", n=13)
-    comp = components_of(inst.graph, inst.graph.nodes, inst.alpha, inst.beta)[0]
+    comp = components_of(inst.graph, inst.alpha, inst.beta)[0]
     assert ruling_set_32(inst.graph, comp, inst.alpha, inst.beta, Trace()) == {0, 6, 12}
     corrupt_ruling_run(monkeypatch, inst.alpha, corrupt)
     with pytest.raises(InternalError, match="MIS subroutine produced a non-MIS output"):
@@ -478,9 +476,16 @@ def test_ruling_set_rejects_a_corrupted_mis_run(monkeypatch, corrupt):
 
 @pytest.mark.parametrize("corrupt", RULING_CORRUPTIONS.values(), ids=RULING_CORRUPTIONS)
 def test_corrupted_ruling_run_exits_3_without_traceback(monkeypatch, tmp_path, capsys, corrupt):
+    inst = gen_gadget("alt-path", n=13)
+    corrupt_ruling_run(monkeypatch, inst.alpha, corrupt)
+    assert_const_length_stops(tmp_path, capsys, inst, "MIS subroutine produced a non-MIS output")
+
+
+def assert_const_length_stops(tmp_path, capsys, inst, message):
+    """``const-length`` on inst exits 3 with exactly one stderr line,
+    ``internal error: <message>``, no stdout and no schedule file."""
     from misrecon.cli import EXIT_INTERNAL, main
 
-    inst = gen_gadget("alt-path", n=13)
     paths = []
     for name, text in (
         ("graph", format_graph_file(inst.graph)),
@@ -489,10 +494,41 @@ def test_corrupted_ruling_run_exits_3_without_traceback(monkeypatch, tmp_path, c
     ):
         (tmp_path / name).write_text(text)
         paths += [f"--{name}", str(tmp_path / name)]
-    corrupt_ruling_run(monkeypatch, inst.alpha, corrupt)
     out = tmp_path / "sched.txt"
     assert main(["const-length", *paths, "--out", str(out)]) == EXIT_INTERNAL
     captured = capsys.readouterr()
-    assert captured.err.splitlines() == ["internal error: MIS subroutine produced a non-MIS output"]
+    assert captured.err.splitlines() == [f"internal error: {message}"]
     assert captured.out == ""
     assert not out.exists()
+
+
+def test_round_cap_stop_exits_3_even_when_the_outputs_form_an_mis(monkeypatch, tmp_path, capsys):
+    # The ruling set's run, on the 7 alpha-nodes of alt-path n=13, reports
+    # hitting its cap of 8·7 + 8 but keeps its full outputs, an MIS, so only
+    # dist_mis's timed_out check stops the pipeline.
+    inst = gen_gadget("alt-path", n=13)
+    real_run = sim.run
+
+    def capped_run(g, *args, **kwargs):
+        return dataclasses.replace(real_run(g, *args, **kwargs), timed_out=g.nodes == inst.alpha)
+
+    monkeypatch.setattr(sim, "run", capped_run)
+    assert_const_length_stops(tmp_path, capsys, inst, "MIS subroutine hit the round cap 64")
+
+
+def test_dist_mis_caps_each_run_at_8n_plus_8(monkeypatch):
+    caps = []
+    real_run = sim.run
+
+    def spy(g, *args, **kwargs):
+        caps.append((len(g), kwargs["round_cap"]))
+        return real_run(g, *args, **kwargs)
+
+    monkeypatch.setattr(sim, "run", spy)
+    for g in (Graph(), path(1), cycle(6), random_graph(20, 0.2, 3)):
+        for mode in ("deterministic-id", "luby"):
+            dist_mis(g, mode)
+    assert caps == [(n, max(16, 8 * n + 8)) for n in (0, 0, 1, 1, 6, 6, 20, 20)]
+    caps.clear()
+    constant_length_schedule_distributed(gen_gadget("logstar", n=60, k=4), Trace())
+    assert caps and all(cap == max(16, 8 * n + 8) for n, cap in caps)

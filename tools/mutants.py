@@ -75,9 +75,43 @@ MUTANTS = [
     Mutant(
         "component-graph-without-covering-edges",
         "src/misrecon/constlength.py",
-        "for i in comp.alpha_covered if i in by_label]",
+        "for i in comp.alpha_covered if i in labels]",
         "for i in comp.alpha_covered if False]",
         ("tests/test_constlength.py::test_virtual_graphs_match_their_definitions",),
+    ),
+    Mutant(
+        "dist-mis-ignores-timed-out",
+        "src/misrecon/sim.py",
+        '    if report.timed_out:\n        raise InternalError(f"MIS subroutine hit the round cap {cap}")\n',
+        "",
+        ("tests/test_sim.py::test_round_cap_stop_exits_3_even_when_the_outputs_form_an_mis",),
+    ),
+    Mutant(
+        "validate-without-last-flip-independence",
+        "src/misrecon/schedule.py",
+        "        if edge is not None:\n            violation = Violation(last, ",
+        "        if False:\n            violation = Violation(last, ",
+        (
+            "tests/test_schedule.py::test_validate_flip_independence_violation",
+            "tests/test_schedule.py::test_validator_reports_the_naive_first_violation",
+        ),
+    ),
+    Mutant(
+        "validate-without-end-set-check",
+        "src/misrecon/schedule.py",
+        "        if end != inst.beta:",
+        "        if False:",
+        (
+            "tests/test_schedule.py::test_validate_endpoint_violation",
+            "tests/test_schedule.py::test_length_zero_schedule_iff_alpha_equals_beta",
+        ),
+    ),
+    Mutant(
+        "part-sends-mis-components-to-part-5",
+        "src/misrecon/constlength.py",
+        "        if c.min_id in m_labels:\n            return 4\n",
+        "        if c.min_id in m_labels:\n            return 5\n",
+        ("tests/test_constlength.py::test_parts_match_filter_and_mark",),
     ),
 ]
 
