@@ -111,7 +111,8 @@ def brute_force_oracle(
     """Shortest schedule via BFS over all independent d-dominating sets.
 
     States are connected when their symmetric difference is independent, which
-    permits simultaneous additions and removals in one step.
+    permits simultaneous additions and removals in one step.  Each popped state
+    scans only the states not yet reached, ascending.
     """
     g = inst.graph
     n = len(g.nodes)
@@ -124,6 +125,7 @@ def brute_force_oracle(
     beta_mask = sum(1 << i for i, v in enumerate(nodes) if v in inst.beta)
 
     parent: dict[int, int | None] = {alpha_mask: None}
+    unreached = [m for m in states if m != alpha_mask]
     queue = deque([alpha_mask])
     explored = 0
     while queue:
@@ -136,12 +138,16 @@ def brute_force_oracle(
             masks.reverse()
             steps = tuple(frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in masks)
             return OracleResult(True, len(masks) - 1, Schedule.from_steps(steps), explored)
-        for nxt in states:
-            if nxt not in parent and indep[cur ^ nxt]:
-                if len(parent) >= cap_states:
-                    return OracleResult(None, None, None, explored)
+        keep = []
+        for nxt in unreached:
+            if not indep[cur ^ nxt]:
+                keep.append(nxt)
+            elif len(parent) >= cap_states:
+                return OracleResult(None, None, None, explored)
+            else:
                 parent[nxt] = cur
                 queue.append(nxt)
+        unreached = keep
     return OracleResult(False, None, None, explored)
 
 
@@ -359,64 +365,81 @@ def random_connected_instance(
 
 
 # ---------------------------------------------------------------------------
-# Isomorph-free enumeration of small graphs, by one-node extensions with
-# canonical adjacency-matrix minimization over refinement-respecting
-# relabelings.
+# Isomorph-free enumeration of small graphs, by one-node extensions with a
+# canonical code found by branch and bound over refinement-respecting labelings.
 
 def _refine_colors(rows: tuple[int, ...]) -> list[int]:
-    n = len(rows)
-    colors = [bin(r).count("1") for r in rows]
-    for _ in range(n):
-        sigs = []
-        for i in range(n):
-            neigh = sorted(colors[j] for j in range(n) if rows[i] >> j & 1)
-            sigs.append((colors[i], tuple(neigh)))
+    neighbours = [[j for j in range(len(rows)) if r >> j & 1] for r in rows]
+    colors = [len(nb) for nb in neighbours]
+    while len(set(colors)) < len(rows):
+        sigs = [(colors[i], *sorted([colors[j] for j in nb])) for i, nb in enumerate(neighbours)]
         ranking = {sig: rank for rank, sig in enumerate(sorted(set(sigs)))}
-        fresh = [ranking[s] for s in sigs]
-        if fresh == colors:
+        if len(ranking) == len(set(colors)):
             break
-        colors = fresh
+        colors = [ranking[s] for s in sigs]
     return colors
 
 
-def _canonical_code(rows: tuple[int, ...]) -> int:
+def _canonical_code(rows: tuple[int, ...]) -> tuple[int, list[tuple[int, ...]]]:
+    """The least code over labelings (a vertex per position) that fill the
+    positions with the refined colour classes in order, and every labeling
+    that attains it.  The code reads the relabeled matrix column by column, so
+    placing position b fixes each bit (a, b), a < b.  A branch whose prefix
+    is above the best code's is cut and ties go on, so the first labeling
+    returned maps to the others by exactly the automorphisms."""
     n = len(rows)
     colors = _refine_colors(rows)
-    classes: dict[int, list[int]] = {}
-    for i, c in enumerate(colors):
-        classes.setdefault(c, []).append(i)
-    ordered = [classes[c] for c in sorted(classes)]
-    best: int | None = None
-    for arrangement in itertools.product(*(itertools.permutations(cls) for cls in ordered)):
-        perm = [i for cls in arrangement for i in cls]
-        code = 0
-        for a in range(n):
-            row = rows[perm[a]]
-            for b in range(a + 1, n):
-                code = (code << 1) | (row >> perm[b] & 1)
-        if best is None or code < best:
-            best = code
-    if best is None:
-        raise InternalError("no relabeling produced a canonical code")
-    return best
+    order = sorted(range(n), key=colors.__getitem__)
+    cells = [[v for v in order if colors[v] == colors[u]] for u in order]
+    total = n * (n - 1) // 2
+    best, labelings, perm = 1 << total, [], []
+
+    def place(b: int, prefix: int) -> None:
+        nonlocal best, labelings
+        if b == n:
+            if prefix < best:
+                best, labelings = prefix, []
+            labelings.append(tuple(perm))
+            return
+        for v in cells[b]:
+            if v in perm:
+                continue
+            code = prefix
+            for u in perm:
+                code = code << 1 | rows[v] >> u & 1
+            if code > best >> (total - b * (b + 1) // 2):
+                continue
+            perm.append(v)
+            place(b + 1, code)
+            perm.pop()
+
+    place(0, 0)
+    return best, labelings
 
 
 def enumerate_graphs(max_n: int) -> dict[int, list[tuple[int, ...]]]:
     """One representative per isomorphism class of graphs on 1..max_n nodes,
-    as tuples of adjacency bitmask rows."""
-    reps: dict[int, list[tuple[int, ...]]] = {1: [(0,)]}
+    as tuples of adjacency bitmask rows: the first graph met in its class,
+    parent by parent, extension masks ascending.  A code only tells whether
+    two graphs are isomorphic, so any complete canonical code gives the same
+    representatives in the same order.  A mask above the least of its orbit
+    under the parent's automorphisms is skipped: its graph came first."""
+    levels = {1: [((0,), [(0,)])]}
     for n in range(2, max_n + 1):
-        seen: dict[int, tuple[int, ...]] = {}
-        for rows in reps[n - 1]:
+        seen: dict[int, tuple[tuple[int, ...], list[tuple[int, ...]]]] = {}
+        for rows, labelings in levels[n - 1]:
+            met = bytearray(1 << (n - 1))
             for mask in range(1 << (n - 1)):
-                new_rows = tuple(
-                    rows[i] | ((mask >> i & 1) << (n - 1)) for i in range(n - 1)
-                ) + (mask,)
-                code = _canonical_code(new_rows)
-                if code not in seen:
-                    seen[code] = new_rows
-        reps[n] = list(seen.values())
-    return reps
+                if met[mask]:
+                    continue
+                spots = [p for p, v in enumerate(labelings[0]) if mask >> v & 1]
+                for q in labelings:  # the orbit of mask: labelings[0][p] -> q[p]
+                    met[sum(1 << q[p] for p in spots)] = 1
+                new_rows = tuple(rows[i] | (mask >> i & 1) << (n - 1) for i in range(n - 1)) + (mask,)
+                code, found = _canonical_code(new_rows)
+                seen.setdefault(code, (new_rows, found))
+        levels[n] = list(seen.values())
+    return {n: [rows for rows, _ in level] for n, level in levels.items()}
 
 
 def rows_to_graph(rows: tuple[int, ...]) -> Graph:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import math
 import random
 from collections import deque
 
@@ -7,9 +9,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from misrecon import graph
+from misrecon import analysis, graph
 from misrecon.analysis import (
     BlockerReport,
+    _canonical_code,
     _state_space,
     all_mis,
     brute_force_oracle,
@@ -24,7 +27,7 @@ from misrecon.analysis import (
 )
 from misrecon.errors import InputError
 from misrecon.graph import Graph, connected_components, diameter, is_d_dominating, is_independent, is_mis
-from misrecon.schedule import PropertySpec, ReconfigInstance, validate
+from misrecon.schedule import PropertySpec, ReconfigInstance, Schedule, validate
 
 
 def path(n):
@@ -272,6 +275,64 @@ def test_oracle_and_all_mis_match_a_frozenset_search(case):
     assert all_mis(inst.graph) == [s for s in subsets(inst.graph) if is_mis(inst.graph, s)]
 
 
+class Counted:
+    """The oracle's independence table or state list, counting lookups and
+    passes.  The first lookup past ``budget`` fails, so a search that rescans
+    reached states stops at once."""
+
+    def __init__(self, items, budget=0):
+        self.items, self.budget, self.lookups, self.passes = items, budget, 0, 0
+
+    def __getitem__(self, i):
+        self.lookups += 1
+        assert self.lookups <= self.budget, "the search looked up more states than it had not reached"
+        return self.items[i]
+
+    def __iter__(self):
+        self.passes += 1
+        return iter(self.items)
+
+
+def rescanning_search(inst, d):
+    """The oracle's search as a scan of every state per pop that skips the
+    reached ones: the witness it finds, and how many unreached states its
+    pops scanned."""
+    nodes, indep, states = _state_space(inst.graph, d)
+    alpha, beta = (sum(1 << i for i, v in enumerate(nodes) if v in s) for s in (inst.alpha, inst.beta))
+    parent, queue, scanned = {alpha: None}, deque([alpha]), 0
+    while queue:
+        cur = queue.popleft()
+        if cur == beta:
+            masks = [cur]
+            while parent[masks[-1]] is not None:
+                masks.append(parent[masks[-1]])
+            steps = [frozenset(v for i, v in enumerate(nodes) if m >> i & 1) for m in reversed(masks)]
+            return Schedule.from_steps(steps), scanned
+        for nxt in states:
+            if nxt not in parent:
+                scanned += 1
+                if indep[cur ^ nxt]:
+                    parent[nxt] = cur
+                    queue.append(nxt)
+    return None, scanned
+
+
+def test_oracle_scans_only_unreached_states(monkeypatch):
+    cases = [(ReconfigInstance(g, a, b), d) for g in enumerate_connected_graphs(5)
+             for a, b in itertools.product(all_mis(g), repeat=2) for d in (1, 4)]
+    star = star_instance(6)
+    cases += [(ReconfigInstance(star.graph, star.beta, star.alpha), 4), (p4_instance(), 4)]
+    for inst, d in cases:
+        witness, scanned = rescanning_search(inst, d)
+        nodes, indep, states = _state_space(inst.graph, d)
+        table, listed = Counted(indep, scanned), Counted(states)
+        monkeypatch.setattr(analysis, "_state_space", lambda g, d: (nodes, table, listed))
+        res = brute_force_oracle(inst, PropertySpec(d))
+        monkeypatch.undo()
+        assert table.lookups == scanned and listed.passes <= 1
+        assert res.witness == witness
+
+
 # --- the state-space cache ------------------------------------------------------
 
 def test_state_space_is_kept_per_radius():
@@ -473,6 +534,102 @@ def test_enumeration_counts_match_graph_atlas():
         for n, lst in reps.items()
     }
     assert connected == {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853}
+
+
+def test_enumeration_output_is_pinned():
+    """The oracle-small bench corpus and criterion 3 read these graphs, in
+    this order, with these labels."""
+    digest = hashlib.sha256(repr(enumerate_graphs(7)).encode()).hexdigest()
+    assert digest == "fce7fc0c34131d353f9bd1d5524b709d05077f976e31517eed9555a29e6fff16"
+
+
+def rows_of(n, edges):
+    rows = [0] * n
+    for u, v in edges:
+        rows[u] |= 1 << v
+        rows[v] |= 1 << u
+    return tuple(rows)
+
+
+def relabeled(rows, perm):
+    """The graph of ``rows`` with node i renamed perm[i]."""
+    n = len(rows)
+    return rows_of(n, [(perm[i], perm[j]) for i in range(n) for j in range(i + 1, n) if rows[i] >> j & 1])
+
+
+def nx_of(rows):
+    h = nx.Graph()
+    h.add_nodes_from(range(len(rows)))
+    h.add_edges_from((i, j) for i in range(len(rows)) for j in range(i + 1, len(rows)) if rows[i] >> j & 1)
+    return h
+
+
+def column_code(rows, labeling):
+    """The adjacency matrix under ``labeling`` (a node per position), read
+    column by column above the diagonal."""
+    code = 0
+    for b in range(len(rows)):
+        for a in range(b):
+            code = code << 1 | rows[labeling[a]] >> labeling[b] & 1
+    return code
+
+
+def moved_edge(rows, rng):
+    """``rows`` with one edge moved onto a non-edge: the same size and often
+    the same degrees, isomorphic to ``rows`` or not."""
+    n = len(rows)
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = [(i, j) for i, j in pairs if rows[i] >> j & 1]
+    gaps = [p for p in pairs if p not in edges]
+    if not edges or not gaps:
+        return rows
+    edges.remove(rng.choice(edges))
+    return rows_of(n, edges + [rng.choice(gaps)])
+
+
+def assert_canonical(rows, perm, other):
+    code, labelings = _canonical_code(rows)
+    assert labelings and all(column_code(rows, lab) == code for lab in labelings[:100])
+    assert _canonical_code(relabeled(rows, perm))[0] == code
+    assert (_canonical_code(other)[0] == code) == nx.is_isomorphic(nx_of(rows), nx_of(other))
+
+
+@st.composite
+def canonical_cases(draw):
+    """A graph on at most 8 nodes, a relabeling, and a relabeled copy with
+    one edge perhaps moved."""
+    n = draw(st.integers(1, 8))
+    pairs = list(itertools.combinations(range(n), 2))
+    rows = rows_of(n, draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else [])
+    perm = draw(st.permutations(range(n)))
+    other = moved_edge(rows, random.Random(draw(st.integers(0, 2**32)))) if draw(st.booleans()) else rows
+    return rows, perm, relabeled(other, draw(st.permutations(range(n))))
+
+
+@seed(20261020)
+@settings(max_examples=150, deadline=None)
+@given(canonical_cases())
+def test_canonical_code_is_a_complete_invariant(case):
+    assert_canonical(*case)
+
+
+SYMMETRIC = {
+    "empty-7": (rows_of(7, []), math.factorial(7)),
+    "complete-7": (rows_of(7, itertools.combinations(range(7), 2)), math.factorial(7)),
+    "cycle-8": (rows_of(8, [(i, (i + 1) % 8) for i in range(8)]), 16),
+    "k33": (rows_of(6, itertools.product(range(3), range(3, 6))), 72),
+    "cube": (rows_of(8, [(i, i ^ 1 << k) for i in range(8) for k in range(3) if i < i ^ 1 << k]), 48),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYMMETRIC))
+def test_canonical_code_on_symmetric_graphs(name):
+    rows, automorphisms = SYMMETRIC[name]
+    assert len(set(_canonical_code(rows)[1])) == automorphisms
+    rng = random.Random(name)
+    for _ in range(3):
+        perm = rng.sample(range(len(rows)), len(rows))
+        assert_canonical(rows, perm, relabeled(moved_edge(rows, rng), perm))
 
 
 def test_enumeration_matches_networkx_up_to_5_nodes():

@@ -113,6 +113,30 @@ MUTANTS = [
         "        if c.min_id in m_labels:\n            return 5\n",
         ("tests/test_constlength.py::test_parts_match_filter_and_mark",),
     ),
+    Mutant(
+        "canonical-bound-cuts-ties",
+        "src/misrecon/analysis.py",
+        "if code > best >> (total - b * (b + 1) // 2):",
+        "if code >= best >> (total - b * (b + 1) // 2):",
+        (
+            "tests/test_analysis.py::test_canonical_code_on_symmetric_graphs",
+            "tests/test_analysis.py::test_enumeration_counts_match_graph_atlas",
+        ),
+    ),
+    Mutant(
+        "orbit-keeps-its-largest-mask",
+        "src/misrecon/analysis.py",
+        "for mask in range(1 << (n - 1)):",
+        "for mask in reversed(range(1 << (n - 1))):",
+        ("tests/test_analysis.py::test_enumeration_output_is_pinned",),
+    ),
+    Mutant(
+        "oracle-keeps-reached-states",
+        "src/misrecon/analysis.py",
+        "        unreached = keep\n",
+        "",
+        ("tests/test_analysis.py::test_oracle_scans_only_unreached_states",),
+    ),
 ]
 
 
