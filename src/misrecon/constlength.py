@@ -364,7 +364,7 @@ def constant_length_schedule_distributed(
         raise InputError("diameter must exceed 3; use the small-diameter fallback")
     reduction = reduce_instance(inst)
     senders = reduction.stripped_always_in | reduction.stripped_never_in
-    trace.charge("broadcast", 2, sum(g.degree(v) for v in senders))
+    trace.charge("broadcast", 2, sum(g.degree(v) for v in senders), g)
     red = reduction.reduced_instance
     if not (red.alpha | red.beta):
         return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), trace

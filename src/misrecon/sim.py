@@ -1,9 +1,11 @@
 """Deterministic round-synchronous message-passing engine plus the two
 distributed primitives the schedule constructions are parameterized by: a
-maximal-independent-set subroutine and a (3,2)-ruling-set subroutine.  Only
-those two run on the engine, and a pipeline charges every run to its
-``Trace``.  A fixed-length phase, in which every node collects its r-hop
-ball, has a closed-form cost (``Trace.collect``), derived, not simulated.
+maximal-independent-set subroutine (deterministic, by Linial's colour
+reduction to O(Δ²) colours and so O(log* n) rounds on bounded degree, or
+Luby's) and a (3,2)-ruling-set subroutine.  Only those two run on the
+engine, and a pipeline charges every run to its ``Trace``.  A fixed-length
+phase, in which every node collects its r-hop ball, has a closed-form cost
+(``Trace.collect``), derived, not simulated.
 
 Within a round all node steps are logically simultaneous; the engine applies
 them in sorted node order, which is unobservable to the programs because
@@ -17,7 +19,9 @@ depend on scheduling order.
 
 from __future__ import annotations
 
+import functools
 import hashlib
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Any, Callable, Mapping
@@ -27,7 +31,6 @@ from .graph import (
     ComponentInfo,
     Graph,
     VertexSet,
-    distances_from,
     is_independent,
     is_mis,
 )
@@ -156,27 +159,46 @@ def run(
     return SimReport(outputs, rounds_used, messages_sent)
 
 
-class MisIdProgram(NodeProgram):
-    """MIS where a node joins once its id is minimal among undecided neighbors.
-
-    Its state changes only on mail, so it sleeps until mail arrives.
-    """
+class MisColourProgram(NodeProgram):
+    """Deterministic MIS: a colour-reduction round per (q, t) of the plan in
+    its input (``reduction_plan``'s, or none), from the ids as colours, then
+    a node joins once its colour is below every undecided neighbour's.  A
+    round reads colour c as the polynomial p_c over F_q with c's base-q
+    digits, and x·q + p_c(x) is the new colour for the least x where p_c(x)
+    differs from every neighbour's value.  Round 1 reads the ids at init, so
+    every non-isolated node gets mail in every reduction round: the program
+    sleeps until mail."""
 
     sleeps_until_mail = True
 
     def init(self, node_id, neighbor_ids, local_input, rand):
-        self.node = node_id
+        self.plan = local_input or ()
+        self.colour = node_id
+        self.colours = dict(zip(neighbor_ids, neighbor_ids))
         self.undecided = set(neighbor_ids)
-        return self._maybe_join()
+        return self._recolour(0) if self.plan and self.undecided else self._maybe_join()
+
+    def _recolour(self, k: int) -> Outbox:
+        """Round k's new colour, sent to every neighbour."""
+        q = self.plan[k][0]
+        for x in range(q):
+            mine = _poly_value(self.colour, q, x)
+            if all(_poly_value(c, q, x) != mine for c in self.colours.values()):
+                break
+        self.colour = x * q + mine
+        return dict.fromkeys(self.colours, self.colour)
 
     def _maybe_join(self) -> Outbox | None:
-        if all(self.node < w for w in self.undecided):
+        if all(self.colour < self.colours[w] for w in self.undecided):
             out = {w: "join" for w in sorted(self.undecided)}
             self.finish("in")
             return out
         return None
 
     def on_round(self, round_no, inbox):
+        if round_no <= len(self.plan):
+            self.colours = inbox
+            return self._recolour(round_no) if round_no < len(self.plan) else self._maybe_join()
         for sender, msg in inbox.items():
             if msg == "join":
                 self.undecided.discard(sender)
@@ -186,6 +208,30 @@ class MisIdProgram(NodeProgram):
             if msg == "exit":
                 self.undecided.discard(sender)
         return self._maybe_join()
+
+
+def _poly_value(c: int, q: int, x: int) -> int:
+    """p_c(x) over F_q, by Horner's rule on c's base-q digits."""
+    return (c % q + x * _poly_value(c // q, q, x)) % q if x and c >= q else c % q
+
+
+@functools.lru_cache(maxsize=256)
+def reduction_plan(colours: int, max_degree: int) -> tuple[tuple[int, int], ...]:
+    """The (q, t) of each reduction round of ``MisColourProgram`` from a
+    proper colouring with m = ``colours`` colours, on maximum degree Δ.  With
+    q prime, q > Δ·t and q^(t+1) >= m, colours are distinct degree-t
+    polynomials, two agreeing on at most t points, so some x < q avoids all
+    Δ neighbours' values and the q² new colours are proper.  Each round takes
+    the least q², about max(m^(2/(t+1)), Δ²t²), until none is below m: after
+    O(log* m) rounds, at most (the least prime above 2Δ)² colours are left."""
+    best: tuple[int, ...] = (colours,)
+    # From the largest t down, so that the least q² cuts each search short.
+    for t in reversed(range(1, colours.bit_length())):
+        q = max(max_degree * t + 1, 2)
+        while q * q <= best[0] and (q ** (t + 1) < colours or not all(q % d for d in range(2, math.isqrt(q) + 1))):
+            q += 1
+        best = min(best, (q * q, q, t))
+    return () if len(best) == 1 else (best[1:],) + reduction_plan(best[0], max_degree)
 
 
 class MisLubyProgram(NodeProgram):
@@ -243,15 +289,22 @@ class MisLubyProgram(NodeProgram):
 
 def dist_mis(g: Graph, mode: str = "deterministic-id", seed: int = 0) -> tuple[VertexSet, SimReport]:
     """Run the pluggable MIS subroutine on g, capped at max(16, 8n + 8)
-    rounds on n nodes; the result always passes is_mis."""
-    if mode == "deterministic-id":
-        factory: Callable[[], NodeProgram] = MisIdProgram
-    elif mode == "luby":
-        factory = MisLubyProgram
-    else:
+    rounds on n nodes; the result always passes is_mis.
+
+    ``deterministic-id`` gives ``MisColourProgram`` the plan from the id
+    bound max id + 1 and the maximum degree Δ, which every node knows, as
+    usual in the LOCAL model.  After the plan's R rounds C colours are left
+    (the q² of its last round, or the id bound), and a node of colour c
+    decides by the c-th MIS round: a run takes under R + C rounds, 0 if g
+    has no edge."""
+    factory = {"deterministic-id": MisColourProgram, "luby": MisLubyProgram}.get(mode)
+    if factory is None:
         raise InputError(f"unknown MIS mode {mode!r}")
+    plan = None
+    if factory is MisColourProgram:
+        plan = reduction_plan(max(g.nodes, default=0) + 1, max(map(g.degree, g.nodes), default=0))
     cap = max(16, 8 * len(g) + 8)
-    report = run(g, factory, {v: None for v in g.nodes}, round_cap=cap, seed=seed)
+    report = run(g, factory, dict.fromkeys(g.nodes, plan), round_cap=cap, seed=seed)
     if report.timed_out:
         raise InternalError(f"MIS subroutine hit the round cap {cap}")
     selected = frozenset(v for v, out in report.outputs.items() if out == "in")
@@ -267,20 +320,25 @@ class Trace:
     A phase is a named set of calls that run in parallel, so it costs the
     rounds of its slowest call; ``phases`` keeps that per phase, in the
     order the phases were first charged, and ``rounds_used`` is their sum.
-    ``messages_sent`` adds up the messages of every call.
+    ``shapes`` keeps the (n, m, Δ) of the graph that call (the first of
+    equals) ran on.  ``messages_sent`` adds up the messages of every call.
     """
 
     mode: str = "deterministic-id"
     seed: int = 0
     phases: dict[str, int] = field(default_factory=dict, init=False)
+    shapes: dict[str, tuple[int, int, int]] = field(default_factory=dict, init=False)
     messages_sent: int = field(default=0, init=False)
 
     @property
     def rounds_used(self) -> int:
         return sum(self.phases.values())
 
-    def charge(self, phase: str, rounds: int, messages: int) -> None:
-        self.phases[phase] = max(self.phases.get(phase, 0), rounds)
+    def charge(self, phase: str, rounds: int, messages: int, g: Graph) -> None:
+        if rounds > self.phases.get(phase, -1):
+            degrees = list(map(len, map(g.neighbors, g.nodes)))
+            self.phases[phase] = rounds
+            self.shapes[phase] = (len(g), sum(degrees) // 2, max(degrees, default=0))
         self.messages_sent += messages
 
     def mis(self, phase: str, g: Graph, hop: int = 1, setup: int = 0) -> VertexSet:
@@ -288,7 +346,7 @@ class Trace:
         ``setup + hop · rounds``: on a virtual graph one round spans ``hop``
         rounds of the real one, after ``setup`` rounds to build it."""
         selected, report = dist_mis(g, self.mode, self.seed)
-        self.charge(phase, setup + hop * report.rounds_used, report.messages_sent)
+        self.charge(phase, setup + hop * report.rounds_used, report.messages_sent, g)
         return selected
 
     def collect(self, g: Graph, radius: int) -> None:
@@ -301,7 +359,7 @@ class Trace:
         never read the balls, so the flood is not run.  The count assumes g
         has an edge; on an edgeless graph a flood ends at round 0.
         """
-        self.charge("collect", radius, radius * sum(g.degree(v) for v in g.nodes))
+        self.charge("collect", radius, radius * sum(map(g.degree, g.nodes)), g)
 
 
 # One hop of the squared virtual graph spans at most this many real hops:
@@ -325,13 +383,14 @@ def ruling_set_32(
     every path between two alpha-nodes alternates sides: their virtual
     distance is exactly half their hop distance in G[y].  The squared
     virtual graph is therefore the graph on the alpha-nodes joining two at
-    most 4 hops apart in G[y], and it is built that way.  In G[y] the
-    result is a (6,5)-ruling set, each of whose facts is checked once:
-    ``dist_mis``'s ``is_mis`` check on the squared graph puts ruling nodes
-    more than 4 hops apart (independence) and every alpha-node within 4
-    (maximality), and ``layer_component`` checks every node within 5.  The
-    rounds charged to the trace's ``ruling-set`` phase account for
-    simulating each virtual hop in g.
+    most 4 hops apart in G[y], and it is built that way: the alpha-nodes
+    within 2 hops of those within 2 hops.  In G[y] the result is a
+    (6,5)-ruling set, each of whose facts is checked once: ``dist_mis``'s
+    ``is_mis`` check on the squared graph puts ruling nodes more than 4 hops
+    apart (independence) and every alpha-node within 4 (maximality), and
+    ``layer_component`` checks every node within 5.  The rounds charged to
+    the trace's ``ruling-set`` phase account for simulating each virtual hop
+    in g.
     """
     y = comp.vertices
     alpha_y, beta_y = frozenset(alpha) & y, frozenset(beta) & y
@@ -342,7 +401,8 @@ def ruling_set_32(
     if comp.diameter < 5:
         raise InputError(f"component diameter must be at least 5, got {comp.diameter}")
 
-    edges = [(u, w) for u in alpha_y for w in distances_from(g, u, y, 4) if w in alpha_y and u < w]
+    two = {u: frozenset().union(*(g.neighbors(b) & alpha_y for b in g.neighbors(u) & beta_y)) for u in alpha_y}
+    edges = [(u, w) for u in alpha_y for w in frozenset().union(*map(two.get, two[u])) if u < w]
     return trace.mis("ruling-set", Graph(alpha_y, edges), VIRTUAL_HOP_OVERHEAD, VIRTUAL_SETUP_ROUNDS)
 
 

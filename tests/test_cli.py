@@ -342,7 +342,7 @@ def test_node_id_beyond_64_bits_exits_2(tmp_path, capsys):
     g = Graph(ids, list(zip(ids, ids[1:])))
     gp, ap, bp = write_instance(tmp_path, g, frozenset(ids[0::2]), frozenset(ids[1::2]))
     argv = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")]
-    # The id-based MIS draws no random numbers, so it takes any id.
+    # The deterministic MIS draws no random numbers, so it takes any id.
     assert main(argv) == EXIT_OK
     assert main([*argv, "--subroutine", "luby"]) == EXIT_USAGE
     err = capsys.readouterr().err

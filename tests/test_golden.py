@@ -82,7 +82,7 @@ for _mode in ("deterministic-id", "luby"):
 GOLDEN = {
     "28step-alt-path-6-deterministic-id": ("821ab22cdda434020eab8209ad50a8ce5b4e7d6cdf2ffa937913c9317a2daa4b", (12, 44)),
     "28step-alt-path-6-luby": ("41f02664f5bb25a35217f0de3bdc4ebb74ca5c96f4add00c10d237f21899fba0", (16, 50)),
-    "28step-escape-blobs-deterministic-id": ("6614ece71673a6cda4614ece1c5c2148b7d0a2d51a1f47a68f11e0b432177db9", (21, 385)),
+    "28step-escape-blobs-deterministic-id": ("6614ece71673a6cda4614ece1c5c2148b7d0a2d51a1f47a68f11e0b432177db9", (22, 389)),
     "28step-escape-blobs-luby": ("bcd4da4e6daf1b916af1f0278cd6e632a593cc5bce21071e8fc1a1a0a087dcde", (18, 408)),
     "28step-random-60-2-deterministic-id": ("b4121b521826e01e93785c60b56381debf2f2abac69b9aec6f5de7a5d4fb5469", (20, 331)),
     "28step-random-60-2-luby": ("071ac68326b4331e39d61bab93ea3c658eb49750b341984e4fa8ea14870fa841", (16, 349)),

@@ -12,7 +12,7 @@ from misrecon.errors import InputError, InternalError
 from misrecon.graph import Graph, components_of, distances_from, format_graph_file, is_mis
 from misrecon.schedule import format_vertex_set_file
 from misrecon.sim import (
-    MisIdProgram,
+    MisColourProgram,
     MisLubyProgram,
     NodeProgram,
     SimReport,
@@ -20,6 +20,7 @@ from misrecon.sim import (
     counter_rand,
     dist_mis,
     format_trace,
+    reduction_plan,
     ruling_set_32,
     run,
 )
@@ -40,15 +41,15 @@ def random_graph(n, p, seed):
 
 def test_single_node_outputs_at_init():
     g = Graph([5])
-    report = run(g, MisIdProgram, {5: None}, round_cap=10)
+    report = run(g, MisColourProgram, {5: None}, round_cap=10)
     assert report.rounds_used == 0 and report.outputs[5] == "in"
 
 
 def test_run_rejects_bad_inputs_and_caps():
     with pytest.raises(InputError):
-        run(path(3), MisIdProgram, {0: None}, round_cap=10)
+        run(path(3), MisColourProgram, {0: None}, round_cap=10)
     g = path(50)
-    report = run(g, MisIdProgram, {v: None for v in g.nodes}, round_cap=4)
+    report = run(g, MisColourProgram, {v: None for v in g.nodes}, round_cap=4)
     assert report.timed_out and report.rounds_used == 4
 
 
@@ -203,22 +204,26 @@ def test_ruling_set_preconditions():
 
 def test_sim_report_text_block():
     trace = Trace()
-    trace.charge("collect", 3, 7)
+    trace.charge("collect", 3, 7, path(2))
     assert format_trace(trace) == "rounds_used: 3\nmessages_sent: 7\n"
 
 
 def test_trace_charges_each_phase_its_slowest_call():
     trace = Trace("luby", seed=4)
-    trace.charge("ruling-set", 10, 5)
-    trace.charge("collect", 4, 20)
-    trace.charge("ruling-set", 6, 3)
+    trace.charge("ruling-set", 10, 5, path(5))
+    trace.charge("collect", 4, 20, cycle(6))
+    trace.charge("ruling-set", 6, 3, cycle(9))
+    trace.charge("ruling-set", 10, 1, cycle(7))
     assert trace.phases == {"ruling-set": 10, "collect": 4}
-    assert (trace.rounds_used, trace.messages_sent) == (14, 28)
+    # Each phase keeps the (n, m, max degree) of its first slowest call.
+    assert trace.shapes == {"ruling-set": (5, 4, 2), "collect": (6, 6, 2)}
+    assert (trace.rounds_used, trace.messages_sent) == (14, 29)
     g = random_graph(15, 0.25, 9)
     selected, report = dist_mis(g, "luby", seed=4)
     assert trace.mis("blob-mis", g) == selected
     assert trace.phases["blob-mis"] == report.rounds_used
-    assert trace.messages_sent == 28 + report.messages_sent
+    assert trace.shapes["blob-mis"] == (len(g), len(g.edges()), max(map(g.degree, g.nodes)))
+    assert trace.messages_sent == 29 + report.messages_sent
 
 
 def test_mis_on_alternating_cycle_seed_7():
@@ -272,7 +277,7 @@ class _Echo(NodeProgram):
     other node logs the senders of each inbox in inbox order, echoes to all
     neighbors, and decides once its input's number of inboxes arrived.  The
     log shows the sender order the engine keeps sorted, which
-    ``MisIdProgram`` reveals only through its message count.  A node that
+    ``MisColourProgram`` reveals only through its message count.  A node that
     never hears enough stalls the run."""
 
     sleeps_until_mail = True
@@ -332,7 +337,9 @@ def engine_runs(draw):
     ids = sorted(g.nodes)
     kind = draw(st.sampled_from(["mis-id", "luby", "echo"]))
     if kind == "mis-id":
-        factory, inputs = MisIdProgram, dict.fromkeys(ids)
+        # Sparse ids always give a non-empty reduction plan.
+        plan = reduction_plan(ids[-1] + 1, max(map(g.degree, ids)))
+        factory, inputs = MisColourProgram, dict.fromkeys(ids, plan)
     elif kind == "luby":
         factory, inputs = MisLubyProgram, dict.fromkeys(ids)
     else:
@@ -372,21 +379,95 @@ def test_stalled_run_reports_the_cap_at_once():
     assert run(g, _Echo, inputs, round_cap=0) == SimReport({0: ()}, 0, 1, timed_out=True)
 
 
-def test_engine_wakes_only_nodes_with_mail(monkeypatch):
+class _Chain(NodeProgram):
+    """Decides once every smaller-id neighbour has, then tells the larger
+    ones; on a path with monotone ids one node decides per round.  It
+    sleeps until mail."""
+
+    sleeps_until_mail = True
+
+    def init(self, node_id, neighbor_ids, local_input, rand):
+        self.waiting = {w for w in neighbor_ids if w < node_id}
+        self.larger = sorted(w for w in neighbor_ids if w > node_id)
+        return self._maybe_decide(0)
+
+    def _maybe_decide(self, round_no):
+        if self.waiting:
+            return None
+        self.finish(round_no)
+        return dict.fromkeys(self.larger, "done")
+
+    def on_round(self, round_no, inbox):
+        self.waiting -= inbox.keys()
+        return self._maybe_decide(round_no)
+
+
+def test_engine_wakes_only_nodes_with_mail():
     calls = 0
 
-    class Counted(MisIdProgram):
+    class Counted(_Chain):
         def on_round(self, round_no, inbox):
             nonlocal calls
             calls += 1
             return super().on_round(round_no, inbox)
 
-    monkeypatch.setattr(sim, "MisIdProgram", Counted)
     g = gen_gadget("alt-path", n=4000).graph
-    _, report = dist_mis(g, "deterministic-id")
-    # Monotone ids: Theta(n) rounds, so an every-node loop makes ~n^2/4 calls.
+    report = run(g, Counted, dict.fromkeys(g.nodes))
+    # Monotone ids: Theta(n) rounds, so an every-node loop makes ~n^2/2 calls.
     assert report.rounds_used > 1000
     assert 0 < calls <= len(g) + 2 * report.messages_sent
+
+
+@st.composite
+def bounded_degree_graphs(draw):
+    """A graph of maximum degree at most 4 on ids up to 2**40."""
+    n = draw(st.integers(1, 40))
+    ids = draw(st.lists(st.integers(0, 2**40), min_size=n, max_size=n, unique=True))
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3 * n))
+    cap = draw(st.integers(1, 4))
+    adj = {v: set() for v in ids}
+    for u, v in pairs:
+        if u != v and len(adj[u]) < cap and len(adj[v]) < cap:
+            adj[u].add(v)
+            adj[v].add(u)
+    return Graph(ids, [(u, v) for u in adj for v in adj[u] if u < v])
+
+
+@seed(20261103)
+@settings(max_examples=200, deadline=None)
+@given(bounded_degree_graphs())
+def test_colour_reduction_mis_is_deterministic_and_within_its_bound(g):
+    selected, report = dist_mis(g, "deterministic-id")
+    assert dist_mis(g, "deterministic-id") == (selected, report)
+    plan = reduction_plan(max(g.nodes) + 1, max(map(g.degree, g.nodes)))
+    colours = plan[-1][0] ** 2 if plan else max(g.nodes) + 1
+    assert report.rounds_used < len(plan) + colours
+    edgeless = Graph(g.nodes)
+    assert dist_mis(edgeless, "deterministic-id") == (g.nodes, SimReport(dict.fromkeys(g.nodes, "in"), 0, 0))
+
+
+def test_reduction_plan_shrinks_every_round():
+    assert reduction_plan(250, 4) == ((11, 2),)
+    assert reduction_plan(2**40, 4) == ((37, 7), (13, 2), (11, 2))
+    # From at most 9 colours with Δ >= 1 no round shrinks the space, so a
+    # graph with an edge on ids up to 8 keeps the id MIS.
+    assert all(reduction_plan(9, d) == () for d in range(1, 9))
+    for m, degree in ((16000, 4), (400, 2), (2**40, 26), (10**60, 3)):
+        plan = reduction_plan(m, degree)
+        spaces = [m] + [q * q for q, _ in plan]
+        assert all(a > b for a, b in zip(spaces, spaces[1:]))
+        assert all(q > degree * t and q ** (t + 1) >= space for (q, t), space in zip(plan, spaces))
+
+
+def test_a_node_never_joins_beside_an_equal_colour():
+    # A proper colouring never gives two neighbours one colour; were it to,
+    # neither may join.  After its one reduction round node 5 reads its
+    # neighbour's colour.
+    for offset, expected in ((0, None), (1, {7: "join"})):
+        node = MisColourProgram()
+        node.init(5, frozenset({7}), ((11, 2),), None)
+        assert node.on_round(1, {7: node.colour + offset}) == expected
+        assert node.done == (expected is not None)
 
 
 def reference_ruling_set(g, comp, alpha, mode, seed):

@@ -46,14 +46,28 @@ MUTANTS = [
         ),
     ),
     Mutant(
-        "squared-graph-at-radius-3",
+        "squared-graph-is-the-virtual-graph",
         "src/misrecon/sim.py",
-        "distances_from(g, u, y, 4)",
-        "distances_from(g, u, y, 3)",
+        "for w in frozenset().union(*map(two.get, two[u]))",
+        "for w in two[u]",
         (
             "tests/test_sim.py::test_ruling_set_matches_the_squared_virtual_graph",
             "tests/test_sim.py::test_ruling_set_on_alternating_path",
         ),
+    ),
+    Mutant(
+        "recolouring-ignores-a-neighbour",
+        "src/misrecon/sim.py",
+        "for c in self.colours.values())",
+        "for c in list(self.colours.values())[1:])",
+        ("tests/test_sim.py::test_colour_reduction_mis_is_deterministic_and_within_its_bound",),
+    ),
+    Mutant(
+        "local-minimum-joins-on-a-tie",
+        "src/misrecon/sim.py",
+        "all(self.colour < self.colours[w] for w in self.undecided)",
+        "all(self.colour <= self.colours[w] for w in self.undecided)",
+        ("tests/test_sim.py::test_a_node_never_joins_beside_an_equal_colour",),
     ),
     Mutant(
         "layers-allow-distance-7",
