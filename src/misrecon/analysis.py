@@ -88,13 +88,11 @@ def _complement_path(g: Graph, keep: VertexSet, sources: list[int], targets: Ver
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Ground truth from breadth-first search over the state graph.
+    """Ground truth from a complete breadth-first search over the state
+    graph: ``min_length`` and ``witness`` are None exactly when no schedule
+    exists."""
 
-    ``exists`` is None when the state cap was hit before the search finished;
-    that outcome is inconclusive, never a false negative.
-    """
-
-    exists: bool | None
+    exists: bool
     min_length: int | None
     witness: Schedule | None
     states_explored: int
@@ -103,23 +101,19 @@ class OracleResult:
 ORACLE_NODE_LIMIT = 20
 
 
-def brute_force_oracle(
-    inst: ReconfigInstance,
-    prop: PropertySpec = PropertySpec(4),
-    cap_states: int = 1_000_000,
-) -> OracleResult:
+def brute_force_oracle(inst: ReconfigInstance, prop: PropertySpec = PropertySpec(4)) -> OracleResult:
     """Shortest schedule via BFS over all independent d-dominating sets.
 
     States are connected when their symmetric difference is independent, which
     permits simultaneous additions and removals in one step.  Each popped state
-    scans only the states not yet reached, ascending.
+    scans only the states not yet reached, ascending.  The search always
+    finishes: n <= ``ORACLE_NODE_LIMIT`` nodes and an edge give at most
+    3·2^(n-2) independent sets, and an edgeless graph has one state.
     """
     g = inst.graph
     n = len(g.nodes)
     if n > ORACLE_NODE_LIMIT:
         raise InputError(f"oracle limited to {ORACLE_NODE_LIMIT} nodes, got {n}")
-    if cap_states < 1:
-        raise InputError(f"state cap must be at least 1, got {cap_states}")
     nodes, indep, states = _state_space(g, prop.d)
     alpha_mask = sum(1 << i for i, v in enumerate(nodes) if v in inst.alpha)
     beta_mask = sum(1 << i for i, v in enumerate(nodes) if v in inst.beta)
@@ -142,8 +136,6 @@ def brute_force_oracle(
         for nxt in unreached:
             if not indep[cur ^ nxt]:
                 keep.append(nxt)
-            elif len(parent) >= cap_states:
-                return OracleResult(None, None, None, explored)
             else:
                 parent[nxt] = cur
                 queue.append(nxt)

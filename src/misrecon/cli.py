@@ -91,7 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="exhaustive shortest-schedule search")
     instance_flags(p)
     p.add_argument("--d", type=int, default=4)
-    p.add_argument("--cap", type=int, default=1_000_000)
     p.add_argument("--out", help="write the witness schedule here when one exists")
 
     p = sub.add_parser("check", help="three-condition existence test")
@@ -141,8 +140,8 @@ def dispatch(args: argparse.Namespace) -> int:
 
     if args.command == "oracle":
         inst = _load_instance(args)
-        result = brute_force_oracle(inst, PropertySpec(args.d), cap_states=args.cap)
-        print(f"exists: {'inconclusive' if result.exists is None else str(result.exists).lower()}")
+        result = brute_force_oracle(inst, PropertySpec(args.d))
+        print(f"exists: {str(result.exists).lower()}")
         if result.min_length is not None:
             print(f"min_length: {result.min_length}")
         print(f"states_explored: {result.states_explored}")

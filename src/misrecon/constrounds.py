@@ -33,7 +33,6 @@ class InsertionPlan:
     alpha ∩ beta never leave and previously inserted beta-nodes survive.
     """
 
-    target: int
     case_tag: str
     six_flips: tuple[VertexSet, ...]
 
@@ -147,7 +146,7 @@ def plan_insertion(
                 raise InternalError("insertion fragment must have exactly six steps")
             if net_flip(flips) != change:
                 raise InternalError("insertion fragment must end at its completion")
-            return InsertionPlan(v, tag, tuple(flips))
+            return InsertionPlan(tag, tuple(flips))
 
     raise InternalError(
         f"no insertion fragment validates for node {v}; 2-sphere {sphere2}, "

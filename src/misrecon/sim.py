@@ -83,12 +83,11 @@ class NodeProgram:
 
 @dataclass(frozen=True)
 class SimReport:
-    """Outcome of one engine run."""
+    """Outcome of one engine run, in which every node decided."""
 
     outputs: dict[int, Any]
     rounds_used: int
     messages_sent: int
-    timed_out: bool = False
 
 
 def run(
@@ -100,11 +99,11 @@ def run(
 ) -> SimReport:
     """Execute ``program`` on every node until all produce output.
 
-    ``inputs`` must be keyed exactly by the graph's nodes.  Hitting
-    ``round_cap`` yields a report with ``timed_out=True`` and partial outputs,
-    never a silently truncated result.  So does a stall (undone nodes all
-    asleep, no mail in flight), at once and with ``rounds_used`` raised to
-    the cap, as if the idle rounds had run.
+    ``inputs`` must be keyed exactly by the graph's nodes.  A run that
+    reaches ``round_cap`` with a node undecided raises ``InternalError``
+    naming the rounds used, the cap and the undecided count; so does a stall
+    (undone nodes all asleep, no mail in flight), at once, since no later
+    round could decide a node.
     """
     if frozenset(inputs) != g.nodes:
         raise InputError("inputs must be keyed exactly by the graph's nodes")
@@ -137,10 +136,7 @@ def run(
     rounds_used = 0
     while remaining:
         if rounds_used >= round_cap or not (pending or polling):
-            # With no mail and no polling node the run is stalled: report at
-            # once what spinning to the cap would.
-            outputs = {v: programs[v].output for v in order if programs[v].done}
-            return SimReport(outputs, max(rounds_used, round_cap), messages_sent, timed_out=True)
+            raise InternalError(f"engine stopped after round {rounds_used} (cap {round_cap}): {remaining} of {len(order)} nodes undecided")
         rounds_used += 1
         inboxes, pending = pending, {}
         # Waking in sorted order keeps every inbox's senders in sorted order.
@@ -289,7 +285,9 @@ class MisLubyProgram(NodeProgram):
 
 def dist_mis(g: Graph, mode: str = "deterministic-id", seed: int = 0) -> tuple[VertexSet, SimReport]:
     """Run the pluggable MIS subroutine on g, capped at max(16, 8n + 8)
-    rounds on n nodes; the result always passes is_mis.
+    rounds on n nodes; the result always passes is_mis.  Ids must be below
+    2**63: ``luby`` keys its draws by signed 64-bit ids, and the colour
+    reduction's cost grows with an id's digits.
 
     ``deterministic-id`` gives ``MisColourProgram`` the plan from the id
     bound max id + 1 and the maximum degree Δ, which every node knows, as
@@ -300,13 +298,11 @@ def dist_mis(g: Graph, mode: str = "deterministic-id", seed: int = 0) -> tuple[V
     factory = {"deterministic-id": MisColourProgram, "luby": MisLubyProgram}.get(mode)
     if factory is None:
         raise InputError(f"unknown MIS mode {mode!r}")
-    plan = None
-    if factory is MisColourProgram:
-        plan = reduction_plan(max(g.nodes, default=0) + 1, max(map(g.degree, g.nodes), default=0))
-    cap = max(16, 8 * len(g) + 8)
-    report = run(g, factory, dict.fromkeys(g.nodes, plan), round_cap=cap, seed=seed)
-    if report.timed_out:
-        raise InternalError(f"MIS subroutine hit the round cap {cap}")
+    top = max(g.nodes, default=0)
+    if top >= 2**63:
+        raise InputError(f"node id {top} is not below 2**63, the MIS subroutines' id limit")
+    plan = reduction_plan(top + 1, max(map(g.degree, g.nodes), default=0)) if factory is MisColourProgram else None
+    report = run(g, factory, dict.fromkeys(g.nodes, plan), round_cap=max(16, 8 * len(g) + 8), seed=seed)
     selected = frozenset(v for v, out in report.outputs.items() if out == "in")
     if not is_mis(g, selected):
         raise InternalError("MIS subroutine produced a non-MIS output")
@@ -383,14 +379,15 @@ def ruling_set_32(
     every path between two alpha-nodes alternates sides: their virtual
     distance is exactly half their hop distance in G[y].  The squared
     virtual graph is therefore the graph on the alpha-nodes joining two at
-    most 4 hops apart in G[y], and it is built that way: the alpha-nodes
-    within 2 hops of those within 2 hops.  In G[y] the result is a
-    (6,5)-ruling set, each of whose facts is checked once: ``dist_mis``'s
-    ``is_mis`` check on the squared graph puts ruling nodes more than 4 hops
-    apart (independence) and every alpha-node within 4 (maximality), and
-    ``layer_component`` checks every node within 5.  The rounds charged to
-    the trace's ``ruling-set`` phase account for simulating each virtual hop
-    in g.
+    most 4 hops apart in G[y], and it is built that way: each alpha-node's
+    other-side neighbours, widened three times by theirs, at O(Δ) per
+    alpha-node within 4 hops (O(L²) on a hub of degree L).  In G[y] the
+    result is a (6,5)-ruling set, each of whose facts is checked once:
+    ``dist_mis``'s ``is_mis`` check on the squared graph puts ruling nodes
+    more than 4 hops apart (independence) and every alpha-node within 4
+    (maximality), and ``layer_component`` checks every node within 5.  The
+    rounds charged to the trace's ``ruling-set`` phase account for
+    simulating each virtual hop in g.
     """
     y = comp.vertices
     alpha_y, beta_y = frozenset(alpha) & y, frozenset(beta) & y
@@ -401,8 +398,12 @@ def ruling_set_32(
     if comp.diameter < 5:
         raise InputError(f"component diameter must be at least 5, got {comp.diameter}")
 
-    two = {u: frozenset().union(*(g.neighbors(b) & alpha_y for b in g.neighbors(u) & beta_y)) for u in alpha_y}
-    edges = [(u, w) for u in alpha_y for w in frozenset().union(*map(two.get, two[u])) if u < w]
+    side = {v: g.neighbors(v) & (beta_y if v in alpha_y else alpha_y) for v in y}
+
+    def reach(s: VertexSet) -> VertexSet:
+        return frozenset().union(*map(side.get, s))
+
+    edges = [(u, w) for u in alpha_y for w in reach(reach(reach(side[u]))) if u < w]
     return trace.mis("ruling-set", Graph(alpha_y, edges), VIRTUAL_HOP_OVERHEAD, VIRTUAL_SETUP_ROUNDS)
 
 

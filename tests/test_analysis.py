@@ -193,12 +193,6 @@ def test_oracle_alpha_equals_beta():
     assert res.exists and res.min_length == 0
 
 
-def test_oracle_cap_gives_inconclusive():
-    inst = ReconfigInstance(path(8), frozenset(range(0, 8, 2)), frozenset(range(1, 8, 2)))
-    res = brute_force_oracle(inst, cap_states=2)
-    assert res.exists is None and res.witness is None
-
-
 def test_oracle_rejects_oversized_graphs():
     g = path(21)
     inst = ReconfigInstance(g, frozenset(range(0, 21, 2)), frozenset(range(1, 21, 2)))

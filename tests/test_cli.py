@@ -142,12 +142,11 @@ def test_output_errors_exit_2(tmp_path, capsys):
     oracle = ["oracle", "--graph", p4[0], "--alpha", p4[1], "--beta", p4[2]]
     assert main([*oracle, "--out", str(tmp_path / "missing" / "w.txt")]) == EXIT_USAGE
     assert "cannot write" in capsys.readouterr().err
-    for cap in ("-5", "0"):
-        assert main([*oracle, "--cap", cap]) == EXIT_USAGE
-        assert "state cap" in capsys.readouterr().err
-    # A positive cap is accepted; one state is too few to reach beta here.
-    assert main([*oracle, "--cap", "1"]) == EXIT_NEGATIVE
-    assert "exists: inconclusive" in capsys.readouterr().out
+    # The search always finishes within the node limit, so it takes no cap.
+    assert main([*oracle, "--cap", "1"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --cap 1" in captured.err and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_const_length_small_diameter_falls_back(tmp_path, capsys):
@@ -337,16 +336,18 @@ def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
 
 
 def test_node_id_beyond_64_bits_exits_2(tmp_path, capsys):
-    top = 2**63
-    ids = [top + i for i in range(12)]
-    g = Graph(ids, list(zip(ids, ids[1:])))
-    gp, ap, bp = write_instance(tmp_path, g, frozenset(ids[0::2]), frozenset(ids[1::2]))
-    argv = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")]
-    # The deterministic MIS draws no random numbers, so it takes any id.
-    assert main(argv) == EXIT_OK
-    assert main([*argv, "--subroutine", "luby"]) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and str(top) in err and "Traceback" not in err
+    # Both MIS subroutines refuse the id at once, and neither writes a
+    # schedule; a 4,001-digit id would cost the colour reduction minutes.
+    for top in (2**63, 10**4000):
+        ids = [top, *range(1, 12)]
+        g = Graph(ids, list(zip(ids, ids[1:])))
+        gp, ap, bp = write_instance(tmp_path, g, frozenset(ids[0::2]), frozenset(ids[1::2]))
+        argv = ["const-length", "--graph", gp, "--alpha", ap, "--beta", bp, "--out", str(tmp_path / "s.txt")]
+        for mode in ("deterministic-id", "luby"):
+            assert main([*argv, "--subroutine", mode]) == EXIT_USAGE
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and str(top) in err and "2**63" in err and "Traceback" not in err
+            assert not (tmp_path / "s.txt").exists()
 
 
 def test_non_utf8_input_file_exits_2(tmp_path, capsys):

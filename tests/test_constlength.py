@@ -779,3 +779,39 @@ def test_virtual_graphs_match_their_definitions(case, mode):
     # A phase with nothing to run on is skipped or runs on the empty graph.
     assert graphs.get("blob-mis", [Graph()]) == [contact]
     assert graphs.get("component-mis", [Graph()]) == [component]
+
+
+# --- high-degree virtual graphs ---------------------------------------------------
+
+def hub_instance(leaves):
+    """One beta-node 0 with ``leaves`` alpha-leaves and a 12-node alternating
+    tail: a tree whose squared virtual graph joins every two leaves."""
+    tail = range(leaves + 1, leaves + 13)
+    edges = [(0, v) for v in range(1, leaves + 1)] + list(zip([0, *tail], tail))
+    alpha = frozenset(range(1, leaves + 1)) | frozenset(tail[0::2])
+    return ReconfigInstance(Graph(range(leaves + 13), edges), alpha, frozenset({0, *tail[1::2]}))
+
+
+def epsilon_hub_instance(pairs):
+    """One epsilon-node 0 adjacent to both ends of ``pairs`` alpha-beta edges
+    and a 10-node alternating tail: any two of the edges cover each other,
+    so the component graph is complete, and the tail takes the ruling set."""
+    tail = range(2 * pairs + 1, 2 * pairs + 11)
+    edges = [(0, v) for v in range(1, 2 * pairs + 1)] + [(i, pairs + i) for i in range(1, pairs + 1)]
+    alpha = frozenset(range(1, pairs + 1)) | frozenset(tail[0::2])
+    beta = frozenset(range(pairs + 1, 2 * pairs + 1)) | frozenset(tail[1::2])
+    return ReconfigInstance(Graph(range(2 * pairs + 11), edges + list(zip([0, *tail], tail))), alpha, beta)
+
+
+@pytest.mark.parametrize("inst", [hub_instance(250), epsilon_hub_instance(250)], ids=["hub", "epsilon-hub"])
+def test_high_degree_virtual_graphs_match_their_definitions(inst):
+    sched, _ = constant_length_schedule_distributed(inst)
+    assert validate(inst, sched, PropertySpec(4)) is None
+    graphs = mis_graphs(inst)
+    assert graphs.get("component-mis", [Graph()]) == [reference_virtual_graphs(inst)[1]]
+    red = reduce_instance(inst).reduced_instance
+    (squared,) = graphs["ruling-set"]
+    comp = next(c for c in components_of(red.graph, red.alpha, red.beta) if squared.nodes <= c.vertices)
+    assert squared.nodes == red.alpha & comp.vertices
+    near = {u: distances_from(red.graph, u, comp.vertices, 4).keys() & squared.nodes for u in squared.nodes}
+    assert squared == Graph(squared.nodes, [(u, w) for u in squared.nodes for w in near[u] if u < w])

@@ -48,9 +48,10 @@ def test_single_node_outputs_at_init():
 def test_run_rejects_bad_inputs_and_caps():
     with pytest.raises(InputError):
         run(path(3), MisColourProgram, {0: None}, round_cap=10)
+    # On monotone ids the id MIS decides about one node per round.
     g = path(50)
-    report = run(g, MisColourProgram, {v: None for v in g.nodes}, round_cap=4)
-    assert report.timed_out and report.rounds_used == 4
+    with pytest.raises(InternalError, match=r"^engine stopped after round 4 \(cap 4\): 45 of 50 nodes undecided$"):
+        run(g, MisColourProgram, {v: None for v in g.nodes}, round_cap=4)
 
 
 def test_determinism_byte_identical():
@@ -235,7 +236,8 @@ def test_mis_on_alternating_cycle_seed_7():
 
 def reference_run(g, program, inputs, round_cap=10_000, seed=0):
     """The engine before it woke nodes on mail: every undone node steps
-    every round, and every round rescans all nodes for completion."""
+    every round, and every round rescans all nodes for completion.  A stall
+    spins to the cap, where the run raises."""
     if frozenset(inputs) != g.nodes:
         raise InputError("inputs must be keyed exactly by the graph's nodes")
     order = sorted(g.nodes)
@@ -260,8 +262,7 @@ def reference_run(g, program, inputs, round_cap=10_000, seed=0):
     rounds_used = 0
     while not all(p.done for p in programs.values()):
         if rounds_used >= round_cap:
-            outputs = {v: programs[v].output for v in order if programs[v].done}
-            return SimReport(outputs, rounds_used, messages_sent, timed_out=True)
+            raise InternalError(f"reference run reached its cap {round_cap}")
         rounds_used += 1
         inboxes, pending = pending, {}
         for v in order:
@@ -353,8 +354,13 @@ def engine_runs(draw):
 @given(engine_runs())
 def test_event_engine_matches_every_node_loop(case):
     g, factory, inputs, cap, rng_seed = case
-    expected = reference_run(g, factory, inputs, round_cap=cap, seed=rng_seed)
-    assert run(g, factory, inputs, round_cap=cap, seed=rng_seed) == expected
+    try:
+        expected = reference_run(g, factory, inputs, round_cap=cap, seed=rng_seed)
+    except InternalError:
+        with pytest.raises(InternalError, match="^engine stopped"):
+            run(g, factory, inputs, round_cap=cap, seed=rng_seed)
+    else:
+        assert run(g, factory, inputs, round_cap=cap, seed=rng_seed) == expected
 
 
 @seed(20261019)
@@ -370,13 +376,15 @@ def test_collect_cost_matches_an_executed_flood(g, radius):
         assert known == frozenset(e for e in g.edges() if e[0] in near or e[1] in near)
 
 
-def test_stalled_run_reports_the_cap_at_once():
-    # Node 2 needs two inboxes but only node 1 ever writes to it.
+def test_stalled_run_raises_at_once():
+    # Node 2 needs two inboxes but only node 1 ever writes to it, once, in
+    # round 1; after round 3 no mail is in flight.
     g = path(3)
     inputs = {0: 0, 1: 1, 2: 2}
-    report = run(g, _Echo, inputs, round_cap=10**6)
-    assert report == SimReport({0: (), 1: ((1, (0,)),)}, 10**6, 4, timed_out=True)
-    assert run(g, _Echo, inputs, round_cap=0) == SimReport({0: ()}, 0, 1, timed_out=True)
+    with pytest.raises(InternalError, match=r"^engine stopped after round 3 \(cap 1000000\): 1 of 3 nodes undecided$"):
+        run(g, _Echo, inputs, round_cap=10**6)
+    with pytest.raises(InternalError, match=r"^engine stopped after round 0 \(cap 0\): 2 of 3 nodes undecided$"):
+        run(g, _Echo, inputs, round_cap=0)
 
 
 class _Chain(NodeProgram):
@@ -583,18 +591,17 @@ def assert_const_length_stops(tmp_path, capsys, inst, message):
     assert not out.exists()
 
 
-def test_round_cap_stop_exits_3_even_when_the_outputs_form_an_mis(monkeypatch, tmp_path, capsys):
-    # The ruling set's run, on the 7 alpha-nodes of alt-path n=13, reports
-    # hitting its cap of 8·7 + 8 but keeps its full outputs, an MIS, so only
-    # dist_mis's timed_out check stops the pipeline.
+def test_engine_stop_in_the_pipeline_exits_3(monkeypatch, tmp_path, capsys):
+    # The ruling set's run, on the 7 alpha-nodes of alt-path n=13, gets a
+    # cap of one round in place of its 8·7 + 8.
     inst = gen_gadget("alt-path", n=13)
     real_run = sim.run
 
-    def capped_run(g, *args, **kwargs):
-        return dataclasses.replace(real_run(g, *args, **kwargs), timed_out=g.nodes == inst.alpha)
+    def capped_run(g, *args, round_cap, **kwargs):
+        return real_run(g, *args, round_cap=1 if g.nodes == inst.alpha else round_cap, **kwargs)
 
     monkeypatch.setattr(sim, "run", capped_run)
-    assert_const_length_stops(tmp_path, capsys, inst, "MIS subroutine hit the round cap 64")
+    assert_const_length_stops(tmp_path, capsys, inst, "engine stopped after round 1 (cap 1): 4 of 7 nodes undecided")
 
 
 def test_dist_mis_caps_each_run_at_8n_plus_8(monkeypatch):

@@ -48,11 +48,12 @@ MUTANTS = [
     Mutant(
         "squared-graph-is-the-virtual-graph",
         "src/misrecon/sim.py",
-        "for w in frozenset().union(*map(two.get, two[u]))",
-        "for w in two[u]",
+        "for w in reach(reach(reach(side[u])))",
+        "for w in reach(side[u])",
         (
             "tests/test_sim.py::test_ruling_set_matches_the_squared_virtual_graph",
             "tests/test_sim.py::test_ruling_set_on_alternating_path",
+            "tests/test_constlength.py::test_high_degree_virtual_graphs_match_their_definitions",
         ),
     ),
     Mutant(
@@ -94,11 +95,35 @@ MUTANTS = [
         ("tests/test_constlength.py::test_virtual_graphs_match_their_definitions",),
     ),
     Mutant(
-        "dist-mis-ignores-timed-out",
+        "engine-ignores-round-cap",
         "src/misrecon/sim.py",
-        '    if report.timed_out:\n        raise InternalError(f"MIS subroutine hit the round cap {cap}")\n',
-        "",
-        ("tests/test_sim.py::test_round_cap_stop_exits_3_even_when_the_outputs_form_an_mis",),
+        "if rounds_used >= round_cap or not (pending or polling):",
+        "if not (pending or polling):",
+        (
+            "tests/test_sim.py::test_run_rejects_bad_inputs_and_caps",
+            "tests/test_sim.py::test_engine_stop_in_the_pipeline_exits_3",
+        ),
+    ),
+    Mutant(
+        "mis-takes-any-node-id",
+        "src/misrecon/sim.py",
+        "    if top >= 2**63:\n",
+        "    if False:\n",
+        ("tests/test_cli.py::test_node_id_beyond_64_bits_exits_2",),
+    ),
+    Mutant(
+        "reduction-plan-without-q-above-degree-times-t",
+        "src/misrecon/sim.py",
+        "q = max(max_degree * t + 1, 2)",
+        "q = 2",
+        ("tests/test_sim.py::test_reduction_plan_shrinks_every_round",),
+    ),
+    Mutant(
+        "reduction-plan-without-primality",
+        "src/misrecon/sim.py",
+        "(q ** (t + 1) < colours or not all(q % d for d in range(2, math.isqrt(q) + 1)))",
+        "q ** (t + 1) < colours",
+        ("tests/test_sim.py::test_reduction_plan_shrinks_every_round",),
     ),
     Mutant(
         "validate-without-last-flip-independence",
