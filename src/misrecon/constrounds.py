@@ -6,12 +6,12 @@ identifier (slots 6k+1..6k+6 for id k) or by a coloring of the 10th power
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator
 
 from .errors import InputError, InternalError
 from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
-from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
+from .schedule import NO_FLIP, ReconfigInstance, Schedule, net_flip, run_side_by_side
 from .schedule import first_violation, lost_cover, step_defect
 from .sim import Trace
 
@@ -84,8 +84,8 @@ def plan_insertion(
     rung.  All witnesses are id-smallest, making plans deterministic and
     recomputable from the 9-hop ball of v alone (changes stay within 4 hops;
     any node a change can endanger lies within 5, its covers within 9).
-    Whether the plan's end set is an MIS is checked by the caller that runs
-    it, as ``constant_rounds_schedule`` does window by window.
+    The vetting is these steps' only check, as no schedule is validated
+    again; the caller that runs the plan checks that it ends at an MIS.
     """
     if v not in g:
         raise InputError(f"unknown node id {v}")
@@ -194,7 +194,9 @@ def _needed_helpers(g, current, blockers, sphere2, sphere3) -> list[int] | None:
 def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | None = None) -> tuple[Schedule, Trace]:
     """Constant-round schedule: one six-step window per group of nodes, in
     which every beta-node of the group not yet in the set is inserted, the
-    plans side by side.
+    plans side by side.  Each step is checked once, at d = 4 by
+    ``schedule.first_violation``: a lone plan's as ``plan_insertion`` vetted
+    it, a merged window's as merged; ``validate`` is not run again.
 
     With no ``coloring``, node k owns the window of steps 6k+1..6(k+1), so the
     length is 6·(max id + 1) however sparse the ids are, and ids must stay
@@ -249,16 +251,18 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
     for k in sorted(windows):
         plans = [plan_insertion(g, current, inst.alpha, inst.beta, v) for v in windows[k] if v not in current]
         window_flips = run_side_by_side([p.six_flips for p in plans], SLOT)
+        violation = first_violation(g, current, window_flips, 4) if len(plans) > 1 else None
+        if violation is not None:
+            at = replace(violation, step=SLOT * k + violation.step)
+            raise InternalError(f"constructed schedule invalid: {at.describe()}")
         flips[SLOT * k:SLOT * (k + 1)] = window_flips
         change = net_flip(window_flips)
         current ^= change
         if step_defect(g, current, change, 1) is not None:
             raise InternalError("window did not end at a maximal independent set")
-    sched = Schedule(inst.alpha, tuple(flips))
-    violation = validate(inst, sched, PropertySpec(4))
-    if violation is not None:
-        raise InternalError(f"constructed schedule invalid: {violation.describe()}")
-    return sched, trace
+    if current != inst.beta:
+        raise InternalError(f"constructed schedule ends off beta at node {min(current ^ inst.beta)}")
+    return Schedule(inst.alpha, tuple(flips)), trace
 
 
 def greedy_power_coloring(g: Graph) -> dict[int, int]:

@@ -213,7 +213,7 @@ def parse_vertex_set_file(text: str) -> VertexSet:
 
 
 def format_vertex_set_file(s: VertexSet) -> str:
-    return " ".join(str(v) for v in sorted(s)) + "\n"
+    return " ".join(map(str, sorted(s))) + "\n"
 
 
 def parse_schedule_file(text: str) -> Schedule:

@@ -403,3 +403,134 @@ def test_window_check_failure_exits_3_without_traceback(monkeypatch, tmp_path, c
     assert "window did not end at a maximal independent set" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_window_loop_ends_at_beta_or_raises(monkeypatch):
+    """With every plan empty, each window ends where it began, at an MIS, so
+    only the end check can see that the schedule never reaches beta."""
+    monkeypatch.setattr(
+        constrounds, "plan_insertion", lambda *args: constrounds.InsertionPlan("direct", (schedule.NO_FLIP,) * 6)
+    )
+    with pytest.raises(InternalError, match="constructed schedule ends off beta at node 0$"):
+        constant_rounds_schedule(alt(12))
+
+
+# --- each step checked once ------------------------------------------------------
+
+def test_planner_falls_through_a_rejected_candidate(monkeypatch):
+    """Node 2's early candidates break 4-domination at their fifth step; the
+    planner must reject them and fall through to the need-driven rung.  No
+    later pass re-checks the accepted steps, so an unvetted candidate would
+    reach the schedule."""
+    inst = random_connected_instance(30, 2 / 30, 174, min_diameter=6)
+    tags, rejected = {}, []
+    real_plan, real_check = constrounds.plan_insertion, constrounds.first_violation
+
+    def plan(g, current, alpha, beta, v):
+        result = real_plan(g, current, alpha, beta, v)
+        tags[v] = result.case_tag
+        return result
+
+    def check(*args):
+        violation = real_check(*args)
+        if violation is not None:
+            rejected.append(violation)
+        return violation
+
+    monkeypatch.setattr(constrounds, "plan_insertion", plan)
+    monkeypatch.setattr(constrounds, "first_violation", check)
+    sched = constant_rounds_schedule(inst)[0]
+    assert tags[2] == "direct"
+    assert rejected and all(v.condition == "domination" for v in rejected)
+    assert validate(inst, sched, PropertySpec(4)) is None
+
+
+def test_each_constant_round_step_is_checked_once(monkeypatch):
+    """Id-slotted, every window holds one plan, whose steps the planner
+    vetted: one d = 4 step check per non-empty flip, none repeated.  A
+    colour-slotted window is checked again as merged, and that count is
+    pinned too."""
+    counts = []
+    real = schedule.step_defect
+
+    def counted(g, step, flip, d):
+        counts[-1] += d == 4
+        return real(g, step, flip, d)
+
+    monkeypatch.setattr(schedule, "step_defect", counted)
+    inst = gen_gadget("alt-path", n=80)
+    counts.append(0)
+    sched = constant_rounds_schedule(inst)[0]
+    assert counts[-1] == sum(1 for flip in sched.flips if flip) == 78
+    counts.append(0)
+    constant_rounds_schedule(inst, greedy_power_coloring(inst.graph))
+    assert counts[-1] == 90
+
+
+def corrupt_a_merged_window(monkeypatch, inst, coloring, i=2):
+    """Patch the window merge so that the first window of several plans,
+    past the first window, drops at its step ``i`` only every set node it
+    does not flip; the returned list receives that step's schedule-level
+    number.  The corrupted flips stay independent and the window's net
+    change stays the same, so only a check of the merged steps can see
+    that step ``i`` leaves nodes uncovered."""
+    rank = {c: k for k, c in enumerate(sorted(set(coloring.values())))}
+    windows = sorted({rank[coloring[v]] for v in inst.beta})
+    real_plan, real_merge = constrounds.plan_insertion, constrounds.run_side_by_side
+    running, merges, corrupted = None, [], []
+
+    def plan(g, current, *args):
+        nonlocal running
+        running = current  # the running set, still as it was before this window
+        return real_plan(g, current, *args)
+
+    def merge(fragments, length):
+        flips = real_merge(fragments, length)
+        merges.append(len(fragments))
+        if len(fragments) > 1 and len(merges) > 1 and not corrupted:
+            step = frozenset(running) ^ net_flip(flips[:i])
+            dropped = step - frozenset().union(*flips)
+            flips[i - 1] |= dropped
+            flips[i] |= dropped
+            corrupted.append(constrounds.SLOT * windows[len(merges) - 1] + i)
+        return flips
+
+    monkeypatch.setattr(constrounds, "plan_insertion", plan)
+    monkeypatch.setattr(constrounds, "run_side_by_side", merge)
+    return corrupted
+
+
+def test_merged_window_check_names_the_schedule_step(monkeypatch):
+    inst = gen_gadget("alt-path", n=80)
+    coloring = greedy_power_coloring(inst.graph)
+    corrupted = corrupt_a_merged_window(monkeypatch, inst, coloring)
+    with pytest.raises(InternalError) as info:
+        constant_rounds_schedule(inst, coloring)
+    assert len(corrupted) == 1 and corrupted[0] > constrounds.SLOT
+    assert str(info.value).startswith(f"constructed schedule invalid: domination violated at step {corrupted[0]}: node ")
+
+
+def test_merged_window_failure_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
+    from misrecon.cli import EXIT_INTERNAL, main
+
+    inst = gen_gadget("alt-path", n=80)
+    coloring = greedy_power_coloring(inst.graph)
+    paths = []
+    for name, text in (
+        ("graph", graph.format_graph_file(inst.graph)),
+        ("alpha", schedule.format_vertex_set_file(inst.alpha)),
+        ("beta", schedule.format_vertex_set_file(inst.beta)),
+        ("coloring", format_coloring_file(coloring)),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
+        paths += [f"--{name}", str(path)]
+    corrupted = corrupt_a_merged_window(monkeypatch, inst, coloring)
+    out = tmp_path / "sched.txt"
+    assert main(["const-rounds", *paths, "--out", str(out)]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
+    assert f"constructed schedule invalid: domination violated at step {corrupted[0]}: node " in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+    assert not out.exists()

@@ -146,6 +146,23 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "planner-accepts-unvetted-candidate",
+        "src/misrecon/constrounds.py",
+        "if first_violation(g, current, flips, 4) is None:",
+        "if True:",
+        ("tests/test_constrounds.py::test_planner_falls_through_a_rejected_candidate",),
+    ),
+    Mutant(
+        "merged-window-unchecked",
+        "src/misrecon/constrounds.py",
+        "first_violation(g, current, window_flips, 4) if len(plans) > 1 else None",
+        "None",
+        (
+            "tests/test_constrounds.py::test_merged_window_check_names_the_schedule_step",
+            "tests/test_constrounds.py::test_merged_window_failure_exits_3_without_traceback",
+        ),
+    ),
+    Mutant(
         "part-sends-mis-components-to-part-5",
         "src/misrecon/constlength.py",
         "        if c.min_id in m_labels:\n            return 4\n",
