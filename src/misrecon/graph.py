@@ -111,6 +111,7 @@ def distances_from(
     source: int | Iterable[int],
     restrict: VertexSet | None = None,
     radius: int | None = None,
+    stop: VertexSet | None = None,
 ) -> dict[int, int]:
     """BFS hop distances from ``source``; unreachable nodes are absent.
 
@@ -118,7 +119,8 @@ def distances_from(
     distance is to the nearest source.  With ``restrict`` given, distances are
     measured in the subgraph induced by ``restrict`` (which must contain every
     source).  With ``radius`` given, the search stops expanding at that depth,
-    so nodes farther away are absent.  This is the package's only BFS.
+    so nodes farther away are absent.  A node in ``stop`` gets its distance
+    but is not expanded unless it is a source.  This is the package's only BFS.
     """
     dist = {source: 0} if isinstance(source, int) else dict.fromkeys(source, 0)
     if not dist.keys() <= g.nodes:
@@ -137,7 +139,8 @@ def distances_from(
         for w in g._adj[v]:
             if w not in dist and (restrict is None or w in restrict):
                 dist[w] = d
-                queue.append(w)
+                if stop is None or w not in stop:
+                    queue.append(w)
     return dist
 
 

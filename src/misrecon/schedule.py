@@ -113,15 +113,17 @@ class Violation:
 
 
 def lost_cover(g: Graph, removed: VertexSet, step: VertexSet, d: int) -> list[int]:
-    """The nodes, ascending, within d hops of ``removed`` but not of ``step``.
+    """The nodes, ascending, within d hops of ``removed`` (disjoint from
+    ``step``) but not of ``step``.
 
-    Every path that could still cover such a node stays inside the 2d-ball
-    of the removals."""
+    A node whose every shortest path from ``removed`` meets ``step`` is
+    covered by that nearer step node, so the first search does not expand
+    step nodes.  A hole's shortest path to its nearest step node then lies in
+    the region that search reaches within 2d, where the covering search stays."""
     if not removed:
         return []
-    near = distances_from(g, removed, radius=2 * d)
-    pool = frozenset(near)
-    covered = distances_from(g, step & pool, pool, d)
+    near = distances_from(g, removed, radius=2 * d, stop=step)
+    covered = distances_from(g, step.intersection(near), near.keys(), d)
     return sorted(u for u, k in near.items() if k <= d and u not in covered)
 
 

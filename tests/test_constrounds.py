@@ -164,6 +164,31 @@ def test_bfs_work_per_node_is_constant_on_id_slotted_alt_path(monkeypatch):
     assert work[1] <= 2.1 * work[0]
 
 
+def test_step_checks_search_only_past_nodes_outside_the_step(monkeypatch):
+    visited = calls = 0
+    real_bfs, real_lost_cover = schedule.distances_from, schedule.lost_cover
+
+    def counted(*args, **kwargs):
+        nonlocal visited
+        dist = real_bfs(*args, **kwargs)
+        visited += len(dist)
+        return dist
+
+    def lost_cover(g, removed, step, d):
+        nonlocal calls
+        calls += bool(removed)
+        return real_lost_cover(g, removed, step, d)
+
+    monkeypatch.setattr(schedule, "distances_from", counted)
+    for module in (schedule, constrounds):
+        monkeypatch.setattr(module, "lost_cover", lost_cover)
+    constant_rounds_schedule(gen_gadget("alt-path", n=1000))
+    # The region search stops at the step's nodes, so a call's two searches
+    # see about 10 nodes of the path; expanding step nodes, they see about 22.
+    assert calls > 0
+    assert visited / calls <= 12
+
+
 def test_plan_rejects_bad_targets():
     inst = alt(8)
     with pytest.raises(InputError):

@@ -64,6 +64,19 @@ def test_distances_with_restriction_can_disconnect():
     assert distances_from(g, 0, frozenset({0, 2, 3})) == {0: 0}
 
 
+def test_stop_nodes_get_a_distance_but_are_not_expanded():
+    g = path(6)
+    assert distances_from(g, 0, stop=frozenset({2})) == {0: 0, 1: 1, 2: 2}
+    # A source is expanded even when it is a stop node.
+    assert distances_from(g, 0, stop=frozenset({0})) == distances_from(g, 0)
+    assert distances_from(g, {0, 3}, stop=frozenset({0, 3})) == {0: 0, 1: 1, 2: 1, 3: 0, 4: 1, 5: 2}
+    g = cycle(8)
+    # 5 is outside the restriction; 3 lies only beyond the stop node 2.
+    assert distances_from(g, 0, frozenset({0, 1, 2, 3, 6, 7}), stop=frozenset({2})) == {0: 0, 1: 1, 2: 2, 6: 2, 7: 1}
+    # 6 is 2 hops away through the stop node 7, and 6 hops the other way.
+    assert distances_from(g, 0, radius=3, stop=frozenset({7})) == {0: 0, 1: 1, 2: 2, 3: 3, 7: 1}
+
+
 def test_distances_on_cycle_matches_brute_force():
     g = cycle(6)
     dist = distances_from(g, 0)

@@ -6,7 +6,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from misrecon.errors import InputError
-from misrecon.graph import Graph, is_mis
+from misrecon.graph import Graph, distances_from, is_mis
 from misrecon.schedule import (
     PropertySpec,
     ReconfigInstance,
@@ -231,6 +231,31 @@ def test_step_defect_matches_a_whole_graph_check(case):
     assert lost_cover(g, prev - step, step, d) == missing
     if d == 1:
         assert (step_defect(g, step, prev ^ step, 1) is None) == is_mis(g, step)
+
+
+@st.composite
+def cover_queries(draw):
+    """A graph of up to 40 nodes, often a long path with a few chords, so
+    that shortest paths run past 2d; a radius d; and disjoint removed and
+    step sets with no domination precondition."""
+    n = draw(st.integers(1, 40))
+    spine = [(i, i + 1) for i in range(n - 1)] if draw(st.booleans()) else []
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    chords = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=n)) if pairs else []
+    g = Graph(range(n), spine + chords)
+    removed = draw(st.frozensets(st.integers(0, n - 1), max_size=4))
+    step = draw(st.frozensets(st.integers(0, n - 1), max_size=n // 3 + 1)) - removed
+    return g, removed, step, draw(st.integers(1, 4))
+
+
+@seed(20261021)
+@settings(max_examples=400, deadline=None)
+@given(cover_queries())
+def test_lost_cover_is_its_definition(case):
+    g, removed, step, d = case
+    to_removed, to_step = distances_from(g, removed), distances_from(g, step)
+    expected = sorted(u for u, k in to_removed.items() if k <= d and to_step.get(u, d + 1) > d)
+    assert lost_cover(g, removed, step, d) == expected
 
 
 def test_schedule_is_its_start_and_one_flip_per_step():

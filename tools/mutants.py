@@ -146,6 +146,28 @@ MUTANTS = [
         ),
     ),
     Mutant(
+        "lost-cover-region-radius-d",
+        "src/misrecon/schedule.py",
+        "radius=2 * d, stop=step",
+        "radius=d, stop=step",
+        (
+            "tests/test_schedule.py::test_lost_cover_is_its_definition",
+            "tests/test_schedule.py::test_step_defect_matches_a_whole_graph_check",
+            "tests/test_golden.py::test_schedule_bytes_are_pinned[idslot-alt-path-40]",
+        ),
+    ),
+    Mutant(
+        "covering-search-from-near-step-nodes-only",
+        "src/misrecon/schedule.py",
+        "step.intersection(near), near.keys()",
+        "{s for s in step.intersection(near) if near[s] <= d}, near.keys()",
+        (
+            "tests/test_schedule.py::test_lost_cover_is_its_definition",
+            "tests/test_schedule.py::test_step_defect_matches_a_whole_graph_check",
+            "tests/test_schedule.py::test_validator_reports_the_naive_first_violation",
+        ),
+    ),
+    Mutant(
         "planner-accepts-unvetted-candidate",
         "src/misrecon/constrounds.py",
         "if first_violation(g, current, flips, 4) is None:",
