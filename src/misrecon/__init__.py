@@ -10,7 +10,6 @@ from .analysis import (
     small_diameter_fallback,
 )
 from .constlength import (
-    ReductionResult,
     constant_length_schedule_distributed,
     layer_component,
     reduce_instance,
@@ -21,7 +20,6 @@ from .constlength import (
 from .constrounds import (
     InsertionPlan,
     constant_rounds_schedule,
-    greedy_complete,
     greedy_power_coloring,
     plan_insertion,
 )

@@ -8,7 +8,6 @@ which gives 8 to the cascades of all components of diameter at least 3, and
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .errors import InputError, InternalError
 from .graph import (
@@ -20,7 +19,7 @@ from .graph import (
     diameter,
     distances_from,
 )
-from .schedule import PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
+from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
 from .sim import Trace, ruling_set_32
 
 NON_ISOLATED_STEPS = 18
@@ -28,35 +27,22 @@ ISOLATED_STEPS = 10
 TOTAL_STEPS = NON_ISOLATED_STEPS + ISOLATED_STEPS
 
 
-@dataclass(frozen=True)
-class ReductionResult:
-    """Outcome of removing alpha ∩ beta and its closed neighborhood.
+def reduce_instance(inst: ReconfigInstance) -> ReconfigInstance:
+    """Strip alpha ∩ beta and its neighborhood, returning the reduced instance
+    on the remaining nodes (whose alpha' and beta' are again MIS there), or
+    ``inst`` itself when alpha and beta are disjoint.
 
     Nodes in the shared core stay in every schedule step; their neighbors can
-    never enter.  A schedule for the reduced instance becomes one for the
-    whole instance by adding the shared core to its start set.
+    never enter.  So the stripped nodes are those the reduced graph lacks, and
+    a schedule for the reduced instance becomes one for the whole instance by
+    adding the shared core to its start set.
     """
-
-    stripped_always_in: VertexSet
-    stripped_never_in: VertexSet
-    reduced_instance: ReconfigInstance
-
-
-def reduce_instance(inst: ReconfigInstance) -> ReductionResult:
-    """Strip alpha ∩ beta and its neighborhood, returning the reduced instance
-    on the remaining nodes (whose alpha' and beta' are again MIS there)."""
     g = inst.graph
     core = inst.alpha & inst.beta
     if not core:
-        return ReductionResult(core, frozenset(), inst)
-    halo = frozenset(w for v in core for w in g.neighbors(v))
-    kept = g.nodes - core - halo
-    reduced = ReconfigInstance(
-        graph=g.induced(kept),
-        alpha=inst.alpha & kept,
-        beta=inst.beta & kept,
-    )
-    return ReductionResult(core, halo, reduced)
+        return inst
+    kept = g.nodes - core - frozenset(w for v in core for w in g.neighbors(v))
+    return ReconfigInstance(g.induced(kept), inst.alpha & kept, inst.beta & kept)
 
 
 def layer_component(
@@ -167,12 +153,10 @@ def schedule_big_component(
     else:
         ruling = ruling_set_32(g, comp, alpha_c, beta_c, trace)
     layers = layer_component(g, y, alpha_c, beta_c, ruling)
-    # _check_layers proved the layers disjoint, even ones alpha-nodes and odd
-    # ones beta-nodes, so removing or adding a layer toggles it.
-    flips = [layers[k] for k in (4, 5, 2, 3, 0, 1, -2, -1)]
-    if net_flip(flips) != alpha_c ^ beta_c:
-        raise InternalError("big-component fragment does not end at the beta-part")
-    return flips
+    # _check_layers proved that the layers partition the component, even ones
+    # alpha-nodes and odd ones beta-nodes, so removing or adding a layer
+    # toggles it and the eight flips together toggle alpha_c ^ beta_c.
+    return [layers[k] for k in (4, 5, 2, 3, 0, 1, -2, -1)]
 
 
 def _component_graph(comps: list[ComponentInfo]) -> Graph:
@@ -239,28 +223,6 @@ def schedule_non_isolated(
     return flips
 
 
-def _augmented_blobs(g: Graph, comps: list[ComponentInfo], alpha, beta) -> list[dict]:
-    """Isolated components absorbed together with their epsilon-neighbors.
-
-    Blobs are disjoint with no check here: ``components_of`` marks a
-    component isolated only if each adjacent epsilon-node has all of its
-    alpha- and beta-neighbors inside it, so no epsilon-node touches two
-    isolated components.  The absorbed diameter is at most the core's plus
-    one, which the ``diameter`` check below confirms.
-    """
-    eps = g.nodes - alpha - beta
-    blobs = []
-    for comp in comps:
-        fringe = frozenset().union(*(g.neighbors(v) for v in comp.vertices)) & eps
-        aug = diameter(g, comp.vertices | fringe, cap=4)
-        if aug == math.inf or aug > 3:
-            raise InternalError("augmented isolated component has diameter above 3")
-        blobs.append(
-            {"core": comp.vertices, "fringe": fringe, "diameter": int(aug), "label": comp.min_id}
-        )
-    return blobs
-
-
 def schedule_isolated(
     g: Graph,
     comps: list[ComponentInfo],
@@ -271,57 +233,63 @@ def schedule_isolated(
     """Ten-step fragment updating the isolated small components, returned as
     10 flips from their alpha-part.
 
+    Each component is absorbed together with its fringe, its epsilon-neighbors.
     Components of absorbed diameter at most 2 are updated in two waves around
     an MIS of their contact graph (4 steps).  Components of absorbed diameter
-    3 run the six-step gadget through a selected epsilon-node that misses both
-    an alpha- and a beta-node of its component.  ``comps`` must come from
-    ``components_of(g, alpha, beta)`` with the same alpha and beta.
+    3 run the six-step gadget through an escape node: the smallest fringe
+    node that misses both an alpha- and a beta-node of its component.
+    ``comps`` must come from ``components_of(g, alpha, beta)`` with the same
+    alpha and beta.
+
+    Absorbed components are disjoint with no check here: ``components_of``
+    marks a component isolated only if each adjacent epsilon-node has all of
+    its alpha- and beta-neighbors inside it, so no epsilon-node touches two
+    isolated components.  The absorbed diameter is at most the core's plus
+    one, which the ``diameter`` check below confirms.
     """
     for c in comps:
         if not c.isolated or c.diameter > 2:
             raise InputError("component routed to the isolated schedule is not isolated/small")
-    blobs = _augmented_blobs(g, comps, alpha, beta)
-    shallow = [b for b in blobs if b["diameter"] <= 2]
-    deep = [b for b in blobs if b["diameter"] == 3]
-
-    universe = frozenset().union(*(b["core"] for b in blobs))
+    eps = g.nodes - alpha - beta
+    shallow: dict[int, VertexSet] = {}  # label -> core, absorbed diameter <= 2
+    owner: dict[int, int] = {}  # fringe node -> label, absorbed diameter <= 2
+    escapes: dict[int, tuple[VertexSet, VertexSet]] = {}  # escape node -> parts, absorbed diameter 3
+    for c in comps:
+        fringe = frozenset().union(*(g.neighbors(v) for v in c.vertices)) & eps
+        aug = diameter(g, c.vertices | fringe, cap=4)
+        if aug == math.inf or aug > 3:
+            raise InternalError("augmented isolated component has diameter above 3")
+        if aug <= 2:
+            shallow[c.min_id] = c.vertices
+            owner.update(dict.fromkeys(fringe, c.min_id))
+            continue
+        a_part, b_part = alpha & c.vertices, beta & c.vertices
+        u = next((u for u in sorted(fringe) if b_part - g.neighbors(u) and a_part - g.neighbors(u)), None)
+        if u is None:
+            raise InternalError(f"no escape triple in a diameter-3 isolated component {sorted(c.vertices)}")
+        escapes[u] = a_part, b_part
+    universe = frozenset().union(*(c.vertices for c in comps))
     flips: list[VertexSet] = []
 
-    # Part 1: contact graph over shallow blobs (edges where their fringes
-    # touch), MIS first, then the rest.
-    owner = {e: b["label"] for b in shallow for e in b["fringe"]}
+    # Part 1: contact graph over the shallow components (edges where their
+    # fringes touch), MIS first, then the rest.
     edges = {(i, owner[w]) for e, i in owner.items() for w in g.neighbors(e) if owner.get(w, i) != i}
-    m_labels = trace.mis("blob-mis", Graph([b["label"] for b in shallow], edges))
+    m_labels = trace.mis("blob-mis", Graph(shallow, edges))
+    for wave in (m_labels, shallow.keys() - m_labels):
+        _batch_update(flips, [shallow[i] for i in wave], alpha, beta)
 
-    first_wave = [b for b in shallow if b["label"] in m_labels]
-    second_wave = [b for b in shallow if b["label"] not in m_labels]
-    for wave in (first_wave, second_wave):
-        _batch_update(flips, [b["core"] for b in wave], alpha, beta)
-
-    # Part 2: six-step gadget for the deep blobs.
-    gadgets = []
-    for blob in deep:
-        for u in sorted(blob["fringe"]):
-            misses_beta = sorted((beta & blob["core"]) - g.neighbors(u))
-            if misses_beta and (alpha & blob["core"]) - g.neighbors(u):
-                gadgets.append({"blob": blob, "u": u, "b": misses_beta[0]})
-                break
-        else:
-            raise InternalError(f"no escape triple in a diameter-3 isolated component {sorted(blob['core'])}")
-
-    mprime = trace.mis("escape-mis", g.induced(gad["u"] for gad in gadgets))
-
-    # A selected blob parks u, swaps its core through the anchor b, then
-    # drops u; a skipped blob swaps its core in the same removal and addition.
+    # Part 2: six-step gadget for the deep components.  A selected one parks
+    # u, swaps its core through the anchor b, then drops u; a skipped one
+    # swaps its core in the same removal and addition.
+    mprime = trace.mis("escape-mis", g.induced(escapes))
     fragments = []
-    for gad in gadgets:
-        a_part, b_part = alpha & gad["blob"]["core"], beta & gad["blob"]["core"]
-        if gad["u"] in mprime:
-            u, b = frozenset({gad["u"]}), frozenset({gad["b"]})
-            kept = a_part - g.neighbors(gad["u"])
-            fragments.append([a_part - kept, u, kept, b, u, b_part - b])
+    for u, (a_part, b_part) in escapes.items():
+        if u in mprime:
+            kept = a_part - g.neighbors(u)
+            b = frozenset({min(b_part - g.neighbors(u))})
+            fragments.append([a_part - kept, frozenset({u}), kept, b, frozenset({u}), b_part - b])
         else:
-            fragments.append([frozenset(), frozenset(), a_part, b_part])
+            fragments.append([NO_FLIP, NO_FLIP, a_part, b_part])
     flips += run_side_by_side(fragments, 6)
 
     if len(flips) != ISOLATED_STEPS:
@@ -329,12 +297,6 @@ def schedule_isolated(
     if net_flip(flips) != (alpha ^ beta) & universe:
         raise InternalError("isolated fragment does not end at beta")
     return flips
-
-
-def _split_components(comps: list[ComponentInfo]) -> tuple[list[ComponentInfo], list[ComponentInfo]]:
-    covered = [c for c in comps if (not c.isolated) or c.diameter >= 3]
-    isolated_small = [c for c in comps if c.isolated and c.diameter <= 2]
-    return covered, isolated_small
 
 
 def constant_length_schedule_distributed(
@@ -362,24 +324,20 @@ def constant_length_schedule_distributed(
         raise InputError("graph must be connected")
     if diam <= 3:
         raise InputError("diameter must exceed 3; use the small-diameter fallback")
-    reduction = reduce_instance(inst)
-    senders = reduction.stripped_always_in | reduction.stripped_never_in
-    trace.charge("broadcast", 2, sum(g.degree(v) for v in senders), g)
-    red = reduction.reduced_instance
+    red = reduce_instance(inst)
+    trace.charge("broadcast", 2, sum(map(g.degree, g.nodes - red.graph.nodes)), g)
     if not (red.alpha | red.beta):
-        return Schedule(inst.alpha, (frozenset(),) * TOTAL_STEPS), trace
+        return Schedule(inst.alpha, (NO_FLIP,) * TOTAL_STEPS), trace
 
-    trace.collect(red.graph, 4)
-    comps = components_of(red.graph, red.alpha, red.beta)
-    covered, isolated_small = _split_components(comps)
-    if covered:
-        frag_a = schedule_non_isolated(red.graph, covered, red.alpha, red.beta, trace)
-    else:
-        frag_a = [frozenset()] * NON_ISOLATED_STEPS
-    if isolated_small:
-        frag_b = schedule_isolated(red.graph, isolated_small, red.alpha, red.beta, trace)
-    else:
-        frag_b = [frozenset()] * ISOLATED_STEPS
+    h, alpha, beta = red.graph, red.alpha, red.beta
+    trace.collect(h, 4)
+    comps = components_of(h, alpha, beta)
+    covered = [c for c in comps if not c.isolated or c.diameter >= 3]
+    isolated = [c for c in comps if c.isolated and c.diameter <= 2]
+    frag_a = (
+        schedule_non_isolated(h, covered, alpha, beta, trace) if covered else [NO_FLIP] * NON_ISOLATED_STEPS
+    )
+    frag_b = schedule_isolated(h, isolated, alpha, beta, trace) if isolated else [NO_FLIP] * ISOLATED_STEPS
 
     # Alpha is the shared core plus each fragment's start, its alpha-part.
     sched = Schedule(inst.alpha, tuple(frag_a + frag_b))

@@ -10,7 +10,7 @@ from dataclasses import dataclass, replace
 from typing import AbstractSet, Iterator
 
 from .errors import InputError, InternalError
-from .graph import Graph, VertexSet, ball, diameter, distances_from, is_independent
+from .graph import Graph, VertexSet, ball, diameter, distances_from
 from .schedule import NO_FLIP, ReconfigInstance, Schedule, net_flip, run_side_by_side
 from .schedule import first_violation, lost_cover, step_defect
 from .sim import Trace
@@ -37,25 +37,14 @@ class InsertionPlan:
     six_flips: tuple[VertexSet, ...]
 
 
-def greedy_complete(g: Graph, partial: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
-    """Extend an independent set to a maximal one, trying beta-nodes first,
-    then alpha-nodes, then the rest, each in ascending id order.
-
-    Completing over all nodes keeps every completion a genuine MIS, which the
-    insertion cases rely on (every node keeps a set-neighbor within one hop).
-    A parked non-target node never survives to the end: its beta-neighbor's
-    own insertion evicts it."""
-    if not is_independent(g, partial):
-        raise InputError("partial set must be independent")
-    return frozenset(partial) | _complete(g, partial, g.nodes, alpha, beta)
-
-
 def _complete(g: Graph, partial: VertexSet, pool: VertexSet, alpha: VertexSet, beta: VertexSet) -> VertexSet:
-    """The nodes ``greedy_complete`` adds to ``partial`` from ``pool``, without
-    its O(n) input check: the planner's ``(current - blockers) | {v}`` is
-    independent by construction, and the window check of
-    ``constant_rounds_schedule`` (``step_defect`` at d = 1) still rejects an
-    end set that is not an MIS, so no property goes unchecked."""
+    """The nodes that extend the independent set ``partial`` greedily from
+    ``pool``: beta-nodes first, then alpha-nodes, then the rest, each in
+    ascending id order.  ``partial`` is not checked: the planner's
+    ``(current - blockers) | {v}`` is independent by construction, and the
+    window check of ``constant_rounds_schedule`` (``step_defect`` at d = 1)
+    still rejects an end set that is not an MIS, so no property goes
+    unchecked."""
     current = set(partial)
     added = []
     ordered = sorted(pool & beta) + sorted((pool & alpha) - beta) + sorted(pool - alpha - beta)

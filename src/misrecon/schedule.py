@@ -100,13 +100,11 @@ class PropertySpec:
 class Violation:
     step: int
     condition: str  # endpoints | independence | domination | flip-independence
-    witness: tuple[int, int] | int | None
+    witness: tuple[int, int] | int
 
     def describe(self) -> str:
         if isinstance(self.witness, tuple):
             what = f"edge {self.witness[0]}-{self.witness[1]}"
-        elif self.witness is None:
-            what = "no witness"
         else:
             what = f"node {self.witness}"
         return f"{self.condition} violated at step {self.step}: {what}"

@@ -6,7 +6,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from misrecon import constlength
-from misrecon.analysis import gen_gadget, random_connected_instance, random_instance
+from misrecon.analysis import gen_gadget, greedy_mis, random_connected_instance, random_instance
 from misrecon.constlength import (
     constant_length_schedule_distributed,
     layer_component,
@@ -38,31 +38,65 @@ def alt(n, g=None):
 
 def test_reduce_identity_when_disjoint():
     inst = alt(4)
-    red = reduce_instance(inst)
-    assert red.stripped_always_in == frozenset()
-    assert red.reduced_instance.graph.nodes == inst.graph.nodes
-    assert red.reduced_instance.alpha == inst.alpha
-    # With no shared core nothing is copied or checked again.
-    assert red.reduced_instance is inst and red.stripped_never_in == frozenset()
+    # With no shared core nothing is stripped, copied or checked again.
+    assert not inst.alpha & inst.beta
+    assert reduce_instance(inst) is inst
 
 
 def test_reduce_alpha_equals_beta_strips_everything():
     g = path(5)
     a = frozenset({0, 2, 4})
     red = reduce_instance(ReconfigInstance(g, a, a))
-    assert red.stripped_always_in == a
-    assert red.reduced_instance.graph.nodes == frozenset()
+    assert red.graph.nodes == frozenset()
+    assert g.nodes - red.graph.nodes - a == frozenset({1, 3})
 
 
 def test_reduce_p5_shared_endpoint():
     g = path(5)
     inst = ReconfigInstance(g, frozenset({0, 2, 4}), frozenset({1, 4}))
     red = reduce_instance(inst)
-    assert red.stripped_always_in == frozenset({4})
-    assert red.stripped_never_in == frozenset({3})
-    assert red.reduced_instance.graph.nodes == frozenset({0, 1, 2})
-    assert red.reduced_instance.alpha == frozenset({0, 2})
-    assert red.reduced_instance.beta == frozenset({1})
+    core = inst.alpha & inst.beta
+    assert core == frozenset({4})
+    assert g.nodes - red.graph.nodes - core == frozenset({3})
+    assert red.graph.nodes == frozenset({0, 1, 2})
+    assert red.alpha == frozenset({0, 2})
+    assert red.beta == frozenset({1})
+
+
+@st.composite
+def instances_with_a_core(draw):
+    """Random connected instances of diameter > 3 whose alpha and beta both
+    extend a drawn independent core of one to four nodes."""
+    n = draw(st.integers(12, 60))
+    g = random_connected_instance(n, 3 / n, seed=draw(st.integers(0, 10**6))).graph
+    nodes = sorted(g.nodes)
+    core = list(greedy_mis(g, draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=4))))
+    alpha = greedy_mis(g, core + draw(st.permutations(nodes)))
+    beta = greedy_mis(g, core + draw(st.permutations(nodes)))
+    return ReconfigInstance(g, alpha, beta)
+
+
+@seed(20261022)
+@settings(max_examples=60, deadline=None)
+@given(instances_with_a_core())
+def test_reduction_strips_the_core_and_its_neighbours(inst):
+    g, core = inst.graph, inst.alpha & inst.beta
+    stripped = core | frozenset(w for v in core for w in g.neighbors(v))
+    red = reduce_instance(inst)
+    assert g.nodes - red.graph.nodes == stripped
+    assert red.graph == g.induced(g.nodes - stripped)
+    assert (red.alpha, red.beta) == (inst.alpha - stripped, inst.beta - stripped)
+    # The broadcast sends one message per port of a stripped node.
+    trace, charged = Trace(), {}
+    real_charge = trace.charge
+
+    def charge(phase, rounds, messages, h):
+        charged.setdefault(phase, messages)
+        real_charge(phase, rounds, messages, h)
+
+    trace.charge = charge
+    constant_length_schedule_distributed(inst, trace)
+    assert charged["broadcast"] == sum(g.degree(v) for v in stripped)
 
 
 def test_lift_preserves_validity_on_random_instances():
@@ -73,11 +107,12 @@ def test_lift_preserves_validity_on_random_instances():
         if math.isinf(diameter(inst.graph)) or diameter(inst.graph) <= 3:
             continue
         red = reduce_instance(inst)
-        if not (red.reduced_instance.alpha | red.reduced_instance.beta):
+        if not (red.alpha | red.beta):
             continue
         sched = constant_length_schedule_distributed(inst)[0]
         # every lifted step contains the shared core
-        assert all(red.stripped_always_in <= s for s in sched.steps)
+        core = inst.alpha & inst.beta
+        assert all(core <= s for s in sched.steps)
         lifted_checked += 1
     assert lifted_checked > 10
 
@@ -307,6 +342,21 @@ def test_isolated_two_deep_blobs_with_adjacent_escapes():
     assert frozenset({8, 9}) <= frag[8] and 3 in frag[8]
 
 
+def test_escape_node_misses_an_alpha_node_of_its_component():
+    # Fringe node 4 misses beta-node 3 but sees both alpha-nodes, so parking
+    # it would empty the set at the first step.  Node 5 misses alpha-node 0
+    # and beta-node 2: it is the escape node, and 0 stays until 5 has entered.
+    edges = [(0, 2), (0, 3), (1, 2), (1, 3), (4, 0), (4, 1), (4, 2), (5, 1), (5, 3), (6, 0), (6, 2)]
+    g = Graph(range(7), edges)
+    alpha, beta = frozenset({0, 1}), frozenset({2, 3})
+    inst = ReconfigInstance(g, alpha, beta)
+    comps = components_of(g, alpha, beta)
+    assert diameter(g) == 3
+    flips = schedule_isolated(g, comps, alpha, beta, Trace())
+    assert flips[4:] == [frozenset({v}) for v in (1, 5, 0, 2, 5, 3)]
+    assert validate(inst, Schedule(alpha, tuple(flips)), PropertySpec(4)) is None
+
+
 # --- full pipeline -------------------------------------------------------------
 
 def test_alt_p8_gives_valid_28_steps():
@@ -476,15 +526,15 @@ def test_reduced_oracle_witness_lifts_to_valid_schedule():
         diam = diameter(inst.graph)
         if math.isinf(diam) or diam <= 3:
             continue
-        red = reduce_instance(inst)
-        if not red.stripped_always_in or not (red.reduced_instance.alpha | red.reduced_instance.beta):
+        red, core = reduce_instance(inst), inst.alpha & inst.beta
+        if not core or not (red.alpha | red.beta):
             continue
-        res = brute_force_oracle(red.reduced_instance, PropertySpec(4))
+        res = brute_force_oracle(red, PropertySpec(4))
         if not res.exists:
             continue
-        assert validate(red.reduced_instance, res.witness, PropertySpec(4)) is None
+        assert validate(red, res.witness, PropertySpec(4)) is None
         # Lifting adds the shared core to the start; the flips stay.
-        whole = Schedule(res.witness.start | red.stripped_always_in, res.witness.flips)
+        whole = Schedule(res.witness.start | core, res.witness.flips)
         violation = validate(inst, whole, PropertySpec(4))
         assert violation is None, violation
         lifted += 1
@@ -619,7 +669,7 @@ def test_part_2_matches_a_fringe_scan(monkeypatch, n, gen_seed, mode):
     inst = gen_gadget("random", n=n, p=3 / n, seed=gen_seed)
     constant_length_schedule_distributed(inst, Trace(mode))
 
-    red = reduce_instance(inst).reduced_instance
+    red = reduce_instance(inst)
     g, alpha, beta = red.graph, red.alpha, red.beta
     small = [c for c in components_of(g, alpha, beta) if c.diameter <= 2 and not c.isolated]
     c_ab = [c for c in small if c.alpha_covered and c.beta_covered]
@@ -724,7 +774,7 @@ def reference_virtual_graphs(inst):
     non-isolated components of diameter at most 2 that are both alpha- and
     beta-covered, two joined when an epsilon-node has an alpha-neighbour in
     one and a beta-neighbour in the other."""
-    red = reduce_instance(inst).reduced_instance
+    red = reduce_instance(inst)
     g, alpha, beta = red.graph, red.alpha, red.beta
     eps = g.nodes - alpha - beta
     comps = components_of(g, alpha, beta)
@@ -809,7 +859,7 @@ def test_high_degree_virtual_graphs_match_their_definitions(inst):
     assert validate(inst, sched, PropertySpec(4)) is None
     graphs = mis_graphs(inst)
     assert graphs.get("component-mis", [Graph()]) == [reference_virtual_graphs(inst)[1]]
-    red = reduce_instance(inst).reduced_instance
+    red = reduce_instance(inst)
     (squared,) = graphs["ruling-set"]
     comp = next(c for c in components_of(red.graph, red.alpha, red.beta) if squared.nodes <= c.vertices)
     assert squared.nodes == red.alpha & comp.vertices

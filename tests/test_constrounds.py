@@ -5,8 +5,8 @@ import pytest
 from misrecon import constrounds, graph, schedule
 from misrecon.analysis import gen_gadget, random_connected_instance
 from misrecon.constrounds import (
+    _complete,
     constant_rounds_schedule,
-    greedy_complete,
     greedy_power_coloring,
     format_coloring_file,
     parse_coloring_file,
@@ -30,25 +30,21 @@ def alt(n, g=None):
 
 def test_greedy_complete_beta_already_maximal():
     inst = alt(4)
-    assert greedy_complete(inst.graph, inst.beta, inst.alpha, inst.beta) == inst.beta
+    g, alpha, beta = inst.graph, inst.alpha, inst.beta
+    assert beta | _complete(g, beta, g.nodes, alpha, beta) == beta
 
 
 def test_greedy_complete_prefers_beta():
     inst = alt(4)
-    out = greedy_complete(inst.graph, frozenset({3}), inst.alpha, inst.beta)
-    assert out == frozenset({1, 3})
+    g, alpha, beta = inst.graph, inst.alpha, inst.beta
+    partial = frozenset({3})
+    assert partial | _complete(g, partial, g.nodes, alpha, beta) == frozenset({1, 3})
 
 
 def test_greedy_complete_on_triangle():
     g = Graph(range(3), [(0, 1), (1, 2), (0, 2)])
-    out = greedy_complete(g, frozenset(), frozenset({0}), frozenset({1}))
-    assert out == frozenset({1})
-
-
-def test_greedy_complete_requires_independent_partial():
-    inst = alt(4)
-    with pytest.raises(InputError):
-        greedy_complete(inst.graph, frozenset({0, 1}), inst.alpha, inst.beta)
+    partial = frozenset()
+    assert partial | _complete(g, partial, g.nodes, frozenset({0}), frozenset({1})) == frozenset({1})
 
 
 # --- insertion plans ---------------------------------------------------------

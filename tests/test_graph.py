@@ -314,7 +314,7 @@ def reference_component_graph(g, comps, alpha, beta):
 def test_covering_sets_match_their_definition(n, p, rng_seed, reduced):
     inst = random_instance(n, p, rng_seed)
     if reduced:
-        inst = reduce_instance(inst).reduced_instance
+        inst = reduce_instance(inst)
     g, alpha, beta = inst.graph, inst.alpha, inst.beta
     comps = components_of(g, alpha, beta)
     alpha_cov, beta_cov = reference_covering(g, comps, alpha, beta)

@@ -508,7 +508,7 @@ def big_components(draw):
         inst = gen_gadget(family, n=draw(st.integers(6, 60)))
     else:
         inst = gen_gadget(family, n=2 * draw(st.integers(5, 30)))
-    red = reduce_instance(inst).reduced_instance
+    red = reduce_instance(inst)
     comps = components_of(red.graph, red.alpha, red.beta)
     big = [c for c in comps if c.diameter >= 5]
     assume(big)

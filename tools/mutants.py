@@ -192,6 +192,70 @@ MUTANTS = [
         ("tests/test_constlength.py::test_parts_match_filter_and_mark",),
     ),
     Mutant(
+        "broadcast-senders-are-the-core",
+        "src/misrecon/constlength.py",
+        "sum(map(g.degree, g.nodes - red.graph.nodes))",
+        "sum(map(g.degree, inst.alpha & inst.beta))",
+        (
+            "tests/test_constlength.py::test_reduction_strips_the_core_and_its_neighbours",
+            "tests/test_constlength.py::test_distributed_alpha_equals_beta_stops_after_broadcast",
+        ),
+    ),
+    Mutant(
+        "escape-node-need-not-miss-an-alpha-node",
+        "src/misrecon/constlength.py",
+        " and a_part - g.neighbors(u)), None)",
+        "), None)",
+        ("tests/test_constlength.py::test_escape_node_misses_an_alpha_node_of_its_component",),
+    ),
+    Mutant(
+        "absorbed-diameter-3-joins-the-waves",
+        "src/misrecon/constlength.py",
+        "        if aug <= 2:\n",
+        "        if aug <= 3:\n",
+        (
+            "tests/test_constlength.py::test_isolated_deep_blob_six_step_gadget",
+            "tests/test_constlength.py::test_isolated_two_deep_blobs_with_adjacent_escapes",
+        ),
+    ),
+    Mutant(
+        "cascade-adds-layer-5-before-removing-layer-4",
+        "src/misrecon/constlength.py",
+        "for k in (4, 5, 2, 3, 0, 1, -2, -1)",
+        "for k in (5, 4, 2, 3, 0, 1, -2, -1)",
+        (
+            "tests/test_constlength.py::test_long_path_cascade_fragment",
+            "tests/test_constlength.py::test_every_deep_instance_gets_a_valid_28_step_schedule",
+        ),
+    ),
+    Mutant(
+        "lost-cover-misses-holes-at-distance-d",
+        "src/misrecon/schedule.py",
+        "if k <= d and u not in covered",
+        "if k < d and u not in covered",
+        (
+            "tests/test_schedule.py::test_lost_cover_is_its_definition",
+            "tests/test_schedule.py::test_step_defect_matches_a_whole_graph_check",
+        ),
+    ),
+    Mutant(
+        "collect-without-radius-factor",
+        "src/misrecon/sim.py",
+        "radius * sum(map(g.degree, g.nodes))",
+        "sum(map(g.degree, g.nodes))",
+        (
+            "tests/test_sim.py::test_collect_cost_matches_an_executed_flood",
+            "tests/test_constlength.py::test_trace_ledger_is_pinned",
+        ),
+    ),
+    Mutant(
+        "schedule-lines-numbered-by-run",
+        "src/misrecon/schedule.py",
+        "step, lineno = new, lineno + run_length",
+        "step, lineno = new, lineno + 1",
+        ("tests/test_schedule.py::test_parse_schedule_reports_a_repeated_bad_id_at_its_first_line",),
+    ),
+    Mutant(
         "canonical-bound-cuts-ties",
         "src/misrecon/analysis.py",
         "if code > best >> (total - b * (b + 1) // 2):",
