@@ -85,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("const-rounds", help="identifier- or coloring-slotted schedule (diameter > 5)")
     instance_flags(p)
-    p.add_argument("--coloring", help="coloring file; omit to slot by node id")
+    p.add_argument("--coloring", help="coloring file, proper on the 16th power; omit to slot by node id")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("oracle", help="exhaustive shortest-schedule search")

@@ -11,7 +11,7 @@ import functools
 import math
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import InputError, InternalError
 
@@ -89,9 +89,6 @@ class Graph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(sorted(self._nodes))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Graph) and self._adj == other._adj

@@ -163,7 +163,7 @@ def test_criterion_6_constant_round_property():
 
 
 def test_criterion_7_coloring_driven_schedule():
-    """A greedy 10th-power coloring of the 60-cycle yields a schedule of
+    """A greedy 16th-power coloring of the 60-cycle yields a schedule of
     length at most 6c+6 that validates."""
     inst = gen_gadget("alt-cycle", n=60)
     coloring = greedy_power_coloring(inst.graph)

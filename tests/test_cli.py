@@ -72,11 +72,26 @@ def test_gen_oracle_check_flow(tmp_path, capsys):
 
 
 def test_check_blocked_star(tmp_path, capsys):
-    g = Graph(range(4), [(0, 1), (0, 2), (0, 3)])
-    gp, ap, bp = write_instance(tmp_path, g, frozenset({0}), frozenset({1, 2, 3}))
+    from misrecon.analysis import gen_gadget
+
+    inst = gen_gadget("star", k=3)
+    assert inst.graph == Graph(range(4), [(0, 1), (0, 2), (0, 3)])
+    assert (inst.alpha, inst.beta) == (frozenset({0}), frozenset({1, 2, 3}))
+    gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta)
     code = main(["check", "--graph", gp, "--alpha", ap, "--beta", bp])
     assert code == EXIT_NEGATIVE
     assert "blocked: true" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["validate", "oracle"])
+def test_domination_radius_below_one_exits_2(tmp_path, capsys, command):
+    gp, ap, bp = p4_files(tmp_path)
+    sp = tmp_path / "sched.txt"
+    sp.write_text(format_schedule_file(Schedule.from_steps(({0, 2}, {0}, {0, 3}, {3}, {1, 3}))))
+    extra = ["--schedule", str(sp)] if command == "validate" else []
+    assert main([command, "--graph", gp, "--alpha", ap, "--beta", bp, *extra, "--d", "0"]) == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.err == "error: domination radius must be positive, got 0\n" and captured.out == ""
 
 
 def test_const_length_command_round_trips(tmp_path, capsys):
@@ -214,7 +229,7 @@ def test_const_rounds_with_coloring(tmp_path, capsys):
     from misrecon.constrounds import format_coloring_file, greedy_power_coloring
     from misrecon.analysis import gen_gadget
 
-    inst = gen_gadget("alt-cycle", n=24)
+    inst = gen_gadget("alt-cycle", n=40)
     gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta)
     cp = tmp_path / "colors.txt"
     cp.write_text(format_coloring_file(greedy_power_coloring(inst.graph)))
@@ -249,8 +264,9 @@ def test_in_process_calls_leak_no_state(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().out == "valid\n"
 
     # A --coloring does not outlive its call: the id-slotted call after it
-    # prints and writes exactly the id-slotted schedule.
-    inst = gen_gadget("alt-cycle", n=24)
+    # prints and writes exactly the id-slotted schedule.  (Up to 33 nodes,
+    # every 16-ball is the whole cycle and the greedy colouring the id order.)
+    inst = gen_gadget("alt-cycle", n=40)
     gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta, "cycle")
     cp = tmp_path / "cycle.coloring"
     cp.write_text(format_coloring_file(greedy_power_coloring(inst.graph)))
@@ -378,6 +394,8 @@ def test_gen_random_refuses_out_of_range_input(tmp_path, capsys, flags):
     (["--family", "star", "--k", "3", "--n", "-4"], "n=-4"),
     (["--family", "threedom-linear", "--n", "7", "--p", "9"], "p=9.0"),
     (["--family", "logstar", "--n", "1", "--k", "4"], "n=1, k=4"),
+    (["--family", "threedom-linear", "--n", "6"], "threedom-linear needs n >= 7"),
+    (["--family", "alt-path", "--n", "1"], "alt-path needs n >= 2"),
 ])
 def test_gen_refuses_unread_sizes_and_raised_logstar_sizes(tmp_path, capsys, flags, named):
     assert main(["gen", *flags, "--out-prefix", str(tmp_path / "g")]) == EXIT_USAGE

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given, seed, settings
+from hypothesis import strategies as st
 
 from misrecon import constrounds, graph, schedule
 from misrecon.analysis import gen_gadget, random_connected_instance
@@ -270,7 +272,7 @@ def test_power_coloring_is_proper_on_power():
     g = gen_gadget("alt-cycle", n=40).graph
     coloring = greedy_power_coloring(g)
     for v in g.nodes:
-        for w in ball(g, v, 10) - {v}:
+        for w in ball(g, v, constrounds.COLOR_POWER) - {v}:
             assert coloring[v] != coloring[w]
 
 
@@ -359,7 +361,7 @@ def test_sparse_id_windows_match_every_window_loop(inst):
 
 
 @pytest.mark.parametrize("inst", [
-    gen_gadget("alt-cycle", n=30),
+    gen_gadget("alt-cycle", n=60),
     random_connected_instance(18, 0.11, seed=10, min_diameter=6),
     relabelled(alt(24), 5),
 ], ids=["alt-cycle", "random", "sparse-path"])
@@ -467,10 +469,10 @@ def test_planner_falls_through_a_rejected_candidate(monkeypatch):
 
 
 def test_each_constant_round_step_is_checked_once(monkeypatch):
-    """Id-slotted, every window holds one plan, whose steps the planner
-    vetted: one d = 4 step check per non-empty flip, none repeated.  A
-    colour-slotted window is checked again as merged, and that count is
-    pinned too."""
+    """Every window's steps are checked once, as the planner vetted each plan
+    alone: id-slotted, one d = 4 step check per non-empty flip, none
+    repeated.  The colour-slotted count, where a window's plans share steps,
+    is pinned too."""
     counts = []
     real = schedule.step_defect
 
@@ -485,73 +487,81 @@ def test_each_constant_round_step_is_checked_once(monkeypatch):
     assert counts[-1] == sum(1 for flip in sched.flips if flip) == 78
     counts.append(0)
     constant_rounds_schedule(inst, greedy_power_coloring(inst.graph))
-    assert counts[-1] == 90
+    assert counts[-1] == 70
 
 
-def corrupt_a_merged_window(monkeypatch, inst, coloring, i=2):
-    """Patch the window merge so that the first window of several plans,
-    past the first window, drops at its step ``i`` only every set node it
-    does not flip; the returned list receives that step's schedule-level
-    number.  The corrupted flips stay independent and the window's net
-    change stays the same, so only a check of the merged steps can see
-    that step ``i`` leaves nodes uncovered."""
-    rank = {c: k for k, c in enumerate(sorted(set(coloring.values())))}
-    windows = sorted({rank[coloring[v]] for v in inst.beta})
-    real_plan, real_merge = constrounds.plan_insertion, constrounds.run_side_by_side
-    running, merges, corrupted = None, [], []
+# --- same-colour plans at the 16th power ---------------------------------------
 
-    def plan(g, current, *args):
-        nonlocal running
-        running = current  # the running set, still as it was before this window
-        return real_plan(g, current, *args)
-
-    def merge(fragments, length):
-        flips = real_merge(fragments, length)
-        merges.append(len(fragments))
-        if len(fragments) > 1 and len(merges) > 1 and not corrupted:
-            step = frozenset(running) ^ net_flip(flips[:i])
-            dropped = step - frozenset().union(*flips)
-            flips[i - 1] |= dropped
-            flips[i] |= dropped
-            corrupted.append(constrounds.SLOT * windows[len(merges) - 1] + i)
-        return flips
-
-    monkeypatch.setattr(constrounds, "plan_insertion", plan)
-    monkeypatch.setattr(constrounds, "run_side_by_side", merge)
-    return corrupted
+# Random instances on which a greedy colouring of the 10th power put two plans
+# in one window close enough to uncover a node between them.
+POWER_10_REPRODUCERS = [(69, 1.5 / 69, 700090976), (87, 1.2 / 87, 503282023)]
 
 
-def test_merged_window_check_names_the_schedule_step(monkeypatch):
-    inst = gen_gadget("alt-path", n=80)
-    coloring = greedy_power_coloring(inst.graph)
-    corrupted = corrupt_a_merged_window(monkeypatch, inst, coloring)
-    with pytest.raises(InternalError) as info:
-        constant_rounds_schedule(inst, coloring)
-    assert len(corrupted) == 1 and corrupted[0] > constrounds.SLOT
-    assert str(info.value).startswith(f"constructed schedule invalid: domination violated at step {corrupted[0]}: node ")
+@pytest.mark.parametrize("n, p, seed", POWER_10_REPRODUCERS, ids=["n69", "n87"])
+def test_colour_slotted_reproducers_give_valid_schedules(tmp_path, capsys, n, p, seed):
+    from misrecon.cli import EXIT_OK, main
 
-
-def test_merged_window_failure_exits_3_without_traceback(monkeypatch, tmp_path, capsys):
-    from misrecon.cli import EXIT_INTERNAL, main
-
-    inst = gen_gadget("alt-path", n=80)
-    coloring = greedy_power_coloring(inst.graph)
+    inst = random_connected_instance(n, p, seed, min_diameter=6)
     paths = []
     for name, text in (
         ("graph", graph.format_graph_file(inst.graph)),
         ("alpha", schedule.format_vertex_set_file(inst.alpha)),
         ("beta", schedule.format_vertex_set_file(inst.beta)),
-        ("coloring", format_coloring_file(coloring)),
+        ("coloring", format_coloring_file(greedy_power_coloring(inst.graph))),
     ):
         path = tmp_path / name
         path.write_text(text)
         paths += [f"--{name}", str(path)]
-    corrupted = corrupt_a_merged_window(monkeypatch, inst, coloring)
     out = tmp_path / "sched.txt"
-    assert main(["const-rounds", *paths, "--out", str(out)]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.err.splitlines() == [captured.err.rstrip("\n")]
-    assert f"constructed schedule invalid: domination violated at step {corrupted[0]}: node " in captured.err
-    assert "Traceback" not in captured.err
-    assert captured.out == ""
-    assert not out.exists()
+    assert main(["const-rounds", *paths, "--out", str(out)]) == EXIT_OK
+    assert main(["validate", *paths[:6], "--schedule", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.endswith("valid\n")
+
+
+def test_plans_11_hops_apart_fail_when_merged(monkeypatch):
+    """Targets 25 and 53 share a colour of the greedy 10th-power colouring.
+    Each plan passes alone, but merged they leave node 42 uncovered: it lost
+    covers 32 and 41 to plan 25 and cover 47 to plan 53."""
+    inst = random_connected_instance(*POWER_10_REPRODUCERS[0], min_diameter=6)
+    g = inst.graph
+    monkeypatch.setattr(constrounds, "COLOR_POWER", 10)
+    coloring = greedy_power_coloring(g)
+    assert coloring[25] == coloring[53] == 5 and graph.distances_from(g, 25)[53] == 11
+    merged_schedule = every_window_schedule(inst, coloring)
+    violation = validate(inst, merged_schedule, PropertySpec(4))
+    assert violation.describe() == "domination violated at step 29: node 42"
+    start = merged_schedule.steps[24]
+    plans = [plan_insertion(g, start, inst.alpha, inst.beta, v).six_flips for v in (25, 53)]
+    assert all(schedule.first_violation(g, start, flips, 4) is None for flips in plans)
+    merged = schedule.run_side_by_side(plans, constrounds.SLOT)
+    assert schedule.first_violation(g, start, merged, 4).describe() == "domination violated at step 5: node 42"
+
+
+@st.composite
+def far_plan_pairs(draw):
+    """A random connected instance, an MIS on its way from alpha to beta (a
+    window end of the id-slotted schedule) and two beta-nodes outside it
+    more than ``COLOR_POWER`` hops apart, the second among the three nearest
+    such to the first, where plans come closest to interacting."""
+    n = draw(st.integers(40, 110))
+    inst = random_connected_instance(n, 1.2 / n, draw(st.integers(0, 10**6)), min_diameter=constrounds.COLOR_POWER + 1)
+    sched = constant_rounds_schedule(inst)[0]
+    start = sched.steps[constrounds.SLOT * draw(st.integers(0, sched.length // constrounds.SLOT - 1))]
+    targets = sorted(inst.beta - start)
+    assume(targets)
+    a = draw(st.sampled_from(targets))
+    dist = graph.distances_from(inst.graph, a)
+    far = sorted((v for v in targets if dist[v] > constrounds.COLOR_POWER), key=dist.get)[:3]
+    assume(far)
+    return inst, start, a, draw(st.sampled_from(far))
+
+
+@seed(20261021)
+@settings(max_examples=200, deadline=None)
+@given(far_plan_pairs())
+def test_plans_beyond_the_colour_power_merge_into_valid_steps(case):
+    inst, start, a, b = case
+    plans = [plan_insertion(inst.graph, start, inst.alpha, inst.beta, v).six_flips for v in (a, b)]
+    merged = schedule.run_side_by_side(plans, constrounds.SLOT)
+    assert schedule.first_violation(inst.graph, start, merged, 4) is None
+    assert is_mis(inst.graph, start ^ net_flip(merged))

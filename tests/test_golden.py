@@ -66,7 +66,8 @@ def _distributed(mode):
 CASES = {
     "idslot-alt-path-40": (lambda: gen_gadget("alt-path", n=40), _idslot),
     "idslot-alt-path-40-sparse": (lambda: _sparse(gen_gadget("alt-path", n=40)), _idslot),
-    "coloring-alt-cycle-40": (lambda: gen_gadget("alt-cycle", n=40), _coloring),
+    # At the 16th power a 40-cycle has no colour of two beta-nodes; 60 does.
+    "coloring-alt-cycle-60": (lambda: gen_gadget("alt-cycle", n=60), _coloring),
 }
 for _n, _seed in ((60, 2), (80, 8)):
     for _mode in ("deterministic-id", "luby"):
@@ -88,7 +89,7 @@ GOLDEN = {
     "28step-random-60-2-luby": ("071ac68326b4331e39d61bab93ea3c658eb49750b341984e4fa8ea14870fa841", (16, 349)),
     "28step-random-80-8-deterministic-id": ("afc9476ade9d3e79e799916b08c9090b8df4a84518987eaac24b7ca4c2fe89b6", (20, 592)),
     "28step-random-80-8-luby": ("4bef50078493ed602c3a071f441220fb41a4d4b6945e9eb593b892531396796a", (16, 663)),
-    "coloring-alt-cycle-40": ("7fa207c1a1b673186d4747c5286d03cd9dc65101cebc84be7ad4c7fa7814b70f", (9, 720)),
+    "coloring-alt-cycle-60": ("b142cc1893514571ae3b3030b9b381efb286084e8f388899604855996fa00161", (9, 1080)),
     "idslot-alt-path-40": ("0b600ec7b0c1e45c8986546389d042442cf9f72212508ee7435f91d2e35b6a27", (9, 702)),
     "idslot-alt-path-40-sparse": ("b51f13e89145f9bd86cccdf32ea6832351636a99d575073833ec4eea68dc1581", (9, 702)),
 }
@@ -133,7 +134,7 @@ def test_corpus_exercises_merged_fragments(monkeypatch):
     monkeypatch.setattr(constlength, "schedule_non_isolated", non_isolated)
     monkeypatch.setattr(constrounds, "plan_insertion", plan)
     _digest("28step-random-60-2-deterministic-id")
-    _digest("coloring-alt-cycle-40")
+    _digest("coloring-alt-cycle-60")
     assert max(big_counts) >= 2
     # Plans of one colour window all start from the window's first set.
     assert max(window_starts.count(s) for s in window_starts) >= 2

@@ -45,9 +45,19 @@ def test_single_node_outputs_at_init():
     assert report.rounds_used == 0 and report.outputs[5] == "in"
 
 
+class SkipsANode(NodeProgram):
+    """Node 0 writes to node 2, which is two hops away on a path."""
+
+    def init(self, node_id, neighbor_ids, local_input, rand):
+        self.finish(None)
+        return {2: "hello"} if node_id == 0 else None
+
+
 def test_run_rejects_bad_inputs_and_caps():
     with pytest.raises(InputError):
         run(path(3), MisColourProgram, {0: None}, round_cap=10)
+    with pytest.raises(InputError, match="^node 0 addressed non-neighbor 2$"):
+        run(path(3), SkipsANode, dict.fromkeys(range(3)))
     # On monotone ids the id MIS decides about one node per round.
     g = path(50)
     with pytest.raises(InternalError, match=r"^engine stopped after round 4 \(cap 4\): 45 of 50 nodes undecided$"):
@@ -199,8 +209,17 @@ def test_ruling_set_preconditions():
     g = path(12)
     alpha, beta = frozenset(range(12)), frozenset()
     comp = components_of(g, alpha, beta)[0]
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="must be independent"):
         ruling_set_32(g, comp, alpha, beta, Trace())
+    # Node 11 is in neither part of the component.
+    alpha, beta = frozenset(range(0, 11, 2)), frozenset(range(1, 11, 2))
+    with pytest.raises(InputError, match="^alpha and beta must partition the component$"):
+        ruling_set_32(g, comp, alpha, beta, Trace())
+
+
+def test_dist_mis_rejects_an_unknown_mode():
+    with pytest.raises(InputError, match="^unknown MIS mode 'nope'$"):
+        dist_mis(path(3), mode="nope")
 
 
 def test_sim_report_text_block():

@@ -175,13 +175,31 @@ MUTANTS = [
         ("tests/test_constrounds.py::test_planner_falls_through_a_rejected_candidate",),
     ),
     Mutant(
-        "merged-window-unchecked",
+        "colour-power-10",
         "src/misrecon/constrounds.py",
-        "first_violation(g, current, window_flips, 4) if len(plans) > 1 else None",
-        "None",
+        "COLOR_POWER = 16",
+        "COLOR_POWER = 10",
+        ("tests/test_constrounds.py::test_colour_slotted_reproducers_give_valid_schedules",),
+    ),
+    Mutant(
+        "layers-without-layer-1-rule",
+        "src/misrecon/constlength.py",
+        "        if not (g.neighbors(v) & y) <= around:\n",
+        "        if False:\n",
+        ("tests/test_constlength.py::test_layer_check_rejects_a_layer_1_node_next_to_layer_3",),
+    ),
+    Mutant(
+        "trace-charge-sums-rounds-per-phase",
+        "src/misrecon/sim.py",
+        "        if rounds > self.phases.get(phase, -1):\n"
+        "            degrees = list(map(len, map(g.neighbors, g.nodes)))\n"
+        "            self.phases[phase] = rounds\n",
+        "        self.phases[phase] = self.phases.get(phase, 0) + rounds\n"
+        "        if True:\n"
+        "            degrees = list(map(len, map(g.neighbors, g.nodes)))\n",
         (
-            "tests/test_constrounds.py::test_merged_window_check_names_the_schedule_step",
-            "tests/test_constrounds.py::test_merged_window_failure_exits_3_without_traceback",
+            "tests/test_sim.py::test_trace_charges_each_phase_its_slowest_call",
+            "tests/test_constlength.py::test_trace_ledger_is_pinned",
         ),
     ),
     Mutant(
