@@ -22,7 +22,9 @@ ID_LIMIT = 100_000
 # nodes within 4 hops of their targets, run side by side.  A merged step that
 # leaves x uncovered undoes x's running-set cover by some plan A and x's cover
 # in A's lone step by another plan B, so both targets lie within 4 + 4 hops of
-# x, 16 of each other (independence breaks only within 4 + 1 + 4 = 9).
+# x, 16 of each other (independence breaks only within 4 + 1 + 4 = 9).  It is
+# even: two nodes lie within 16 hops iff their 8-balls meet, so a colouring is
+# checked by walking balls of half this radius.
 COLOR_POWER = 16
 
 
@@ -193,6 +195,9 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
     so a node x that a merged step leaves uncovered lost its running-set
     cover to some plan A and its cover in A's lone step to another plan B,
     which puts both targets within 4 + 4 hops of x and 16 of each other.
+    The coloring is checked one class at a time at half the power: two
+    same-colour nodes are within 16 hops iff their 8-balls meet, so a class
+    of one node costs nothing, and a class of more costs its 8-balls.
 
     The changes span 4 hops, the nodes they can uncover 8, and their covers
     12.  The communication cost is charged as the 9-round collection,
@@ -213,16 +218,28 @@ def constant_rounds_schedule(inst: ReconfigInstance, coloring: dict[int, int] | 
             )
         windows, n_windows = {v: [v] for v in inst.beta}, top + 1
     else:
-        if frozenset(coloring) != g.nodes:
-            raise InputError("coloring must assign a color to every node")
+        stray = min(g.nodes.symmetric_difference(coloring), default=None)
+        if stray is not None:
+            where = "has none" if stray in g.nodes else "is not in the graph"
+            raise InputError(f"coloring must assign a color to every node: node {stray} {where}")
+        classes: dict[int, list[int]] = {}
         for v in sorted(g.nodes):
-            clash = [w for w in ball(g, v, COLOR_POWER) if coloring[w] == coloring[v] and w != v]
-            if clash:
-                raise InputError(
-                    f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {min(clash)} share color {coloring[v]}"
-                )
+            classes.setdefault(coloring[v], []).append(v)
+        # A node within half the power of two members marks both as clashing.
+        clashing: set[int] = set()
+        for members in classes.values():
+            owner: dict[int, int] = {}
+            for s in members if len(members) > 1 else ():
+                for u in ball(g, s, COLOR_POWER // 2):
+                    first = owner.setdefault(u, s)
+                    if first != s:
+                        clashing |= {first, s}
+        if clashing:
+            v = min(clashing)
+            w = min(w for w in ball(g, v, COLOR_POWER) if coloring[w] == coloring[v] and w != v)
+            raise InputError(f"coloring not proper on the {COLOR_POWER}th power: nodes {v} and {w} share color {coloring[v]}")
         # A colour's window is its rank, so a class with no beta-node keeps one.
-        rank = {c: k for k, c in enumerate(sorted(set(coloring.values())))}
+        rank = {c: k for k, c in enumerate(sorted(classes))}
         windows, n_windows = {}, len(rank)
         for v in sorted(inst.beta):
             windows.setdefault(rank[coloring[v]], []).append(v)

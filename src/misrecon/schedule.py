@@ -9,6 +9,7 @@ membership in the same step.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, groupby
 from typing import Iterable, Sequence
@@ -240,13 +241,22 @@ def parse_schedule_file(text: str) -> Schedule:
 
 
 def format_schedule_file(sched: Schedule) -> str:
-    """One line per step; after an empty flip the line repeats.  Only the
-    non-empty flips are visited: each run of equal lines is written at once."""
-    step, parts, last = set(sched.start), [], 0
-    line = format_vertex_set_file(step)
+    """One line per step; after an empty flip the line repeats.  The step is
+    kept as a sorted id list beside its ids' strings, and each non-empty flip
+    is applied to both by bisection, so a line costs one join, not a sort.
+    Each run of equal lines is written at once."""
+    ids = sorted(sched.start)
+    strs, parts, last = list(map(str, ids)), [], 0
+    line = " ".join(strs) + "\n"
     for i, flip in compress(enumerate(sched.flips, 1), sched.flips):
         parts.append(line * (i - last))
-        step ^= flip
-        line, last = format_vertex_set_file(step), i
+        for v in flip:
+            k = bisect_left(ids, v)
+            if k < len(ids) and ids[k] == v:
+                del ids[k], strs[k]
+            else:
+                ids.insert(k, v)
+                strs.insert(k, str(v))
+        line, last = " ".join(strs) + "\n", i
     parts.append(line * (len(sched.flips) + 1 - last))
     return "".join(parts)

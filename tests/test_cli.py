@@ -246,6 +246,34 @@ def test_const_rounds_with_coloring(tmp_path, capsys):
     assert by_color[:2] == by_id[:2] and by_color[1].startswith("messages_sent: ")
 
 
+@pytest.mark.parametrize(
+    "drop, extra, message",
+    [
+        ((3, 7), {}, "node 3 has none"),
+        ((), {45: 1, 41: 2}, "node 41 is not in the graph"),
+        ((5,), {0: 1, 50: 1}, "node 5 has none"),
+        ((9,), {2: 1, -1: 1}, "node -1 is not in the graph"),
+    ],
+    ids=["missing", "unknown", "missing-below-unknown", "unknown-below-missing"],
+)
+def test_const_rounds_coloring_names_its_least_missing_or_unknown_node(tmp_path, capsys, drop, extra, message):
+    from misrecon.analysis import gen_gadget
+    from misrecon.constrounds import format_coloring_file
+
+    inst = gen_gadget("alt-path", n=40)
+    gp, ap, bp = write_instance(tmp_path, inst.graph, inst.alpha, inst.beta)
+    coloring = {v: v + 1 for v in inst.graph.nodes if v not in drop} | extra
+    cp = tmp_path / "colors.txt"
+    cp.write_text(format_coloring_file(coloring))
+    out = tmp_path / "sched.txt"
+    code = main(["const-rounds", "--graph", gp, "--alpha", ap, "--beta", bp, "--coloring", str(cp), "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"coloring must assign a color to every node: {message}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_in_process_calls_leak_no_state(tmp_path, capsys, monkeypatch):
     import misrecon.cli as cli
     from misrecon.analysis import gen_gadget

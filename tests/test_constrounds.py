@@ -5,7 +5,7 @@ from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 from misrecon import constrounds, graph, schedule
-from misrecon.analysis import gen_gadget, random_connected_instance
+from misrecon.analysis import gen_gadget, greedy_mis, random_connected_instance
 from misrecon.constrounds import (
     _complete,
     constant_rounds_schedule,
@@ -253,19 +253,90 @@ def test_identity_coloring_reproduces_id_slots():
     assert by_id == by_color
 
 
-def test_cycle_coloring_schedule_length():
-    inst = gen_gadget("alt-cycle", n=30)
+def test_cycle_coloring_schedule_length(monkeypatch):
+    # On 68 nodes the greedy colouring of the 16th power has 17 colours, and
+    # a class holds two beta-nodes, so windows merge two plans side by side.
+    inst = gen_gadget("alt-cycle", n=68)
     coloring = greedy_power_coloring(inst.graph)
     k = len(set(coloring.values()))
+    merged, real = [], constrounds.run_side_by_side
+
+    def counted(plans, length):
+        merged.append(len(plans))
+        return real(plans, length)
+
+    monkeypatch.setattr(constrounds, "run_side_by_side", counted)
     sched = constant_rounds_schedule(inst, coloring)[0]
-    assert sched.length <= 6 * k + 6
+    assert sched.length == 6 * k < 6 * max(inst.graph.nodes)
+    assert max(merged) == 2
     assert validate(inst, sched, PropertySpec(4)) is None
 
 
 def test_improper_coloring_rejected_with_witness():
     inst = alt(12)
-    with pytest.raises(InputError, match="share color"):
+    with pytest.raises(InputError) as err:
         constant_rounds_schedule(inst, {v: 1 + (v % 2) for v in inst.graph.nodes})
+    assert str(err.value) == "coloring not proper on the 16th power: nodes 0 and 2 share color 1"
+    # On a path, one shared colour clashes at 16 hops and not at 17.
+    inst = alt(40)
+    with pytest.raises(InputError) as err:
+        constant_rounds_schedule(inst, {v: v + 1 for v in inst.graph.nodes} | {16: 1})
+    assert str(err.value) == "coloring not proper on the 16th power: nodes 0 and 16 share color 1"
+    constant_rounds_schedule(inst, {v: v + 1 for v in inst.graph.nodes} | {17: 1})
+
+
+def power_refusal(g, coloring):
+    """The refusal the definition gives: the least v with a same-colour node
+    in ``ball(v, COLOR_POWER)``, and the least such node; None if none."""
+    for v in sorted(g.nodes):
+        same = [w for w in ball(g, v, constrounds.COLOR_POWER) if w != v and coloring[w] == coloring[v]]
+        if same:
+            return f"coloring not proper on the {constrounds.COLOR_POWER}th power: nodes {v} and {min(same)} share color {coloring[v]}"
+    return None
+
+
+@st.composite
+def coloured_instances(draw):
+    """A path of up to 60 nodes with a few chords, relabelled, so that
+    distances around 16 occur; alpha and beta are greedy MISs.  The colouring
+    is arbitrary, or the greedy colouring of the power, perhaps with one
+    node given the colour of another at a drawn distance."""
+    n = draw(st.integers(8, 60))
+    label = draw(st.permutations(range(n)))
+    chords = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3))
+    edges = {(label[i], label[i + 1]) for i in range(n - 1)}
+    edges |= {(label[a], label[b]) for a, b in chords if abs(a - b) > 1}
+    g = Graph(range(n), edges)
+    assume(graph.diameter(g) > 5)
+    alpha = greedy_mis(g, draw(st.permutations(range(n))))
+    beta = greedy_mis(g, draw(st.permutations(range(n))))
+    kind = draw(st.sampled_from(("arbitrary", "greedy", "planted")))
+    if kind == "arbitrary":
+        colours = st.integers(1, draw(st.integers(1, n)))
+        coloring = {v: draw(colours) for v in range(n)}
+    else:
+        coloring = greedy_power_coloring(g)
+    if kind == "planted":
+        v = draw(st.integers(0, n - 1))
+        dist = graph.distances_from(g, v)
+        d = draw(st.integers(1, 2 * constrounds.COLOR_POWER))
+        w = draw(st.sampled_from(sorted(dist, key=lambda u: (abs(dist[u] - d), u))[:2]))
+        coloring[w] = coloring[v]
+    return ReconfigInstance(g, alpha, beta), coloring
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(coloured_instances())
+def test_coloring_check_refuses_exactly_as_its_definition(case):
+    inst, coloring = case
+    expected = power_refusal(inst.graph, coloring)
+    if expected is None:
+        constant_rounds_schedule(inst, coloring)
+    else:
+        with pytest.raises(InputError) as err:
+            constant_rounds_schedule(inst, coloring)
+        assert str(err.value) == expected
 
 
 def test_power_coloring_is_proper_on_power():

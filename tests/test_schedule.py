@@ -417,6 +417,36 @@ def test_schedule_file_round_trips_with_and_without_sharing(case):
     assert format_schedule_file(parse_schedule_file(text)) == text
 
 
+# Ids across the digit boundaries, where string order is not numeric order.
+BOUNDARY_IDS = (*range(0, 12), *range(95, 104), *range(995, 1004))
+
+
+@st.composite
+def rendered_schedules(draw):
+    """A schedule on ``BOUNDARY_IDS`` from a start set that may be empty.
+    A flip may empty the running set (the next one refills it), and runs of
+    empty flips between the others may be long."""
+    ids = st.frozensets(st.sampled_from(BOUNDARY_IDS), max_size=12)
+    step = start = draw(ids)
+    flips = []
+    for _ in range(draw(st.integers(0, 10))):
+        flips += [frozenset()] * draw(st.sampled_from((0, 0, 1, 2, 500)))
+        flip = step if draw(st.booleans()) else draw(ids)
+        flips.append(flip)
+        step ^= flip
+    return Schedule(start, tuple(flips))
+
+
+@seed(20261022)
+@settings(max_examples=300, deadline=None)
+@given(rendered_schedules())
+def test_schedule_file_is_its_steps_rendered_one_by_one(sched):
+    text = format_schedule_file(sched)
+    # Compared line by line: pytest's diff of two long strings is quadratic.
+    assert text.splitlines(keepends=True) == [format_vertex_set_file(step) for step in sched.steps]
+    assert parse_schedule_file(text) == sched
+
+
 def with_empty_runs(flips, runs):
     """``flips`` with ``runs[i]`` empty flips before the i-th, and ``runs[-1]``
     after the last."""

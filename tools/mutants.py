@@ -182,6 +182,26 @@ MUTANTS = [
         ("tests/test_constrounds.py::test_colour_slotted_reproducers_give_valid_schedules",),
     ),
     Mutant(
+        "colour-check-below-half-the-power",
+        "src/misrecon/constrounds.py",
+        "ball(g, s, COLOR_POWER // 2)",
+        "ball(g, s, COLOR_POWER // 2 - 1)",
+        (
+            "tests/test_constrounds.py::test_improper_coloring_rejected_with_witness",
+            "tests/test_constrounds.py::test_coloring_check_refuses_exactly_as_its_definition",
+        ),
+    ),
+    Mutant(
+        "renderer-appends-new-ids",
+        "src/misrecon/schedule.py",
+        "                ids.insert(k, v)\n                strs.insert(k, str(v))\n",
+        "                ids.append(v)\n                strs.append(str(v))\n",
+        (
+            "tests/test_schedule.py::test_schedule_file_is_its_steps_rendered_one_by_one",
+            "tests/test_golden.py::test_schedule_bytes_are_pinned[idslot-alt-path-40]",
+        ),
+    ),
+    Mutant(
         "layers-without-layer-1-rule",
         "src/misrecon/constlength.py",
         "        if not (g.neighbors(v) & y) <= around:\n",
