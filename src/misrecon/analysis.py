@@ -221,6 +221,10 @@ def greedy_mis(g: Graph, order: list[int]) -> VertexSet:
     return frozenset(chosen)
 
 
+# ``random`` draws every one of its n(n - 1)/2 node pairs, so ``gen_gadget``
+# refuses a larger n before any draw: 16,000 nodes already take seconds.
+RANDOM_MAX_N = 32_768
+
 # The sizes each gadget family reads, out of n, k and p.
 _FAMILY_SIZES = {"threedom-blocker": "", "threedom-linear": "n", "logstar": "nk", "star": "k",
                 "random": "np", "alt-path": "n", "alt-cycle": "n"}
@@ -259,8 +263,8 @@ def gen_gadget(
         g = Graph(range(k + 1), [(0, i) for i in range(1, k + 1)])
         return ReconfigInstance(g, frozenset({0}), frozenset(range(1, k + 1)))
     if family == "random":
-        if n is None or n < 1 or (p is not None and not 0 <= p <= 1):
-            raise InputError(f"random needs n >= 1 and p in [0, 1], got n={n}, p={p}")
+        if n is None or not 1 <= n <= RANDOM_MAX_N or (p is not None and not 0 <= p <= 1):
+            raise InputError(f"random needs 1 <= n <= {RANDOM_MAX_N} and p in [0, 1], got n={n}, p={p}")
         return random_instance(n, p if p is not None else 2.5 / max(n, 2), seed)
     if family == "alt-path":
         if n is None or n < 2:

@@ -22,11 +22,6 @@ from .graph import (
 from .schedule import NO_FLIP, PropertySpec, ReconfigInstance, Schedule, net_flip, run_side_by_side, validate
 from .sim import Trace, ruling_set_32
 
-NON_ISOLATED_STEPS = 18
-ISOLATED_STEPS = 10
-TOTAL_STEPS = NON_ISOLATED_STEPS + ISOLATED_STEPS
-
-
 def reduce_instance(inst: ReconfigInstance) -> ReconfigInstance:
     """Strip alpha ∩ beta and its neighborhood, returning the reduced instance
     on the remaining nodes (whose alpha' and beta' are again MIS there), or
@@ -181,17 +176,16 @@ def schedule_non_isolated(
     beta: VertexSet,
     trace: Trace,
 ) -> list[VertexSet]:
-    """Eighteen-step fragment updating every component that is non-isolated or
-    has diameter at least 3, returned as 18 flips from their alpha-part.
+    """Eighteen-step fragment updating the components of ``comps`` that are
+    non-isolated or of diameter at least 3, as 18 flips from their alpha-part.
 
     Order of parts: alpha-covered-only components; components alpha-covered by
     the MIS over doubly-covered components; the big-component cascades in
     parallel; the MIS components; remaining doubly-covered; beta-covered-only.
     """
+    comps = [c for c in comps if not c.isolated or c.diameter >= 3]
     small = [c for c in comps if c.diameter <= 2]
     for c in small:
-        if c.isolated:
-            raise InputError("small isolated component routed to the wrong schedule")
         if not (c.alpha_covered or c.beta_covered):
             raise InternalError("non-isolated small component with no covering label")
     m_labels = trace.mis("component-mis", _component_graph([c for c in small if c.alpha_covered and c.beta_covered]))
@@ -216,8 +210,6 @@ def schedule_non_isolated(
     for k in (4, 5, 6):
         _batch_update(flips, [c.vertices for c in small if part(c) == k], alpha, beta)
 
-    if len(flips) != NON_ISOLATED_STEPS:
-        raise InternalError("non-isolated fragment has the wrong length")
     if net_flip(flips) != (alpha ^ beta) & universe:
         raise InternalError("non-isolated fragment does not end at beta")
     return flips
@@ -230,8 +222,8 @@ def schedule_isolated(
     beta: VertexSet,
     trace: Trace,
 ) -> list[VertexSet]:
-    """Ten-step fragment updating the isolated small components, returned as
-    10 flips from their alpha-part.
+    """Ten-step fragment updating the isolated components of ``comps`` of
+    diameter at most 2, returned as 10 flips from their alpha-part.
 
     Each component is absorbed together with its fringe, its epsilon-neighbors.
     Components of absorbed diameter at most 2 are updated in two waves around
@@ -247,9 +239,7 @@ def schedule_isolated(
     isolated components.  The absorbed diameter is at most the core's plus
     one, which the ``diameter`` check below confirms.
     """
-    for c in comps:
-        if not c.isolated or c.diameter > 2:
-            raise InputError("component routed to the isolated schedule is not isolated/small")
+    comps = [c for c in comps if c.isolated and c.diameter <= 2]
     eps = g.nodes - alpha - beta
     shallow: dict[int, VertexSet] = {}  # label -> core, absorbed diameter <= 2
     owner: dict[int, int] = {}  # fringe node -> label, absorbed diameter <= 2
@@ -292,8 +282,6 @@ def schedule_isolated(
             fragments.append([NO_FLIP, NO_FLIP, a_part, b_part])
     flips += run_side_by_side(fragments, 6)
 
-    if len(flips) != ISOLATED_STEPS:
-        raise InternalError("isolated fragment has the wrong length")
     if net_flip(flips) != (alpha ^ beta) & universe:
         raise InternalError("isolated fragment does not end at beta")
     return flips
@@ -313,9 +301,10 @@ def constant_length_schedule_distributed(
     result centrally and nothing reads the collected balls.  The shared-core
     broadcast (core nodes announce, their neighbors relay) takes 2 rounds and
     one message per port of a core or halo node; the 4-round collect on the
-    reduced graph is charged by ``Trace.collect``.  Neither graph has a node
-    without neighbors: g is connected with diameter > 3, and such a node of
-    the reduced graph would be in both its alpha and its beta."""
+    reduced graph is charged by ``Trace.collect``.  g has no node without
+    neighbors, as it is connected with diameter > 3, and the reduced graph
+    is empty (when alpha = beta) or has none, as such a node would be in
+    both its alpha and its beta.  Both fragment builders always run."""
     if trace is None:
         trace = Trace()
     g = inst.graph
@@ -326,23 +315,13 @@ def constant_length_schedule_distributed(
         raise InputError("diameter must exceed 3; use the small-diameter fallback")
     red = reduce_instance(inst)
     trace.charge("broadcast", 2, sum(map(g.degree, g.nodes - red.graph.nodes)), g)
-    if not (red.alpha | red.beta):
-        return Schedule(inst.alpha, (NO_FLIP,) * TOTAL_STEPS), trace
-
     h, alpha, beta = red.graph, red.alpha, red.beta
     trace.collect(h, 4)
     comps = components_of(h, alpha, beta)
-    covered = [c for c in comps if not c.isolated or c.diameter >= 3]
-    isolated = [c for c in comps if c.isolated and c.diameter <= 2]
-    frag_a = (
-        schedule_non_isolated(h, covered, alpha, beta, trace) if covered else [NO_FLIP] * NON_ISOLATED_STEPS
-    )
-    frag_b = schedule_isolated(h, isolated, alpha, beta, trace) if isolated else [NO_FLIP] * ISOLATED_STEPS
+    flips = schedule_non_isolated(h, comps, alpha, beta, trace) + schedule_isolated(h, comps, alpha, beta, trace)
 
     # Alpha is the shared core plus each fragment's start, its alpha-part.
-    sched = Schedule(inst.alpha, tuple(frag_a + frag_b))
-    if sched.length != TOTAL_STEPS:
-        raise InternalError("assembled schedule is not 28 steps long")
+    sched = Schedule(inst.alpha, tuple(flips))
     violation = validate(inst, sched, PropertySpec(4))
     if violation is not None:
         raise InternalError(f"assembled schedule invalid: {violation.describe()}")

@@ -318,6 +318,7 @@ class Trace:
     order the phases were first charged, and ``rounds_used`` is their sum.
     ``shapes`` keeps the (n, m, Δ) of the graph that call (the first of
     equals) ran on.  ``messages_sent`` adds up the messages of every call.
+    A call on a graph with no nodes runs nothing and is not charged.
     """
 
     mode: str = "deterministic-id"
@@ -331,7 +332,7 @@ class Trace:
         return sum(self.phases.values())
 
     def charge(self, phase: str, rounds: int, messages: int, g: Graph) -> None:
-        if rounds > self.phases.get(phase, -1):
+        if g.nodes and rounds > self.phases.get(phase, -1):
             degrees = list(map(len, map(g.neighbors, g.nodes)))
             self.phases[phase] = rounds
             self.shapes[phase] = (len(g), sum(degrees) // 2, max(degrees, default=0))
@@ -341,6 +342,8 @@ class Trace:
         """An MIS of g from ``dist_mis``, its run charged to ``phase`` as
         ``setup + hop · rounds``: on a virtual graph one round spans ``hop``
         rounds of the real one, after ``setup`` rounds to build it."""
+        if not g.nodes:
+            return frozenset()
         selected, report = dist_mis(g, self.mode, self.seed)
         self.charge(phase, setup + hop * report.rounds_used, report.messages_sent, g)
         return selected
@@ -353,7 +356,8 @@ class Trace:
         each of ``radius`` rounds, so the phase costs ``radius`` rounds and
         ``radius`` · Σ deg(v) messages whatever the graph looks like.  Callers
         never read the balls, so the flood is not run.  The count assumes g
-        has an edge; on an edgeless graph a flood ends at round 0.
+        has an edge; on an edgeless graph a flood ends at round 0, and on
+        one with no nodes nothing is charged.
         """
         self.charge("collect", radius, radius * sum(map(g.degree, g.nodes)), g)
 

@@ -416,6 +416,21 @@ def test_gen_random_refuses_out_of_range_input(tmp_path, capsys, flags):
     assert not list(tmp_path.iterdir())
 
 
+def test_gen_random_refuses_n_above_its_limit_before_any_draw(tmp_path, capsys, monkeypatch):
+    from misrecon import analysis
+
+    def random_graph(*args):
+        raise AssertionError("random_graph was called")
+
+    monkeypatch.setattr(analysis, "random_graph", random_graph)
+    n = analysis.RANDOM_MAX_N + 1
+    argv = ["gen", "--family", "random", "--n", str(n), "--out-prefix", str(tmp_path / "r")]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"n={n}" in err and str(analysis.RANDOM_MAX_N) in err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("flags, named", [
     (["--family", "alt-path", "--n", "8", "--p", "nan"], "p=nan"),
     (["--family", "random", "--n", "5", "--k", "-7"], "k=-7"),

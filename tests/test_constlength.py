@@ -560,8 +560,8 @@ def test_distributed_round_accounting_constants(monkeypatch):
 
     def mis(self, phase, g, *cost):
         # The ruling set runs its MIS through Trace.mis too; it is counted
-        # separately below.
-        if phase != "ruling-set":
+        # separately below.  A call on a graph with no nodes is no phase.
+        if phase != "ruling-set" and g.nodes:
             mis_phases.append(phase)
         return real_mis(self, phase, g, *cost)
 
@@ -576,17 +576,22 @@ def test_distributed_round_accounting_constants(monkeypatch):
     two_cascades = ReconfigInstance(
         path(29), frozenset(range(0, 29, 2)), frozenset(range(1, 13, 2)) | {14} | frozenset(range(17, 29, 2))
     )
-    for inst in (random_connected_instance(40, 0.1, seed=55), two_cascades):
+    ran_mis = []
+    # The logstar ring runs blob-mis on its contact graph; the other two run
+    # no MIS phase on a graph with nodes.
+    for inst in (gen_gadget("logstar", n=60, k=4), random_connected_instance(40, 0.1, seed=55), two_cascades):
         mis_phases.clear()
         ruling_calls.clear()
         _, trace = constant_length_schedule_distributed(inst, Trace(seed=0))
-        assert mis_phases and len(set(mis_phases)) == len(mis_phases)
+        assert len(set(mis_phases)) == len(mis_phases)
+        ran_mis += mis_phases
         phases = dict(trace.phases)
         mis_rounds = [phases.pop(tag) for tag in mis_phases]
         r32_max = phases.pop("ruling-set", 0)
         assert phases == {"broadcast": 2, "collect": 4}
         assert trace.rounds_used == 2 + 4 + sum(mis_rounds) + r32_max
-        assert trace.rounds_used <= 3 * max(mis_rounds) + 1 * r32_max + 6
+        assert trace.rounds_used <= 3 * max(mis_rounds, default=0) + 1 * r32_max + 6
+    assert ran_mis == ["blob-mis"]
     assert len(ruling_calls) == 2
 
 
@@ -606,18 +611,16 @@ def test_big_component_reports_only_its_ruling_set():
 
 
 # The per-phase rounds and the messages of the 28-step pipeline, pinned from
-# the per-call report list that the trace replaced.
+# the per-call report list that the trace replaced, less the phases that ran
+# on a graph with no nodes.  ``random``'s blob-mis runs on 7 nodes and no
+# edge, so it decides in 0 rounds.
 LEDGER = {
-    ("random", "deterministic-id"): (
-        {"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 18, "blob-mis": 0, "escape-mis": 0}, 2816
-    ),
-    ("random", "luby"): (
-        {"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 26, "blob-mis": 0, "escape-mis": 0}, 3182
-    ),
-    ("logstar", "deterministic-id"): ({"broadcast": 2, "collect": 4, "blob-mis": 4, "escape-mis": 0}, 4428),
-    ("logstar", "luby"): ({"broadcast": 2, "collect": 4, "blob-mis": 4, "escape-mis": 0}, 4333),
-    ("alt-cycle", "deterministic-id"): ({"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 18}, 2289),
-    ("alt-cycle", "luby"): ({"broadcast": 2, "collect": 4, "component-mis": 0, "ruling-set": 18}, 2331),
+    ("random", "deterministic-id"): ({"broadcast": 2, "collect": 4, "ruling-set": 18, "blob-mis": 0}, 2816),
+    ("random", "luby"): ({"broadcast": 2, "collect": 4, "ruling-set": 26, "blob-mis": 0}, 3182),
+    ("logstar", "deterministic-id"): ({"broadcast": 2, "collect": 4, "blob-mis": 4}, 4428),
+    ("logstar", "luby"): ({"broadcast": 2, "collect": 4, "blob-mis": 4}, 4333),
+    ("alt-cycle", "deterministic-id"): ({"broadcast": 2, "collect": 4, "ruling-set": 18}, 2289),
+    ("alt-cycle", "luby"): ({"broadcast": 2, "collect": 4, "ruling-set": 18}, 2331),
 }
 LEDGER_INSTANCES = {
     "random": lambda: gen_gadget("random", n=400, p=3 / 400, seed=1),
@@ -632,6 +635,39 @@ def test_trace_ledger_is_pinned(family, mode):
     _, trace = constant_length_schedule_distributed(LEDGER_INSTANCES[family](), Trace(mode))
     assert list(trace.phases.items()) == list(phases.items())
     assert (trace.rounds_used, trace.messages_sent) == (sum(phases.values()), messages)
+
+
+@st.composite
+def deep_instances_with_any_core(draw):
+    """Random connected instances of diameter > 3: ``random_connected_instance``'s
+    own, one whose alpha and beta extend a drawn core, or one with alpha = beta."""
+    kind = draw(st.sampled_from(["plain", "core", "core", "equal"]))
+    if kind == "core":
+        return draw(instances_with_a_core())
+    n = draw(st.integers(12, 80))
+    inst = random_connected_instance(n, 3 / n, seed=draw(st.integers(0, 10**6)))
+    return inst if kind == "plain" else ReconfigInstance(inst.graph, inst.alpha, inst.alpha)
+
+
+@seed(20261023)
+@settings(max_examples=100, deadline=None)
+@given(deep_instances_with_any_core(), st.sampled_from(["deterministic-id", "luby"]))
+def test_each_builder_picks_its_own_components(inst, mode):
+    sched, trace = constant_length_schedule_distributed(inst, Trace(mode))
+    assert all(trace.shapes[phase][0] >= 1 for phase in trace.phases)
+    red = reduce_instance(inst)
+    h, alpha, beta = red.graph, red.alpha, red.beta
+    comps = components_of(h, alpha, beta)
+    flips = schedule_non_isolated(h, comps, alpha, beta, Trace(mode))
+    flips += schedule_isolated(h, comps, alpha, beta, Trace(mode))
+    assert tuple(flips) == sched.flips
+    # Given only the other regime's components, a builder has nothing to do.
+    isolated = [c for c in comps if c.isolated and c.diameter <= 2]
+    others = [c for c in comps if c not in isolated]
+    for builder, theirs, length in ((schedule_non_isolated, isolated, 18), (schedule_isolated, others, 10)):
+        alone = Trace(mode)
+        assert builder(h, theirs, alpha, beta, alone) == [frozenset()] * length
+        assert (alone.phases, alone.messages_sent) == ({}, 0)
 
 
 def reference_part2(g, small, updated, m_comps, alpha, beta):

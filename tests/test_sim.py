@@ -246,6 +246,15 @@ def test_trace_charges_each_phase_its_slowest_call():
     assert trace.messages_sent == 29 + report.messages_sent
 
 
+def test_trace_neither_runs_nor_charges_a_graph_with_no_nodes(monkeypatch):
+    monkeypatch.setattr(sim, "dist_mis", lambda *args: pytest.fail("dist_mis ran on a graph with no nodes"))
+    trace = Trace()
+    assert trace.mis("escape-mis", Graph()) == frozenset()
+    trace.collect(Graph(), 4)
+    trace.charge("ruling-set", 3, 0, Graph())
+    assert (trace.phases, trace.shapes, trace.messages_sent) == ({}, {}, 0)
+
+
 def test_mis_on_alternating_cycle_seed_7():
     c6 = cycle(6)
     for mode in ("deterministic-id", "luby"):

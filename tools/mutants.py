@@ -7,9 +7,11 @@ Every mutant in ``MUTANTS`` runs.  The tests named by the mutants must
 first pass on an unmutated copy; a mutant is then *killed* when its
 tests fail on the mutated copy and *survives* when they pass.  Each mutant
 removes or weakens one check or construction that a test is meant to hold
-in place, so a survivor names a fact that no test reaches.  The exit status
-is 0 when every mutant is killed, else 1.  The repository is found
-from this file's location, and only the temporary copy is modified.
+in place, so a survivor names a fact that no test reaches.  A pytest run
+that outlasts ``RUN_LIMIT_S`` is stopped and reported as *timed out*, which
+is not a kill.  The exit status is 0 when every mutant is killed, else 1.
+The repository is found from this file's location, and only the temporary
+copy is modified.
 """
 
 from __future__ import annotations
@@ -23,6 +25,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# Seconds one pytest run may take.  A mutant can stall a test rather than
+# fail it (pytest diffs two long unequal strings in quadratic time), so a run
+# past this is stopped; the unmutated baseline runs well within it.
+RUN_LIMIT_S = 300
 
 
 @dataclass(frozen=True)
@@ -211,14 +217,35 @@ MUTANTS = [
     Mutant(
         "trace-charge-sums-rounds-per-phase",
         "src/misrecon/sim.py",
-        "        if rounds > self.phases.get(phase, -1):\n"
+        "        if g.nodes and rounds > self.phases.get(phase, -1):\n"
         "            degrees = list(map(len, map(g.neighbors, g.nodes)))\n"
         "            self.phases[phase] = rounds\n",
         "        self.phases[phase] = self.phases.get(phase, 0) + rounds\n"
-        "        if True:\n"
+        "        if g.nodes:\n"
         "            degrees = list(map(len, map(g.neighbors, g.nodes)))\n",
         (
             "tests/test_sim.py::test_trace_charges_each_phase_its_slowest_call",
+            "tests/test_constlength.py::test_trace_ledger_is_pinned",
+        ),
+    ),
+    Mutant(
+        "empty-phase-is-charged",
+        "src/misrecon/sim.py",
+        "if g.nodes and rounds > self.phases.get(phase, -1):",
+        "if rounds > self.phases.get(phase, -1):",
+        (
+            "tests/test_sim.py::test_trace_neither_runs_nor_charges_a_graph_with_no_nodes",
+            "tests/test_constlength.py::test_distributed_alpha_equals_beta_stops_after_broadcast",
+            "tests/test_constlength.py::test_each_builder_picks_its_own_components",
+        ),
+    ),
+    Mutant(
+        "non-isolated-takes-every-component",
+        "src/misrecon/constlength.py",
+        "    comps = [c for c in comps if not c.isolated or c.diameter >= 3]\n",
+        "",
+        (
+            "tests/test_constlength.py::test_each_builder_picks_its_own_components",
             "tests/test_constlength.py::test_trace_ledger_is_pinned",
         ),
     ),
@@ -320,11 +347,17 @@ MUTANTS = [
 ]
 
 
-def run_tests(copy: Path, tests: list[str]) -> int:
-    """pytest's exit status for ``tests`` run on the copy."""
+def run_tests(copy: Path, tests: list[str]) -> int | None:
+    """pytest's exit status for ``tests`` run on the copy, or None if the run
+    was stopped at ``RUN_LIMIT_S``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src")}
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
-    return subprocess.run(cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    try:
+        return subprocess.run(
+            cmd, cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=RUN_LIMIT_S
+        ).returncode
+    except subprocess.TimeoutExpired:
+        return None
 
 
 def main() -> int:
@@ -336,6 +369,9 @@ def main() -> int:
 
         tests = sorted({t for m in MUTANTS for t in m.tests})
         status = run_tests(copy, tests)
+        if status is None:
+            print(f"baseline: the mutants' tests ran past {RUN_LIMIT_S} s on the unmutated copy")
+            return 1
         if status != 0:
             print(f"baseline: the mutants' tests fail on the unmutated copy (pytest exit {status})")
             return 1
@@ -351,7 +387,7 @@ def main() -> int:
                 target.write_text(original.replace(m.old, m.new))
                 status = run_tests(copy, list(m.tests))
                 target.write_text(original)
-                verdict = {0: "survived", 1: "killed"}.get(status, f"error (pytest exit {status})")
+                verdict = {0: "survived", 1: "killed", None: "timed out"}.get(status, f"error (pytest exit {status})")
             killed += verdict == "killed"
             print(f"{verdict:<9} {m.name} ({m.path})")
     print(f"{killed} of {len(MUTANTS)} mutants killed")
